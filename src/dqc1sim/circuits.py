@@ -15,6 +15,7 @@ Conventions shared by the whole package:
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -407,8 +408,13 @@ def _require(obj: dict, key: str, what: str):
     return obj[key]
 
 
+def _is_int(value) -> bool:
+    """JSON integer; booleans are ints to Python but not to the formats."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int_list(value, where: str) -> list[int]:
-    if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
+    if not isinstance(value, list) or not all(_is_int(v) for v in value):
         msg = f"{where}: expected a list of integers, got {value!r}"
         raise CircuitFormatError(msg)
     return value
@@ -421,7 +427,7 @@ def parse_circuit(text: str) -> Circuit:
     """Parse the circuit wire format; errors carry the offending gate index."""
     obj = _loads(text, "circuit")
     width = _require(obj, "qubits", "circuit")
-    if not isinstance(width, int) or width < 1:
+    if not _is_int(width) or width < 1:
         msg = f"circuit: 'qubits' must be a positive integer, got {width!r}"
         raise CircuitFormatError(msg)
     raw_gates = _require(obj, "gates", "circuit")
@@ -439,15 +445,18 @@ def parse_circuit(text: str) -> Circuit:
             msg = f"{where}: unexpected field {sorted(extra)[0]!r}"
             raise CircuitFormatError(msg)
         kind = _require(entry, "g", where)
-        targets = _int_list(_require(entry, "t", where), where)
-        controls = _int_list(entry.get("c", []), where)
+        targets = _int_list(_require(entry, "t", where), f"{where} field 't'")
+        controls = _int_list(entry.get("c", []), f"{where} field 'c'")
         pol = entry.get("pol")
         theta = entry.get("theta")
-        if theta is not None and not isinstance(theta, (int, float)):
-            msg = f"{where}: 'theta' must be a number, got {theta!r}"
+        # The bound rejects NaN, infinities and integers too large for a float.
+        if theta is not None and not (
+            (_is_int(theta) or isinstance(theta, float)) and abs(theta) <= sys.float_info.max
+        ):
+            msg = f"{where}: 'theta' must be a finite number, got {theta!r}"
             raise CircuitFormatError(msg)
         if pol is not None:
-            pol = _int_list(pol, where)
+            pol = _int_list(pol, f"{where} field 'pol'")
         elif kind == "MCX":
             pol = [1] * len(controls)
         try:

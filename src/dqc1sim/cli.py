@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 all checks pass, 1 validation or input error, 2 a verified
-bound failed.  All randomized commands take explicit seeds; identical
-command lines give byte-identical output regardless of --threads.
+Exit codes: 0 all checks pass, 1 validation or input error, or a failed
+simulator self-check (printed as ``error: simulator defect: ...``), 2 a
+verified bound failed.  Every failure prints one line on stderr.  All
+randomized commands take explicit seeds; identical command lines give
+byte-identical output regardless of --threads.
 """
 
 from __future__ import annotations
@@ -225,6 +227,9 @@ def main(argv=None) -> int:
     except BoundViolationError as e:
         print(f"bound violation: {e}", file=sys.stderr)
         return 2
+    except RuntimeError as e:  # a failed self-check in the simulator
+        print(f"error: simulator defect: {e}", file=sys.stderr)
+        return 1
     except (CircuitFormatError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

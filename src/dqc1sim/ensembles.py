@@ -51,7 +51,7 @@ def random_poly(n_vars: int, n_monomials: int, rng: np.random.Generator) -> Poly
 
 
 def _random_gate(width: int, kind: str, rng: np.random.Generator) -> Gate:
-    if kind in ("H", "X", "Z", "S", "T"):
+    if kind in ("H", "X", "Z", "S", "SDG", "T", "TDG"):
         return Gate(kind, (int(rng.integers(width)),))
     if kind == "RZ":
         return Gate("RZ", (int(rng.integers(width)),), theta=float(rng.uniform(0, 2 * np.pi)))

@@ -14,7 +14,9 @@ on an array the caller owns.
 
 from __future__ import annotations
 
+import bisect
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -46,8 +48,17 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _PHASE_S = 1.0j
 _PHASE_T = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
 
-# Entries per batch chunk (~16 MiB of complex128): small enough to be
-# cache-friendly per gate sweep, large enough to amortize dispatch.
+# Factor on the |1> half of each single-qubit phase gate.
+_SINGLE_PHASE = {
+    "Z": -1.0,
+    "S": _PHASE_S,
+    "SDG": -_PHASE_S,
+    "T": _PHASE_T,
+    "TDG": _PHASE_T.conjugate(),
+}
+
+# Entries per batch chunk (16 MiB of complex128 per buffer): large enough
+# to amortize per-step dispatch.  Output bytes do not depend on it.
 _CHUNK_ENTRIES = 1 << 20
 
 
@@ -135,11 +146,11 @@ class Distribution:
         if p.shape != (1 << (self.n + 1),):
             msg = f"need {1 << (self.n + 1)} probabilities for n={self.n}, got shape {p.shape}"
             raise ValueError(msg)
-        if p.min(initial=0.0) < -1e-12:
-            msg = f"negative probability {p.min()}"
+        if not p.min(initial=0.0) >= -1e-12:
+            msg = f"negative or non-finite probability {p.min()}"
             raise ValueError(msg)
         total = float(p.sum())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             msg = f"probabilities sum to {total}, not 1"
             raise ValueError(msg)
         p.flags.writeable = False
@@ -200,15 +211,8 @@ def _apply_gate(amps: np.ndarray, width: int, g: Gate) -> None:
         _swap_blocks(view, axes, (0,), (1,))
     elif kind in ("Z", "S", "SDG", "T", "TDG"):
         view, axes = _axis_view(amps, g.targets)
-        factor = {
-            "Z": -1.0,
-            "S": _PHASE_S,
-            "SDG": -_PHASE_S,
-            "T": _PHASE_T,
-            "TDG": _PHASE_T.conjugate(),
-        }[kind]
         hi = _block(view, axes, (1,))
-        hi *= factor
+        hi *= _SINGLE_PHASE[kind]
     elif kind == "RZ":
         view, axes = _axis_view(amps, g.targets)
         half = 0.5 * g.theta
@@ -291,6 +295,232 @@ def f_value(u: Circuit, zbits) -> float:
     return float(np.sum(half.real * half.real + half.imag * half.imag))
 
 
+# --- compiled plan for the 2**n-pass distribution ----------------------------
+#
+# dqc1_distribution runs the same circuit on every column chunk, so it
+# compiles the circuit once into a short list of steps over the 2**(n+1)
+# stored rows of a (rows, columns) chunk:
+#
+# * ("gather", idx, phase): a = phase * a[idx], one maximal run of diagonal
+#   and permutation gates fused into one row gather and one multiply
+#   (either half is None when trivial);
+# * ("h", bit): an unnormalised butterfly [[1, 1], [1, -1]] on a stored bit;
+# * ("scale",): an exact rescale that keeps unnormalised norms bounded.
+#
+# Rows are stored under a qubit layout that the plan chooses: before an H
+# on a qubit whose stored halves would be short strided runs, a gather
+# moves it to a top bit.  Per column the arithmetic never depends on the
+# layout, the chunk width or the thread, which keeps output bytes fixed.
+
+_PERMUTATION_KINDS = frozenset({"X", "CX", "MCX"})
+# numpy buffers ufuncs over strided runs shorter than this many float64
+# entries, which makes them 2.5-3x slower per element.
+_MIN_RUN = 4096
+# Each unnormalised H doubles the squared norm; rescaling by 2**-256 every
+# 512 H keeps every amplitude and probability far from overflow.
+_RESCALE_EVERY = 512
+
+
+def _monomial(gates, bits: np.ndarray):
+    """(src, phase) with out[r] = phase[r] * in[src[r]] for a run of non-H gates.
+
+    ``bits[q]`` is qubit q's bit of every row index.  ``phase`` is None when
+    every factor is 1.
+    """
+    width, dim = bits.shape
+    rows = np.arange(dim)
+    src = rows
+    phase = None
+    for g in gates:
+        if g.kind in _PERMUTATION_KINDS:
+            flip = np.ones(dim, dtype=bool)
+            pols = g.polarities if g.kind == "MCX" else (1,)
+            for c, pol in zip(g.controls, pols):
+                flip &= bits[c] == pol
+            sigma = rows ^ (flip.astype(rows.dtype) << (width - 1 - g.targets[0]))
+            src = src[sigma]
+            if phase is not None:
+                phase = phase[sigma]
+            continue
+        if phase is None:
+            phase = np.ones(dim, dtype=np.complex128)
+        if g.kind == "RZ":
+            half = 0.5 * g.theta
+            hi = bits[g.targets[0]] == 1
+            np.multiply(phase, complex(math.cos(half), -math.sin(half)), out=phase, where=~hi)
+            np.multiply(phase, complex(math.cos(half), math.sin(half)), out=phase, where=hi)
+            continue
+        hit = np.logical_and.reduce(bits[list(g.targets)] == 1)
+        # CZ and CCZ flip the sign.
+        np.multiply(phase, _SINGLE_PHASE.get(g.kind, -1.0), out=phase, where=hit)
+    if phase is not None and np.all(phase == 1.0):
+        phase = None
+    return src, phase
+
+
+@dataclass(frozen=True)
+class _Plan:
+    start_rows: np.ndarray  # stored row of input column x after the leading run
+    start_vals: np.ndarray | None  # and its phase (None: all 1)
+    steps: tuple
+    final_rows: np.ndarray  # stored row whose probability is outcome r
+    pending_h: int  # butterflies not undone by a scale step
+
+
+def _compile(u: Circuit, cols: int) -> _Plan:
+    """Plan for chunks of ``cols`` columns; layout choices depend on ``cols`` only."""
+    width = u.width
+    gates = u.gates
+    h_uses: dict[int, list[int]] = {}
+    for i, g in enumerate(gates):
+        if g.kind == "H":
+            h_uses.setdefault(g.targets[0], []).append(i)
+    top = [b for b in range(width) if 2 * cols << b >= min(_MIN_RUN, 2 * cols << (width - 1))]
+
+    def next_use(q: int, i: int) -> int:
+        later = h_uses.get(q, [])
+        k = bisect.bisect_right(later, i)
+        return later[k] if k < len(later) else len(gates)
+
+    # A gather is [gates, slot]; its slot may still change for qubits no
+    # butterfly has touched since it, so an H that needs a top bit can be
+    # moved there for free by the gather before it.
+    placement = [[], [width - 1 - q for q in range(width)]]
+    program: list = []
+    current = placement
+    touched: set[int] = set()
+    run: list[Gate] = []
+    n_h = 0
+    for i, g in enumerate(gates):
+        if g.kind != "H":
+            run.append(g)
+            continue
+        if n_h == 0:
+            placement[0] = run
+        elif run:
+            current = [run, list(current[1])]
+            program.append(current)
+            touched = set()
+        run = []
+        slot = current[1]
+        q = g.targets[0]
+        if slot[q] not in top:
+            free = [b for b in top if b not in touched]
+            if not free:
+                current = [[], list(slot)]
+                program.append(current)
+                touched = set()
+                slot = current[1]
+                free = top
+            owner = {slot[p]: p for p in range(width)}
+            b = max(free, key=lambda b: next_use(owner[b], i))
+            slot[owner[b]], slot[q] = slot[q], b
+        touched.add(slot[q])
+        program.append(("h", slot[q]))
+        n_h += 1
+        if n_h % _RESCALE_EVERY == 0:
+            program.append(("scale",))
+
+    dim = 1 << width
+    rows = np.arange(dim)
+    bits = (rows >> np.arange(width - 1, -1, -1)[:, None]) & 1
+
+    def stored(slot: list[int]) -> np.ndarray:
+        """Stored row of each logical row when qubit q sits on stored bit slot[q]."""
+        return (bits << np.array(slot)[:, None]).sum(axis=0)
+
+    src, phase = _monomial(placement[0], bits)
+    first = np.empty_like(src)
+    first[src] = rows
+    first = first[: dim >> 1]  # inputs |0 x> have the clean bit 0
+    start_vals = None if phase is None else phase[first]
+    steps = []
+    prev = stored(placement[1])
+    start_rows = prev[first]
+    for item in program:
+        if isinstance(item, tuple):
+            steps.append(item)
+            continue
+        gates_run, slot = item
+        src, phase = _monomial(gates_run, bits)
+        new = stored(slot)
+        logical = np.empty_like(new)
+        logical[new] = rows
+        idx = prev[src[logical]]
+        if np.array_equal(idx, rows):
+            idx = None
+        if phase is not None:
+            phase = phase[logical]
+        if idx is not None or phase is not None:
+            steps.append(("gather", idx, phase))
+        prev = new
+    src, _ = _monomial(run, bits)  # trailing phases do not change |amplitude|**2
+    return _Plan(
+        start_rows=start_rows,
+        start_vals=start_vals,
+        steps=tuple(steps),
+        final_rows=prev[src],
+        pending_h=n_h % _RESCALE_EVERY,
+    )
+
+
+def _run_plan(plan: _Plan, c0: int, amps: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """Sum of |amplitude|**2 over the chunk's columns, one value per stored row.
+
+    Columns are summed by an adjacent-pair tree, so a chunk's result is a
+    subtree of the tree over all columns, whatever the chunk width.
+    """
+    dim, cols = amps.shape
+    amps.fill(0.0)
+    vals = 1.0 if plan.start_vals is None else plan.start_vals[c0 : c0 + cols]
+    amps[plan.start_rows[c0 : c0 + cols], np.arange(cols)] = vals
+    for step in plan.steps:
+        if step[0] == "h":
+            bit = step[1]
+            view = amps.view(np.float64).reshape(dim >> (bit + 1), 2, (2 * cols) << bit)
+            lo = view[:, 0]
+            hi = view[:, 1]
+            lo += hi
+            hi *= -2.0
+            hi += lo
+        elif step[0] == "gather":
+            _, idx, phase = step
+            if idx is not None:
+                np.take(amps, idx, axis=0, out=spare, mode="clip")
+                amps, spare = spare, amps
+            if phase is not None:
+                amps *= phase[:, None]
+        else:
+            flat = amps.view(np.float64)
+            flat *= 2.0 ** -(_RESCALE_EVERY // 2)
+    flat = amps.view(np.float64)
+    src = spare.view(np.float64)
+    np.multiply(flat, flat, out=src)
+    dst = flat
+    width = 2 * cols
+    while width > 1:
+        width //= 2
+        np.add(src[:, 0 : 2 * width : 2], src[:, 1 : 2 * width : 2], out=dst[:, :width])
+        src, dst = dst, src
+    return src[:, 0].copy()
+
+
+def _tree_sum(parts) -> np.ndarray:
+    """Adjacent-pair tree over a power-of-two count of vectors, in index order.
+
+    A binary-counter stack holds at most log2(count) + 1 partial sums.
+    """
+    stack: list[tuple[int, np.ndarray]] = []
+    for part in parts:
+        size = 1
+        while stack and stack[-1][0] == size:
+            part = stack.pop()[1] + part
+            size *= 2
+        stack.append((size, part))
+    (_, total), = stack
+    return total
+
+
 def dqc1_distribution(
     u: Circuit,
     *,
@@ -300,9 +530,11 @@ def dqc1_distribution(
     """Exact output distribution of u on |0><0| (x) I/2**n, all qubits measured.
 
     Runs one forward pass per mixed-register basis state |0 x> and averages
-    the 2**n output distributions.  Passes are batched into fixed column
-    chunks; chunk results are reduced in index order, so the output is
-    bit-identical for any ``threads`` value.
+    the 2**n output distributions.  The circuit is compiled once into a
+    plan of fused steps; passes run through it in fixed column chunks, and
+    every column's squared amplitudes are summed by one adjacent-pair tree
+    over all 2**n columns.  Output bits therefore depend on neither
+    ``threads`` nor the chunk size.
     """
     n = u.width - 1
     if n < 0:
@@ -313,34 +545,31 @@ def dqc1_distribution(
         raise ValueError(msg)
     dim = 1 << (n + 1)
     ncols = 1 << n
-    chunk = max(1, min(ncols, _CHUNK_ENTRIES // dim))
-    starts = list(range(0, ncols, chunk))
+    cols = max(1, min(ncols, _CHUNK_ENTRIES // dim))
+    plan = _compile(u, cols)
+    starts = range(0, ncols, cols)
+    local = threading.local()  # two chunk buffers per worker thread
 
     def one_chunk(c0: int) -> np.ndarray:
-        cols = min(chunk, ncols - c0)
-        amps = np.zeros((dim, cols), dtype=np.complex128)
-        amps[c0 + np.arange(cols), np.arange(cols)] = 1.0
-        _run_gates(amps, u.width, u.gates)
-        return np.sum(amps.real * amps.real + amps.imag * amps.imag, axis=1)
+        if not hasattr(local, "bufs"):
+            local.bufs = [np.empty((dim, cols), dtype=np.complex128) for _ in range(2)]
+        return _run_plan(plan, c0, *local.bufs)
 
     if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(one_chunk, starts))
+        with ThreadPoolExecutor(max_workers=min(threads, len(starts))) as pool:
+            probs = _tree_sum(pool.map(one_chunk, starts))
     else:
-        partials = [one_chunk(c0) for c0 in starts]
-
-    probs = partials[0]
-    for part in partials[1:]:
-        probs += part
-    probs /= float(ncols)
+        probs = _tree_sum(map(one_chunk, starts))
+    probs = probs[plan.final_rows]
+    probs *= math.ldexp(1.0, -(plan.pending_h + n))
 
     total = float(probs.sum())
-    if abs(total - 1.0) > 1e-9:  # unitarity self-check
-        msg = f"distribution sums to {total}; simulator defect"
+    if not abs(total - 1.0) <= 1e-9:  # unitarity self-check
+        msg = f"distribution sums to {total}"
         raise RuntimeError(msg)
     ceiling = 2.0 ** (-n) + 1e-12
-    if float(probs.max()) > ceiling:  # clean-qubit ceiling self-check
-        msg = f"outcome probability {probs.max()} exceeds 2**-{n}; simulator defect"
+    if not float(probs.max()) <= ceiling:  # clean-qubit ceiling self-check
+        msg = f"outcome probability {probs.max()} exceeds 2**-{n}"
         raise RuntimeError(msg)
     return Distribution(n, probs)
 

@@ -244,6 +244,38 @@ class TestExitCodes:
         assert code == 2
         assert "bound violation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("command", "text", "needle"),
+        [
+            ("dqc1-dist", '{"qubits":2,"gates":[{"g":"RZ","t":[1],"theta":NaN}]}', "gate 0: 'theta'"),
+            ("f-value", '{"qubits":2,"gates":[{"g":"RZ","t":[1],"theta":NaN}]}', "gate 0: 'theta'"),
+            ("dqc1-dist", '{"qubits":2,"gates":[{"g":"H","t":[0]},{"g":"RZ","t":[1],"theta":Infinity}]}',
+             "gate 1: 'theta'"),
+            ("dqc1-dist", '{"qubits": true, "gates": [{"g":"H","t":[false]}]}', "'qubits'"),
+            ("dqc1-dist", '{"qubits":1,"gates":[{"g":"H","t":[false]}]}', "gate 0 field 't'"),
+            ("dqc1-dist", '{"qubits":2,"gates":[{"g":"CX","t":[0],"c":[true]}]}', "gate 0 field 'c'"),
+            ("dqc1-dist", '{"qubits":2,"gates":[{"g":"MCX","t":[0],"c":[1],"pol":[true]}]}',
+             "gate 0 field 'pol'"),
+        ],
+    )
+    def test_rejects_non_finite_and_boolean_fields(self, tmp_path, capsys, command, text, needle):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        argv = [command, "--circuit", str(path)] + (["--z", "00"] if command == "f-value" else [])
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and needle in err
+
+    def test_simulator_defect_is_one_line(self, identity3, capsys, monkeypatch):
+        def defect(*a, **k):
+            raise RuntimeError("distribution sums to nan")
+
+        monkeypatch.setattr(cli, "dqc1_distribution", defect)
+        assert cli.main(["dqc1-dist", "--circuit", identity3]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: simulator defect: distribution sums to nan\n"
+
     def test_no_command_is_usage_error(self):
         r = run_cli()
         assert r.returncode == 2

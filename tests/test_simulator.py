@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import dqc1sim.simulator as sim
-from dqc1sim.circuits import Circuit, cx, h, mcx, rz, s, t, x, z
+from dqc1sim.circuits import GATE_KINDS, Circuit, Gate, cx, h, mcx, rz, s, t, x, z
 from dqc1sim.ensembles import random_circuit
-from dqc1sim.oracles import circuit_unitary
+from dqc1sim.oracles import circuit_unitary, density_matrix_dqc1
 from dqc1sim.simulator import (
     Distribution,
     StateVector,
@@ -197,11 +197,15 @@ class TestDqc1Distribution:
         assert np.array_equal(d1.probs, d4.probs)
 
     def test_chunked_path_matches(self, monkeypatch):
-        u = random_circuit(7, 40, np.random.default_rng(9))
-        whole = dqc1_distribution(u)
-        monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 1 << 8)
-        pieces = dqc1_distribution(u)
-        assert np.array_equal(whole.probs, pieces.probs)
+        # Output bytes depend on neither the chunk size nor the thread count.
+        for width, seed in ((7, 9), (11, 10)):
+            u = random_circuit(width, 80, np.random.default_rng(seed), GATE_KINDS)
+            whole = dqc1_distribution(u)
+            for log_chunk in (8, 12, 16, 20):
+                monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 1 << log_chunk)
+                for threads in (1, 2):
+                    pieces = dqc1_distribution(u, threads=threads)
+                    assert np.array_equal(whole.probs, pieces.probs), (width, log_chunk, threads)
 
     def test_width_cap(self):
         with pytest.raises(ValueError, match="mixed qubits"):
@@ -213,6 +217,70 @@ class TestDqc1Distribution:
         assert np.allclose(d.probs, [0.5, 0.5])
 
 
+def _columns_reference(u: Circuit) -> np.ndarray:
+    """Average of |U|0 x>|**2 over x, one apply_circuit pass per column."""
+    n = u.width - 1
+    probs = np.zeros(1 << u.width)
+    for col in range(1 << n):
+        amps = apply_circuit(StateVector.basis(u.width, col), u).amplitudes
+        probs += amps.real**2 + amps.imag**2
+    return probs / (1 << n)
+
+
+def _plan_cases():
+    """Seeded circuits over all 12 kinds that stress the fused plan's edge cases."""
+    rng = np.random.default_rng(2024)
+    no_h = tuple(k for k in GATE_KINDS if k != "H")
+    cases = []
+    for width in range(1, 10):
+        cases.append(random_circuit(width, int(rng.integers(0, 50)), rng, GATE_KINDS))
+        cases.append(random_circuit(width, 30, rng, no_h))
+        body = random_circuit(width, 20, rng, GATE_KINDS).gates
+        ends = tuple(h(q) for q in rng.permutation(width))
+        cases.append(Circuit(width, ends + body + ends))
+        # H runs over every qubit, longer than the number of top slots.
+        layer = tuple(h(q) for q in range(width))
+        mid = random_circuit(width, 10, rng, no_h).gates
+        cases.append(Circuit(width, layer + layer[::-1] + mid + layer + mid + layer))
+    # Past the 512-butterfly rescale twice: unnormalised norms would overflow.
+    gates = []
+    for i in range(1101):
+        gates.append(h(0))
+        if i % 100 == 0:
+            gates += [t(0), cx(0, 1), rz(0.3, 1)]
+    cases.append(Circuit(2, tuple(gates)))
+    return cases
+
+
+class TestFusedPlan:
+    @pytest.mark.parametrize("log_chunk", [6, 8, 20])
+    def test_matches_gate_by_gate_columns(self, monkeypatch, log_chunk):
+        monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 1 << log_chunk)
+        for u in _plan_cases():
+            got = dqc1_distribution(u).probs
+            assert np.abs(got - _columns_reference(u)).max() < 1e-13, u
+
+    def test_matches_density_matrix_oracle(self):
+        for u in _plan_cases():
+            if u.width <= 6:
+                want = density_matrix_dqc1(u).probs
+                assert np.abs(dqc1_distribution(u).probs - want).max() < 1e-12, u
+
+    def test_no_gate_by_gate_kernel(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("dqc1_distribution must run the compiled plan")
+
+        monkeypatch.setattr(sim, "_run_gates", forbidden)
+        monkeypatch.setattr(sim, "_apply_gate", forbidden)
+        u = random_circuit(5, 40, np.random.default_rng(4), GATE_KINDS)
+        assert dqc1_distribution(u).n == 4
+
+    def test_non_finite_angle_fails_self_check(self):
+        u = Circuit(2, (h(0), Gate("RZ", (1,), theta=float("nan")), h(1)))
+        with pytest.raises(RuntimeError, match="sums to nan"):
+            dqc1_distribution(u)
+
+
 class TestDistributionType:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -221,6 +289,8 @@ class TestDistributionType:
             Distribution(1, np.array([0.7, 0.5, 0.0, 0.0]))  # not normalized
         with pytest.raises(ValueError):
             Distribution(1, np.array([-0.1, 0.55, 0.55, 0.0]))  # negative
+        with pytest.raises(ValueError):
+            Distribution(1, np.array([np.nan] * 4))
 
     def test_outcome_bits(self):
         d = Distribution(1, np.array([0.25, 0.25, 0.25, 0.25]))

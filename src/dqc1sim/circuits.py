@@ -445,6 +445,9 @@ def parse_circuit(text: str) -> Circuit:
             msg = f"{where}: unexpected field {sorted(extra)[0]!r}"
             raise CircuitFormatError(msg)
         kind = _require(entry, "g", where)
+        if not isinstance(kind, str):
+            msg = f"{where}: 'g' must be a gate name, got {kind!r}"
+            raise CircuitFormatError(msg)
         targets = _int_list(_require(entry, "t", where), f"{where} field 't'")
         controls = _int_list(entry.get("c", []), f"{where} field 'c'")
         pol = entry.get("pol")

@@ -26,6 +26,7 @@ from .hardness import (
     BoundViolationError,
     ErrorBudget,
     SamplerModel,
+    _heavy_bound,
     build_postselection_pair,
     build_worst_case_embedding,
     heavy_set_fraction,
@@ -184,8 +185,7 @@ def _cmd_anticoncentration(args) -> int:
     ens = parse_ensemble_spec(args.ensemble)
     budget = ErrorBudget(eps=args.eps, delta=args.delta, eta=0.0)
     fraction = heavy_set_fraction(ens, budget, threads=args.threads, check=False)
-    ratio = 3.0 * budget.eps / budget.delta
-    bound = (1.0 - ratio) / (2.0 - ratio)
+    bound = _heavy_bound(budget)
     passed = fraction > bound
     print(f"heavy_fraction={_scalar(fraction)}")
     print(f"heavy_bound={_scalar(bound)}")

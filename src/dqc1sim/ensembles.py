@@ -20,6 +20,7 @@ import numpy as np
 
 from .circuits import Circuit, Gate, PolyF2, compile_iqp_from_poly, load_circuit
 from .hardness import Ensemble, build_worst_case_embedding
+from .simulator import DEFAULT_MAX_MIXED_QUBITS
 
 __all__ = [
     "random_poly",
@@ -145,6 +146,9 @@ def parse_ensemble_spec(spec: str) -> Ensemble:
             raise ValueError(msg) from None
         if n < 1 or count < 1 or depth < 0:
             msg = f"need n >= 1, count >= 1, depth >= 0 in {spec!r}"
+            raise ValueError(msg)
+        if n > DEFAULT_MAX_MIXED_QUBITS:
+            msg = f"n={n} exceeds the cap of {DEFAULT_MAX_MIXED_QUBITS} mixed qubits in {spec!r}"
             raise ValueError(msg)
         if kind == "iqp":
             return random_iqp_ensemble(n, count, depth, seed)

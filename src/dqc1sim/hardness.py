@@ -20,13 +20,12 @@ directly against the Markov threshold above.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import Circuit, adjoint, cx, mcx, shift_qubits, x
-from .simulator import Distribution, dqc1_distribution
+from .simulator import Distribution, _parallel_map, dqc1_distribution
 
 __all__ = [
     "BoundViolationError",
@@ -224,7 +223,7 @@ def check_multiplicative_error(
     estimate: float, truth: float, eps_mult: float, *, strict: bool = False
 ) -> bool:
     """Whether |estimate - truth| <= eps_mult * truth (or < with strict=True)."""
-    if truth < 0.0 or eps_mult < 0.0:
+    if not (truth >= 0.0 and eps_mult >= 0.0):
         msg = f"truth and eps_mult must be nonnegative, got {truth}, {eps_mult}"
         raise ValueError(msg)
     diff = abs(estimate - truth)
@@ -282,55 +281,52 @@ def make_noisy_distribution(p: Distribution, model: SamplerModel) -> Distributio
     return Distribution(p.n, q)
 
 
-def approximate_count(q: float, eta: float, seed: int) -> float:
+def approximate_count(
+    q: float | np.ndarray, eta: float, seed: int | np.random.SeedSequence
+) -> float | np.ndarray:
     """A counting oracle with relative error eta: q * (1 + u), u ~ U[-eta, eta].
 
-    Deterministic in (seed); eta = 0 or q = 0 return q unchanged.
+    ``q`` is a count or an array of counts, each with its own draw.
+    Deterministic in ``seed`` (an int or a ``SeedSequence``); eta = 0 or
+    q = 0 return q unchanged.
     """
-    if q < 0.0:
-        msg = f"count must be nonnegative, got {q}"
+    counts = np.asarray(q, dtype=np.float64)
+    if not (counts >= 0.0).all():
+        msg = f"counts must be nonnegative, got {counts.min()}"
         raise ValueError(msg)
     if not 0.0 <= eta < 1.0:
         msg = f"eta must lie in [0, 1), got {eta}"
         raise ValueError(msg)
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(-eta, eta)
-    return q * (1.0 + u)
+    u = np.random.default_rng(seed).uniform(-eta, eta, size=counts.shape)
+    out = counts * (1.0 + u)
+    return float(out) if out.ndim == 0 else out
 
 
-def ratio_bounds_check(
-    f1: float, f2: float, eps_mult: float, trials: int = 1000, seed: int = 0
-) -> bool:
+def ratio_bounds_check(f1: float, f2: float, eps_mult: float) -> bool:
     """Check the two-sided bound on a ratio of multiplicatively-estimated values.
 
     For every a in [f1(1-e), f1(1+e)] and b in [f2(1-e), f2(1+e)]:
         (1-e)/(1+e) * f2/f1  <=  b/a  <=  (1+e)/(1-e) * f2/f1.
-    Tries the four endpoint pairs plus ``trials`` random interior pairs;
-    comparisons carry a 1e-12 relative float cushion.
+    b/a is monotone in a and in b, and so is its float rounding, so the
+    four corners are its extremes; comparisons carry a 1e-12 relative
+    float cushion.
     """
-    if f1 <= 0.0 or f2 < 0.0:
+    if not (f1 > 0.0 and f2 >= 0.0):
         msg = f"need f1 > 0 and f2 >= 0, got {f1}, {f2}"
         raise ValueError(msg)
     if not 0.0 <= eps_mult < 1.0:
         msg = f"eps_mult must lie in [0, 1), got {eps_mult}"
         raise ValueError(msg)
-    rng = np.random.default_rng(seed)
     ratio = f2 / f1
     lo = (1.0 - eps_mult) / (1.0 + eps_mult) * ratio
     hi = (1.0 + eps_mult) / (1.0 - eps_mult) * ratio
     slack = 1e-12 * max(1.0, hi)
-
-    corners = np.array(
-        [(-eps_mult, -eps_mult), (-eps_mult, eps_mult),
-         (eps_mult, -eps_mult), (eps_mult, eps_mult)]
+    ends = (-eps_mult, eps_mult)
+    return all(
+        lo - slack <= f2 * (1.0 + v) / (f1 * (1.0 + u)) <= hi + slack
+        for u in ends
+        for v in ends
     )
-    interior = rng.uniform(-eps_mult, eps_mult, size=(trials, 2))
-    u = np.vstack([corners, interior])
-    a = f1 * (1.0 + u[:, 0])
-    b = f2 * (1.0 + u[:, 1])
-    r = b / a
-    ok = (r >= lo - slack) & (r <= hi + slack)
-    return bool(ok.all())
 
 
 def _markov_threshold(n: int, budget: ErrorBudget) -> float:
@@ -353,25 +349,43 @@ def success_fraction_bound(budget: ErrorBudget) -> float:
     return 1.0 - budget.delta - 1.0 / (2.0 - r)
 
 
-def _distributions(ens: Ensemble, threads: int) -> list[Distribution]:
-    if threads > 1 and len(ens) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(dqc1_distribution, ens.circuits))
-    return [dqc1_distribution(c) for c in ens.circuits]
+def _pair_counts(
+    ens: Ensemble, sampler: SamplerModel, budget: ErrorBudget, seed: int, threads: int
+) -> tuple[int, int, int]:
+    """Markov-outlier, heavy and counter-success pairs (z, U) over the ensemble.
 
+    One pass per circuit, at most ``threads`` circuits at a time: p_z from
+    the exact simulator, q_z from the sampler model (which must honor the
+    TV budget), and q~_z from the eta-relative counter on stream
+    (seed, i) for circuit i, so counts do not depend on scheduling.  A
+    pair succeeds when |q~_z * 2**n - f| < f/2 with f = p_z * 2**n; pairs
+    with f = 0 succeed only if q~_z = 0.
+    """
+    n = ens.n
+    thr = _markov_threshold(n, budget)
 
-def _check_tv_budget(
-    dists: list[Distribution], noisy: list[Distribution], eps: float
-) -> None:
-    over = []
-    for i, (p, q) in enumerate(zip(dists, noisy)):
+    def per_circuit(i: int) -> tuple[int, int, int]:
+        p = dqc1_distribution(ens.circuits[i])
+        q = make_noisy_distribution(p, sampler)
         tv = total_variation_distance(p, q)
-        if tv > eps + 1e-12:
-            over.append((i, tv))
-    if over:
-        listed = ", ".join(f"circuit {i}: TV={tv}" for i, tv in over[:5])
-        msg = f"sampler exceeds the TV budget eps={eps} ({listed})"
-        raise ValueError(msg)
+        if tv > budget.eps + 1e-12:
+            msg = f"circuit {i}: sampler TV {tv} exceeds the TV budget eps={budget.eps}"
+            raise ValueError(msg)
+        q_tilde = approximate_count(
+            q.probs, budget.eta, np.random.SeedSequence(seed, spawn_key=(i,))
+        )
+
+        f = p.probs * float(1 << n)
+        estimate = q_tilde * float(1 << n)
+        zero = p.probs == 0.0
+        good = np.where(zero, q_tilde == 0.0, np.abs(estimate - f) < f / 2.0)
+
+        markov = int(np.count_nonzero(np.abs(p.probs - q.probs) >= thr))
+        heavy = int(np.count_nonzero(thr <= p.probs / 3.0))
+        return markov, heavy, int(np.count_nonzero(good))
+
+    counts = _parallel_map(per_circuit, range(len(ens)), threads)
+    return tuple(map(sum, zip(*counts)))
 
 
 def markov_outlier_fraction(
@@ -388,13 +402,7 @@ def markov_outlier_fraction(
     inequality then promises the fraction is at most delta, and a larger
     value raises BoundViolationError (pass check=False to just measure).
     """
-    dists = _distributions(ens, threads)
-    noisy = [make_noisy_distribution(p, sampler) for p in dists]
-    _check_tv_budget(dists, noisy, budget.eps)
-    thr = _markov_threshold(ens.n, budget)
-    outliers = 0
-    for p, q in zip(dists, noisy):
-        outliers += int(np.count_nonzero(np.abs(p.probs - q.probs) >= thr))
+    outliers, _, _ = _pair_counts(ens, sampler, budget, 0, threads)
     fraction = outliers / (len(ens) * (1 << (ens.n + 1)))
     if check and fraction > budget.delta:
         msg = f"Markov outlier fraction {fraction} exceeds delta={budget.delta}"
@@ -412,11 +420,7 @@ def heavy_set_fraction(
     default budget the threshold is exactly 1/3.  Falling at or below it
     raises BoundViolationError (pass check=False to just measure).
     """
-    dists = _distributions(ens, threads)
-    thr = _markov_threshold(ens.n, budget)
-    heavy = 0
-    for p in dists:
-        heavy += int(np.count_nonzero(thr <= p.probs / 3.0))
+    _, heavy, _ = _pair_counts(ens, SamplerModel.exact(), budget, 0, threads)
     fraction = heavy / (len(ens) * (1 << (ens.n + 1)))
     bound = _heavy_bound(budget)
     if check and not fraction > bound:
@@ -488,13 +492,9 @@ def verify_chain(
 ) -> ChainReport:
     """Run the whole chain on an ensemble and report every bound.
 
-    Per pair (z, U): p_z comes from the exact simulator, q_z from the
-    sampler model, and q~_z from the eta-relative counter seeded per
-    circuit (stream i is spawned from (seed, i), so results do not depend
-    on scheduling).  A pair succeeds when |q~_z * 2**n - f(z,U)| <
-    f(z,U)/2, where f = p_z * 2**n; pairs with f = 0 succeed only if
-    q~_z = 0.  The counter precondition eta < 1/6 keeps the estimate's
-    worst case inside the factor-1/2 window on the heavy set.
+    Pairs are counted as in ``_pair_counts``.  The counter precondition
+    eta < 1/6 keeps the estimate's worst case inside the factor-1/2 window
+    on the heavy set.
 
     Bounds are recorded, not raised: the report carries observed fraction,
     threshold, and pass flag for the Markov, heavy-set, and success steps.
@@ -502,45 +502,15 @@ def verify_chain(
     if not budget.eta < 1.0 / 6.0:
         msg = f"need eta < 1/6 for the factor-1/2 window, got {budget.eta}"
         raise ValueError(msg)
-    n = ens.n
-    dim = 1 << (n + 1)
-    thr = _markov_threshold(n, budget)
-
-    def per_circuit(i: int) -> tuple[int, int, int]:
-        p = dqc1_distribution(ens.circuits[i])
-        q = make_noisy_distribution(p, sampler)
-        tv = total_variation_distance(p, q)
-        if tv > budget.eps + 1e-12:
-            msg = f"circuit {i}: sampler TV {tv} exceeds eps={budget.eps}"
-            raise ValueError(msg)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        noise = rng.uniform(-budget.eta, budget.eta, size=dim)
-        q_tilde = q.probs * (1.0 + noise)
-
-        f = p.probs * float(1 << n)
-        estimate = q_tilde * float(1 << n)
-        zero = p.probs == 0.0
-        good = np.where(zero, q_tilde == 0.0, np.abs(estimate - f) < f / 2.0)
-
-        markov = int(np.count_nonzero(np.abs(p.probs - q.probs) >= thr))
-        heavy = int(np.count_nonzero(thr <= p.probs / 3.0))
-        return markov, heavy, int(np.count_nonzero(good))
-
-    indices = range(len(ens))
-    if threads > 1 and len(ens) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(per_circuit, indices))
-    else:
-        counts = [per_circuit(i) for i in indices]
-
-    pairs = len(ens) * dim
-    markov_fraction = sum(c[0] for c in counts) / pairs
-    heavy_fraction = sum(c[1] for c in counts) / pairs
-    success_fraction = sum(c[2] for c in counts) / pairs
+    markov, heavy, success = _pair_counts(ens, sampler, budget, seed, threads)
+    pairs = len(ens) * (1 << (ens.n + 1))
+    markov_fraction = markov / pairs
+    heavy_fraction = heavy / pairs
+    success_fraction = success / pairs
     heavy_bound = _heavy_bound(budget)
     success_bound = success_fraction_bound(budget)
     return ChainReport(
-        n=n,
+        n=ens.n,
         ensemble_size=len(ens),
         budget=budget,
         sampler=str(sampler),

@@ -521,6 +521,18 @@ def _tree_sum(parts) -> np.ndarray:
     return total
 
 
+def _parallel_map(fn, items, threads: int):
+    """Yield fn(item) for each item, in order, from up to ``threads`` worker threads.
+
+    A generator, so the caller can fold each result in as it arrives.
+    """
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
+            yield from pool.map(fn, items)
+    else:
+        yield from map(fn, items)
+
+
 def dqc1_distribution(
     u: Circuit,
     *,
@@ -555,12 +567,7 @@ def dqc1_distribution(
             local.bufs = [np.empty((dim, cols), dtype=np.complex128) for _ in range(2)]
         return _run_plan(plan, c0, *local.bufs)
 
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(starts))) as pool:
-            probs = _tree_sum(pool.map(one_chunk, starts))
-    else:
-        probs = _tree_sum(map(one_chunk, starts))
-    probs = probs[plan.final_rows]
+    probs = _tree_sum(_parallel_map(one_chunk, starts, threads))[plan.final_rows]
     probs *= math.ldexp(1.0, -(plan.pending_h + n))
 
     total = float(probs.sum())

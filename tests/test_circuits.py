@@ -1,9 +1,13 @@
 """Circuit IR: validation, adjoints, compilers, wire-format round trips."""
 
+import copy
+import json
+
 import numpy as np
 import pytest
 
 from dqc1sim.circuits import (
+    GATE_KINDS,
     Circuit,
     CircuitFormatError,
     Gate,
@@ -31,7 +35,15 @@ from dqc1sim.circuits import (
     z,
 )
 from dqc1sim.ensembles import random_circuit
-from dqc1sim.simulator import StateVector, amplitude_zero, apply_circuit
+from dqc1sim.simulator import (
+    DEFAULT_MAX_MIXED_QUBITS,
+    MAX_SINGLE_PASS_WIDTH,
+    StateVector,
+    amplitude_zero,
+    apply_circuit,
+    dqc1_distribution,
+    f_value,
+)
 
 
 class TestGateValidation:
@@ -248,6 +260,74 @@ class TestWireFormat:
             again = parse_circuit(text)
             assert again == c
             assert serialize_circuit(again) == text
+
+
+# Values the fuzz writes into fields; "@1e309" becomes the bare literal 1e309.
+_FUZZ_VALUES = (
+    None, True, False, 0, 1, -1, 3, 7, 2**70, -(2**70), "@1e309", float("nan"), 0.5, -2.5,
+    "", "H", "MCX", "0", [], [0], [1, 0], [True], [None], [2**70], {}, {"g": "H"},
+)
+
+
+def _mutate(obj: dict, rng: np.random.Generator) -> None:
+    """One random edit of a parsed circuit object, in place."""
+    def value():
+        return copy.deepcopy(_FUZZ_VALUES[int(rng.integers(len(_FUZZ_VALUES)))])
+
+    gates = obj.get("gates")
+    gate = None
+    if isinstance(gates, list) and gates:
+        gate = gates[int(rng.integers(len(gates)))]
+        if not isinstance(gate, dict):
+            gate = None
+    action = int(rng.integers(6))
+    if action == 0:
+        obj[["qubits", "gates", "extra"][int(rng.integers(3))]] = value()
+    elif action == 1 and gate is not None:
+        gate[["g", "t", "c", "pol", "theta", "bogus"][int(rng.integers(6))]] = value()
+    elif action == 2 and gate is not None:
+        lists = [gate[k] for k in ("t", "c", "pol") if isinstance(gate.get(k), list) and gate[k]]
+        if lists:
+            wires = lists[int(rng.integers(len(lists)))]
+            wires[int(rng.integers(len(wires)))] = value()
+    elif action == 3 and gate:
+        del gate[sorted(gate)[int(rng.integers(len(gate)))]]
+    elif action == 4:
+        obj.pop(["qubits", "gates"][int(rng.integers(2))], None)
+    elif isinstance(gates, list):
+        gates.append(value())
+
+
+class TestParseFuzz:
+    """Mutated circuit JSON is either rejected at parse time or simulates cleanly."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mutated_circuits(self, seed):
+        rng = np.random.default_rng(4000 + seed)
+        parsed = rejected = 0
+        for _ in range(500):
+            c = random_circuit(int(rng.integers(1, 6)), int(rng.integers(0, 10)), rng, GATE_KINDS)
+            obj = json.loads(serialize_circuit(c))
+            for _ in range(int(rng.integers(1, 3))):
+                _mutate(obj, rng)
+            text = json.dumps(obj).replace('"@1e309"', "1e309")
+            try:
+                u = parse_circuit(text)
+            except CircuitFormatError:
+                rejected += 1
+                continue
+            parsed += 1
+            if u.width - 1 > DEFAULT_MAX_MIXED_QUBITS:
+                with pytest.raises(ValueError, match="cap"):
+                    dqc1_distribution(u)
+            else:
+                assert dqc1_distribution(u).probs.max() <= 2.0 ** (1 - u.width) + 1e-12
+            if u.width > MAX_SINGLE_PASS_WIDTH:
+                with pytest.raises(ValueError, match="cap"):
+                    f_value(u, 0)
+            else:
+                assert 0.0 <= f_value(u, 0) <= 1.0 + 1e-12
+        assert parsed >= 10 and rejected >= 400
 
 
 class TestPolyAndIsingFormats:

@@ -256,6 +256,7 @@ class TestExitCodes:
             ("dqc1-dist", '{"qubits":2,"gates":[{"g":"CX","t":[0],"c":[true]}]}', "gate 0 field 'c'"),
             ("dqc1-dist", '{"qubits":2,"gates":[{"g":"MCX","t":[0],"c":[1],"pol":[true]}]}',
              "gate 0 field 'pol'"),
+            ("dqc1-dist", '{"qubits":2,"gates":[{"g":["H"],"t":[0]}]}', "gate 0: 'g'"),
         ],
     )
     def test_rejects_non_finite_and_boolean_fields(self, tmp_path, capsys, command, text, needle):

@@ -408,9 +408,21 @@ def _require(obj: dict, key: str, what: str):
     return obj[key]
 
 
+def _no_extra_fields(obj: dict, allowed: set[str], what: str) -> None:
+    extra = set(obj) - allowed
+    if extra:
+        msg = f"{what}: unexpected field {sorted(extra)[0]!r}"
+        raise CircuitFormatError(msg)
+
+
 def _is_int(value) -> bool:
     """JSON integer; booleans are ints to Python but not to the formats."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """JSON number that is a finite float; the bound rejects NaN, infinities and huge ints."""
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
 def _int_list(value, where: str) -> list[int]:
@@ -426,6 +438,7 @@ _GATE_FIELDS = {"g", "t", "c", "pol", "theta"}
 def parse_circuit(text: str) -> Circuit:
     """Parse the circuit wire format; errors carry the offending gate index."""
     obj = _loads(text, "circuit")
+    _no_extra_fields(obj, {"qubits", "gates"}, "circuit")
     width = _require(obj, "qubits", "circuit")
     if not _is_int(width) or width < 1:
         msg = f"circuit: 'qubits' must be a positive integer, got {width!r}"
@@ -440,10 +453,7 @@ def parse_circuit(text: str) -> Circuit:
         if not isinstance(entry, dict):
             msg = f"{where}: expected an object, got {entry!r}"
             raise CircuitFormatError(msg)
-        extra = set(entry) - _GATE_FIELDS
-        if extra:
-            msg = f"{where}: unexpected field {sorted(extra)[0]!r}"
-            raise CircuitFormatError(msg)
+        _no_extra_fields(entry, _GATE_FIELDS, where)
         kind = _require(entry, "g", where)
         if not isinstance(kind, str):
             msg = f"{where}: 'g' must be a gate name, got {kind!r}"
@@ -452,10 +462,7 @@ def parse_circuit(text: str) -> Circuit:
         controls = _int_list(entry.get("c", []), f"{where} field 'c'")
         pol = entry.get("pol")
         theta = entry.get("theta")
-        # The bound rejects NaN, infinities and integers too large for a float.
-        if theta is not None and not (
-            (_is_int(theta) or isinstance(theta, float)) and abs(theta) <= sys.float_info.max
-        ):
+        if theta is not None and not _is_finite(theta):
             msg = f"{where}: 'theta' must be a finite number, got {theta!r}"
             raise CircuitFormatError(msg)
         if pol is not None:
@@ -498,9 +505,18 @@ def save_circuit(c: Circuit, path) -> None:
     Path(path).write_text(serialize_circuit(c) + "\n")
 
 
+def _positive_n(obj: dict, what: str) -> int:
+    n = _require(obj, "n", what)
+    if not _is_int(n) or n < 1:
+        msg = f"{what}: 'n' must be a positive integer, got {n!r}"
+        raise CircuitFormatError(msg)
+    return n
+
+
 def parse_poly(text: str) -> PolyF2:
     obj = _loads(text, "polynomial")
-    n = _require(obj, "n", "polynomial")
+    _no_extra_fields(obj, {"n", "monomials"}, "polynomial")
+    n = _positive_n(obj, "polynomial")
     monomials = _require(obj, "monomials", "polynomial")
     if not isinstance(monomials, list):
         msg = "polynomial: 'monomials' must be a list"
@@ -519,20 +535,28 @@ def load_poly(path) -> PolyF2:
 
 def parse_ising(text: str) -> IsingInstance:
     obj = _loads(text, "ising")
-    n = _require(obj, "n", "ising")
+    _no_extra_fields(obj, {"n", "couplings", "fields"}, "ising")
+    n = _positive_n(obj, "ising")
     couplings = obj.get("couplings", [])
     fields = obj.get("fields", [])
     if not isinstance(couplings, list) or not isinstance(fields, list):
         msg = "ising: 'couplings' and 'fields' must be lists"
         raise CircuitFormatError(msg)
-    for i, entry in enumerate(couplings):
-        if not isinstance(entry, list) or len(entry) != 3:
-            msg = f"ising: coupling {i} must be [j, k, theta], got {entry!r}"
-            raise CircuitFormatError(msg)
-    for i, entry in enumerate(fields):
-        if not isinstance(entry, list) or len(entry) != 2:
-            msg = f"ising: field {i} must be [j, theta], got {entry!r}"
-            raise CircuitFormatError(msg)
+    for name, entries, shape, size in (
+        ("coupling", couplings, "[j, k, theta]", 3),
+        ("field", fields, "[j, theta]", 2),
+    ):
+        for i, entry in enumerate(entries):
+            where = f"ising: {name} {i}"
+            if not isinstance(entry, list) or len(entry) != size:
+                msg = f"{where} must be {shape}, got {entry!r}"
+                raise CircuitFormatError(msg)
+            if not all(_is_int(j) for j in entry[:-1]):
+                msg = f"{where}: spins must be integers, got {entry[:-1]!r}"
+                raise CircuitFormatError(msg)
+            if not _is_finite(entry[-1]):
+                msg = f"{where}: theta must be a finite number, got {entry[-1]!r}"
+                raise CircuitFormatError(msg)
     try:
         return IsingInstance(
             n,

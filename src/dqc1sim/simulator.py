@@ -4,12 +4,21 @@ The maximally mixed register is never materialized as a density matrix.
 Every quantity is assembled from pure forward passes: the input
 |0><0| (x) I/2**n is the uniform mixture of the basis states |0 x>, so the
 output distribution is the average of the 2**n pure output distributions.
-Passes are batched column-wise so one gate sweep covers many inputs.
+
+Two paths apply gates:
+
+* ``dqc1_distribution`` compiles the circuit once into a plan of fused
+  steps and runs it over chunks of columns (see the plan section).
+* ``apply_circuit``, ``amplitude_zero`` and ``f_value`` run one column
+  through ``_single_pass``: in-place kernels on basic-index views of one
+  buffer, with X gates kept as bit flips instead of data moves.  A pass
+  from a basis state keeps each qubit settled at a known bit until a gate
+  first mixes it, and works only where the settled qubits sit at that bit,
+  so gates on unmixed qubits cost little or nothing.
 
 Index layout (see circuits module): qubit q owns bit (width-1-q) of the
-amplitude index, so reshaping a state to (2**q, 2, -1) exposes qubit q on
-the middle axis as a zero-copy view.  Kernels mutate such views in place
-on an array the caller owns.
+amplitude index, so viewing a state as a (2,)*width array puts qubit q on
+axis q.
 """
 
 from __future__ import annotations
@@ -56,6 +65,7 @@ _SINGLE_PHASE = {
     "T": _PHASE_T,
     "TDG": _PHASE_T.conjugate(),
 }
+_PERMUTATION_KINDS = frozenset({"X", "CX", "MCX"})
 
 # Entries per batch chunk (16 MiB of complex128 per buffer): large enough
 # to amortize per-step dispatch.  Output bytes do not depend on it.
@@ -160,91 +170,143 @@ class Distribution:
         return index_to_bits(index, self.n + 1)
 
 
-# --- in-place gate kernels ---------------------------------------------------
+# --- the single-column pass --------------------------------------------------
 #
-# _axis_view reshapes a (2**width,) or (2**width, batch) array so each
-# involved qubit gets its own length-2 axis; basic indexing then yields
-# zero-copy views of the matching amplitude blocks.
+# The state lives in one buffer, seen as a (2,)*width array ``full`` so
+# qubit q is axis q and every block the kernels touch is a basic-index view
+# ``full[bits]``.  Nothing is reshaped after that, so no kernel copies the
+# state behind the caller's back, and copies between interleaved halves go
+# through ufuncs (``np.positive(lo, out=hi)``), never ``view[...] = view``.
+#
+# Two pieces of bookkeeping avoid sweeps of the state:
+#
+# * ``flip[q]``: qubit q's logical bit is its stored bit XOR flip[q], so an
+#   X, and a CX/MCX whose controls are all settled (below), moves no data;
+#   an H on a flipped qubit folds the flip into its butterfly.
+# * ``index[q]``: 0 while qubit q is settled (not mixed yet), _LIVE after.
+#   While q is settled the buffer is zero wherever q's stored bit is 1, so
+#   every kernel indexes q's axis at 0 and q's logical bit is flip[q].  An H
+#   makes q live by writing its stored-1 half from its stored-0 half; a
+#   CX/MCX with a control on a live qubit makes its target live with no
+#   write at all.  A pass from a basis state starts with every qubit
+#   settled, so a leading H layer costs about one sweep in all.
+#
+# A diagonal gate on settled qubits becomes a scalar ``phase`` or a gate on
+# fewer qubits, and a control on a settled qubit either always fires or
+# never does.
+
+# Largest temporary of a single-column kernel, in entries (256 KiB).
+_TEMP_ENTRIES = 1 << 14
+# How a live qubit's axis is indexed; a settled qubit's axis is indexed by 0.
+_LIVE = slice(None)
 
 
-def _axis_view(amps: np.ndarray, qubits: tuple[int, ...]):
-    shape = []
-    prev = 0
-    for q in qubits:
-        shape.append(1 << (q - prev))
-        shape.append(2)
-        prev = q + 1
-    shape.append(-1)
-    view = amps.reshape(shape)
-    axes = tuple(2 * i + 1 for i in range(len(qubits)))
-    return view, axes
+def _part(full: np.ndarray, index: list, fixed: dict[int, int]) -> np.ndarray:
+    """The view ``full[index]`` with qubit q's axis at stored bit fixed[q]."""
+    sel = list(index)
+    for q, bit in fixed.items():
+        sel[q] = bit
+    sel.append(...)
+    return full[tuple(sel)]
 
 
-def _block(view: np.ndarray, axes: tuple[int, ...], bits: tuple[int, ...]) -> np.ndarray:
-    idx: list = [slice(None)] * view.ndim
-    for a, b in zip(axes, bits):
-        idx[a] = b
-    return view[tuple(idx)]
+def _swap(a: np.ndarray, b: np.ndarray) -> None:
+    """Exchange two disjoint equal-shape views, through at most _TEMP_ENTRIES of temporary."""
+    if a.size > _TEMP_ENTRIES:
+        for i in range(a.shape[0]):
+            _swap(a[i], b[i])
+        return
+    tmp = a.copy()
+    np.positive(b, out=a)
+    np.positive(tmp, out=b)
 
 
-def _swap_blocks(view, axes, bits0, bits1) -> None:
-    b0 = _block(view, axes, bits0)
-    b1 = _block(view, axes, bits1)
-    tmp = b0.copy()
-    b0[...] = b1
-    b1[...] = tmp
+def _sq_norm(v: np.ndarray) -> float:
+    """Sum of |v|**2, copying at most _TEMP_ENTRIES entries of v at a time."""
+    if v.size <= _TEMP_ENTRIES or v.flags.c_contiguous:
+        return float(np.vdot(v, v).real)
+    return _sq_norm(v[0]) + _sq_norm(v[1])
 
 
-def _apply_gate(amps: np.ndarray, width: int, g: Gate) -> None:
-    kind = g.kind
-    if kind == "H":
-        view, axes = _axis_view(amps, g.targets)
-        lo = _block(view, axes, (0,))
-        hi = _block(view, axes, (1,))
-        # In-place butterfly: lo' = (lo + hi)/sqrt2, hi' = lo' - sqrt2*hi.
-        lo += hi
-        lo *= _INV_SQRT2
-        hi *= -2.0 * _INV_SQRT2
-        hi += lo
-    elif kind == "X":
-        view, axes = _axis_view(amps, g.targets)
-        _swap_blocks(view, axes, (0,), (1,))
-    elif kind in ("Z", "S", "SDG", "T", "TDG"):
-        view, axes = _axis_view(amps, g.targets)
-        hi = _block(view, axes, (1,))
-        hi *= _SINGLE_PHASE[kind]
-    elif kind == "RZ":
-        view, axes = _axis_view(amps, g.targets)
-        half = 0.5 * g.theta
-        lo = _block(view, axes, (0,))
-        hi = _block(view, axes, (1,))
-        lo *= complex(math.cos(half), -math.sin(half))
-        hi *= complex(math.cos(half), math.sin(half))
-    elif kind == "CZ":
-        view, axes = _axis_view(amps, tuple(sorted(g.targets)))
-        blk = _block(view, axes, (1, 1))
-        blk *= -1.0
-    elif kind == "CCZ":
-        view, axes = _axis_view(amps, tuple(sorted(g.targets)))
-        blk = _block(view, axes, (1, 1, 1))
-        blk *= -1.0
-    elif kind in ("CX", "MCX"):
-        pols = g.polarities if kind == "MCX" else (1,)
-        wanted = dict(zip(g.controls, pols))
-        qubits = tuple(sorted(g.qubits))
-        view, axes = _axis_view(amps, qubits)
-        # Controls pinned at their polarity; the free bit is the target.
-        bits0 = tuple(wanted.get(q, 0) for q in qubits)
-        bits1 = tuple(wanted.get(q, 1) for q in qubits)
-        _swap_blocks(view, axes, bits0, bits1)
-    else:  # pragma: no cover - Gate validation makes this unreachable
-        msg = f"unhandled gate kind {kind}"
-        raise ValueError(msg)
+def _single_pass(width: int, gates, start):
+    """Apply ``gates`` to one column; returns (full, flip, index, phase).
 
-
-def _run_gates(amps: np.ndarray, width: int, gates: tuple[Gate, ...]) -> None:
+    ``start`` is a basis index (every qubit starts settled) or an amplitude
+    array (every qubit starts live; the array is copied).  The logical state
+    is ``phase`` times ``full`` with the axes q where flip[q] is 1 reversed.
+    """
+    if isinstance(start, np.ndarray):
+        buf = np.array(start, dtype=np.complex128)
+        index = [_LIVE] * width
+        flip = [0] * width
+    else:
+        buf = np.zeros(1 << width, dtype=np.complex128)
+        buf[0] = 1.0
+        index = [0] * width
+        flip = [(start >> (width - 1 - q)) & 1 for q in range(width)]
+    full = buf.reshape((2,) * width)
+    phase = complex(1.0)
     for g in gates:
-        _apply_gate(amps, width, g)
+        kind = g.kind
+        if kind == "H":
+            q = g.targets[0]
+            lo = _part(full, index, {q: 0})
+            hi = _part(full, index, {q: 1})
+            if index[q] is not _LIVE:
+                lo *= _INV_SQRT2
+                (np.negative if flip[q] else np.positive)(lo, out=hi)
+                index[q] = _LIVE
+            elif flip[q]:
+                # H X = Z H: the butterfly of the swapped halves.
+                lo += hi
+                lo *= _INV_SQRT2
+                hi *= 2.0 * _INV_SQRT2
+                hi -= lo
+            else:
+                # lo' = (lo + hi)/sqrt2, hi' = lo' - sqrt2*hi.
+                lo += hi
+                lo *= _INV_SQRT2
+                hi *= -2.0 * _INV_SQRT2
+                hi += lo
+            flip[q] = 0
+        elif kind in _PERMUTATION_KINDS:
+            pols = g.polarities if kind == "MCX" else (1,) * len(g.controls)
+            fixed = {}
+            for c, pol in zip(g.controls, pols):
+                if index[c] is _LIVE:
+                    fixed[c] = pol ^ flip[c]
+                elif flip[c] != pol:
+                    break  # a settled control that never fires
+            else:
+                t = g.targets[0]
+                if not fixed:
+                    flip[t] ^= 1
+                    continue
+                index[t] = _LIVE  # its stored-1 half is still zero
+                a = _part(full, index, {**fixed, t: 0})
+                b = _part(full, index, {**fixed, t: 1})
+                _swap(a, b)
+        else:
+            # A factor on the block where every target's logical bit is 1;
+            # RZ(theta) is exp(-i theta/2) times the factor exp(i theta).
+            if kind == "RZ":
+                phase *= complex(math.cos(0.5 * g.theta), -math.sin(0.5 * g.theta))
+                factor = complex(math.cos(g.theta), math.sin(g.theta))
+            else:
+                factor = _SINGLE_PHASE.get(kind, -1.0)  # CZ and CCZ flip the sign
+            fixed = {}
+            for q in g.targets:
+                if index[q] is _LIVE:
+                    fixed[q] = 1 ^ flip[q]
+                elif not flip[q]:
+                    break  # a settled target at 0: the factor never applies
+            else:
+                if fixed:
+                    blk = _part(full, index, fixed)
+                    blk *= factor
+                else:
+                    phase *= factor
+    return full, flip, index, phase
 
 
 def _check_width(width: int) -> None:
@@ -259,18 +321,20 @@ def apply_circuit(psi: StateVector, c: Circuit) -> StateVector:
         msg = f"state width {psi.width} != circuit width {c.width}"
         raise ValueError(msg)
     _check_width(c.width)
-    amps = np.array(psi.amplitudes, dtype=np.complex128)
-    _run_gates(amps, c.width, c.gates)
-    return StateVector(c.width, amps)
+    full, flip, _, phase = _single_pass(c.width, c.gates, psi.amplitudes)
+    axes = tuple(q for q in range(c.width) if flip[q])
+    if axes or phase != 1.0:
+        out = np.empty(1 << c.width, dtype=np.complex128)
+        np.multiply(np.flip(full, axes), phase, out=out.reshape(full.shape))
+        return StateVector(c.width, out)
+    return StateVector(c.width, full.reshape(-1))
 
 
 def amplitude_zero(c: Circuit) -> complex:
     """<0...0| C |0...0>: first amplitude of the circuit applied to the zero state."""
     _check_width(c.width)
-    amps = np.zeros(1 << c.width, dtype=np.complex128)
-    amps[0] = 1.0
-    _run_gates(amps, c.width, c.gates)
-    return complex(amps[0])
+    full, flip, _, phase = _single_pass(c.width, c.gates, 0)
+    return phase * complex(full[tuple(flip)])
 
 
 def f_value(u: Circuit, zbits) -> float:
@@ -288,11 +352,8 @@ def f_value(u: Circuit, zbits) -> float:
         idx = zbits
     else:
         idx = bits_to_index(zbits, u.width)
-    amps = np.zeros(1 << u.width, dtype=np.complex128)
-    amps[idx] = 1.0
-    _run_gates(amps, u.width, adjoint(u).gates)
-    half = amps[: 1 << (u.width - 1)]
-    return float(np.sum(half.real * half.real + half.imag * half.imag))
+    full, flip, index, _ = _single_pass(u.width, adjoint(u).gates, idx)
+    return _sq_norm(_part(full, index, {0: flip[0]}))
 
 
 # --- compiled plan for the 2**n-pass distribution ----------------------------
@@ -312,7 +373,6 @@ def f_value(u: Circuit, zbits) -> float:
 # moves it to a top bit.  Per column the arithmetic never depends on the
 # layout, the chunk width or the thread, which keeps output bytes fixed.
 
-_PERMUTATION_KINDS = frozenset({"X", "CX", "MCX"})
 # numpy buffers ufuncs over strided runs shorter than this many float64
 # entries, which makes them 2.5-3x slower per element.
 _MIN_RUN = 4096

@@ -305,7 +305,7 @@ class TestParseFuzz:
     def test_mutated_circuits(self, seed):
         rng = np.random.default_rng(4000 + seed)
         parsed = rejected = 0
-        for _ in range(500):
+        for _ in range(1000):
             c = random_circuit(int(rng.integers(1, 6)), int(rng.integers(0, 10)), rng, GATE_KINDS)
             obj = json.loads(serialize_circuit(c))
             for _ in range(int(rng.integers(1, 3))):
@@ -327,7 +327,7 @@ class TestParseFuzz:
                     f_value(u, 0)
             else:
                 assert 0.0 <= f_value(u, 0) <= 1.0 + 1e-12
-        assert parsed >= 10 and rejected >= 400
+        assert parsed >= 10 and rejected >= 800
 
 
 class TestPolyAndIsingFormats:
@@ -350,3 +350,38 @@ class TestPolyAndIsingFormats:
             parse_ising('{"n":2,"couplings":[[0,1]],"fields":[]}')
         with pytest.raises(CircuitFormatError, match="self-coupling"):
             parse_ising('{"n":2,"couplings":[[1,1,0.2]],"fields":[]}')
+
+    @pytest.mark.parametrize(
+        ("text", "needle"),
+        [
+            ('{"n":2,"couplings":[[0,1,NaN]]}', "coupling 0: theta"),
+            ('{"n":2,"couplings":[[0,1,0.5],[0,1,Infinity]]}', "coupling 1: theta"),
+            ('{"n":2,"fields":[[0,0.1],[1,-Infinity]]}', "field 1: theta"),
+            ('{"n":2,"couplings":[[0,1,true]]}', "coupling 0: theta"),
+            ('{"n":2,"fields":[[0,false]]}', "field 0: theta"),
+            ('{"n":2,"couplings":[[0,1,1e999]]}', "coupling 0: theta"),
+            ('{"n":2,"couplings":[[0,true,0.5]]}', "coupling 0: spins"),
+            ('{"n":2,"fields":[[0.0,0.5]]}', "field 0: spins"),
+            ('{"n":true,"couplings":[]}', "'n'"),
+            ('{"n":2.0}', "'n'"),
+        ],
+    )
+    def test_ising_rejects_non_finite_and_boolean_values(self, text, needle):
+        with pytest.raises(CircuitFormatError, match=needle):
+            parse_ising(text)
+
+    def test_poly_rejects_boolean_n(self):
+        with pytest.raises(CircuitFormatError, match="'n' must be a positive integer"):
+            parse_poly('{"n":true,"monomials":[[0]]}')
+
+    @pytest.mark.parametrize(
+        ("parse", "text", "field"),
+        [
+            (parse_circuit, '{"qubits":1,"gates":[],"extra":[1]}', "extra"),
+            (parse_poly, '{"n":2,"monomials":[[0]],"monomial":[[1]]}', "monomial"),
+            (parse_ising, '{"n":2,"couplings":[],"feilds":[[0,0.5]]}', "feilds"),
+        ],
+    )
+    def test_unknown_top_level_field(self, parse, text, field):
+        with pytest.raises(CircuitFormatError, match=f"unexpected field '{field}'"):
+            parse(text)

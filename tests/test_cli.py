@@ -268,6 +268,13 @@ class TestExitCodes:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ") and needle in err
 
+    def test_ising_nan_coupling_exits_1(self, tmp_path):
+        model = tmp_path / "ising.json"
+        model.write_text('{"n":2,"couplings":[[0,1,NaN]]}')
+        r = run_cli("ising-z", "--model", str(model))
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr == "error: ising: coupling 0: theta must be a finite number, got nan\n"
+
     def test_simulator_defect_is_one_line(self, identity3, capsys, monkeypatch):
         def defect(*a, **k):
             raise RuntimeError("distribution sums to nan")

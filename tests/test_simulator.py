@@ -1,10 +1,29 @@
 """State-vector kernels, the clean-qubit output distribution, and sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import dqc1sim.simulator as sim
-from dqc1sim.circuits import GATE_KINDS, Circuit, Gate, cx, h, mcx, rz, s, t, x, z
+from dqc1sim.circuits import (
+    GATE_KINDS,
+    Circuit,
+    Gate,
+    adjoint,
+    ccz,
+    cx,
+    cz,
+    h,
+    mcx,
+    rz,
+    s,
+    sdg,
+    t,
+    tdg,
+    x,
+    z,
+)
 from dqc1sim.ensembles import random_circuit
 from dqc1sim.oracles import circuit_unitary, density_matrix_dqc1
 from dqc1sim.simulator import (
@@ -171,6 +190,118 @@ class TestFValue:
                 assert f_value(u, idx) == pytest.approx(scale * d.probs[idx], abs=5e-14)
 
 
+def _assert_single_column_matches(c: Circuit) -> None:
+    """Every entry of the dense unitary, phases included, from the single-column entry points.
+
+    amplitude_zero of X^row C X^col reads U[row, col] from a pass that starts
+    with every qubit settled; f_value runs C or its adjoint from each basis
+    column; apply_circuit runs with every qubit live.
+    """
+    u = circuit_unitary(c)
+    w = c.width
+    half = 1 << (w - 1)
+
+    def flips(i: int) -> tuple:
+        return tuple(x(q) for q in range(w) if i >> (w - 1 - q) & 1)
+
+    for col in range(1 << w):
+        for row in range(1 << w):
+            got = amplitude_zero(Circuit(w, flips(col) + c.gates + flips(row)))
+            assert abs(got - u[row, col]) <= 1e-12, (row, col)
+        assert abs(f_value(adjoint(c), col) - np.sum(np.abs(u[:half, col]) ** 2)) <= 1e-12
+        assert abs(f_value(c, col) - np.sum(np.abs(u[col, :half]) ** 2)) <= 1e-12
+        out = apply_circuit(StateVector.basis(w, col), c).amplitudes
+        assert np.abs(out - u[:, col]).max() <= 1e-12
+    rng = np.random.default_rng(w)
+    psi = rng.standard_normal(1 << w) + 1j * rng.standard_normal(1 << w)
+    psi /= np.linalg.norm(psi)
+    assert np.abs(apply_circuit(StateVector(w, psi), c).amplitudes - u @ psi).max() <= 1e-12
+
+
+def _many_h(count: int) -> Circuit:
+    """``count`` H gates on qubit 0 of two, with a T, CX and RZ after every 100th."""
+    gates = []
+    for i in range(count):
+        gates.append(h(0))
+        if i % 100 == 0:
+            gates += [t(0), cx(0, 1), rz(0.3, 1)]
+    return Circuit(2, tuple(gates))
+
+
+# One case per rule for qubits a pass has not mixed yet (settled qubits).
+_SETTLED_CASES = {
+    "x_before_first_h": Circuit(
+        3, (x(0), h(0), t(0), h(0), x(1), h(1), cx(1, 2), x(0), h(0), x(2)),
+    ),
+    "settled_controls": Circuit(
+        3,
+        (cx(0, 1), mcx(2, (0, 1), (1, 0)), h(1), mcx(0, (1, 2), (0, 1)),
+         cx(2, 0), mcx(1, (0, 2), (0, 0)), cx(0, 2)),
+    ),
+    "cz_ccz": Circuit(
+        3, (cz(1, 2), ccz(0, 1, 2), h(0), cz(0, 1), ccz(0, 1, 2), h(2), ccz(0, 1, 2), cz(2, 1)),
+    ),
+    "phases_on_settled": Circuit(
+        3,
+        (rz(0.7, 0), s(1), sdg(2), t(0), tdg(1), z(2), h(1), rz(-1.1, 2), t(2),
+         s(0), h(0), sdg(1), tdg(0), z(0), rz(2.3, 1)),
+    ),
+    "never_mixed": Circuit(
+        4,
+        (x(1), cx(1, 3), t(3), mcx(0, (1, 3), (1, 1)), ccz(0, 1, 3), rz(0.4, 2),
+         mcx(2, (0, 3), (0, 1)), s(0), cz(2, 3), sdg(1)),
+    ),
+    "settled_middle_qubit": Circuit(
+        5,
+        (h(1), h(3), h(4), cx(3, 4), t(4), cz(1, 3), x(2), ccz(1, 2, 4), h(0), cx(4, 0),
+         t(1), h(1)),
+    ),
+    "h_1101_times": _many_h(1101),
+}
+
+# Two entries make swaps and norms split every block they touch.
+_TEMP_SIZES = pytest.mark.parametrize("temp_entries", [2, sim._TEMP_ENTRIES])
+
+
+class TestSingleColumnPass:
+    @_TEMP_SIZES
+    @pytest.mark.parametrize("name", sorted(_SETTLED_CASES))
+    def test_settled_qubit_rules(self, monkeypatch, name, temp_entries):
+        monkeypatch.setattr(sim, "_TEMP_ENTRIES", temp_entries)
+        _assert_single_column_matches(_SETTLED_CASES[name])
+
+    @_TEMP_SIZES
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_circuits_all_kinds(self, monkeypatch, seed, temp_entries):
+        monkeypatch.setattr(sim, "_TEMP_ENTRIES", temp_entries)
+        rng = np.random.default_rng(300 + seed)
+        for w in range(1, 5):
+            _assert_single_column_matches(random_circuit(w, int(rng.integers(0, 30)), rng, GATE_KINDS))
+
+    def test_no_hidden_state_copies(self):
+        # Swaps on the qubits of the low-order bits must not copy half states.
+        w = 18
+        state = 16 << w
+        c = Circuit(
+            w,
+            tuple(h(q) for q in range(w))
+            + (x(17), cx(16, 17), x(16), mcx(17, (15, 16), (0, 1)), h(17), cx(17, 0), t(17)),
+        )
+        psi = StateVector.zero(w)
+
+        def peak(fn) -> int:
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: f_value(c, 0)) <= state + (1 << 20)
+        assert peak(lambda: amplitude_zero(c)) <= state + (1 << 20)
+        assert peak(lambda: apply_circuit(psi, c)) <= 2 * state + (1 << 20)
+
+
 class TestDqc1Distribution:
     def test_identity(self):
         d = dqc1_distribution(Circuit(3))
@@ -243,12 +374,7 @@ def _plan_cases():
         mid = random_circuit(width, 10, rng, no_h).gates
         cases.append(Circuit(width, layer + layer[::-1] + mid + layer + mid + layer))
     # Past the 512-butterfly rescale twice: unnormalised norms would overflow.
-    gates = []
-    for i in range(1101):
-        gates.append(h(0))
-        if i % 100 == 0:
-            gates += [t(0), cx(0, 1), rz(0.3, 1)]
-    cases.append(Circuit(2, tuple(gates)))
+    cases.append(_many_h(1101))
     return cases
 
 
@@ -270,8 +396,7 @@ class TestFusedPlan:
         def forbidden(*args):
             raise AssertionError("dqc1_distribution must run the compiled plan")
 
-        monkeypatch.setattr(sim, "_run_gates", forbidden)
-        monkeypatch.setattr(sim, "_apply_gate", forbidden)
+        monkeypatch.setattr(sim, "_single_pass", forbidden)
         u = random_circuit(5, 40, np.random.default_rng(4), GATE_KINDS)
         assert dqc1_distribution(u).n == 4
 

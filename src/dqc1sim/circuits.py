@@ -15,7 +15,8 @@ Conventions shared by the whole package:
 from __future__ import annotations
 
 import json
-import sys
+import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -119,7 +120,11 @@ class Gate:
             if self.theta is None:
                 msg = "RZ needs an angle"
                 raise ValueError(msg)
-            object.__setattr__(self, "theta", float(self.theta))
+            theta = _finite_float(self.theta)
+            if theta is None:
+                msg = f"'theta' must be a finite number, got {self.theta!r}"
+                raise ValueError(msg)
+            object.__setattr__(self, "theta", theta)
         elif self.theta is not None:
             msg = f"{self.kind} takes no angle"
             raise ValueError(msg)
@@ -136,12 +141,27 @@ class Gate:
 def _wire_tuple(wires, role: str) -> tuple[int, ...]:
     out = []
     for q in wires:
-        qi = int(q)
-        if qi != q or qi < 0:
+        if not _is_int(q) or q < 0:
             msg = f"{role} index must be a nonnegative integer, got {q!r}"
             raise ValueError(msg)
-        out.append(qi)
+        out.append(int(q))
     return tuple(out)
+
+
+def _is_int(value) -> bool:
+    """An integer (Python or numpy) that is not a boolean."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _finite_float(value) -> float | None:
+    """value as a finite float; None for NaN, infinities, booleans and non-numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        x = float(value)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
 
 
 def h(q: int) -> Gate:
@@ -268,12 +288,15 @@ class PolyF2:
     monomials: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        if int(self.n_vars) != self.n_vars or self.n_vars < 1:
+        if not _is_int(self.n_vars) or self.n_vars < 1:
             msg = f"n_vars must be a positive integer, got {self.n_vars!r}"
             raise ValueError(msg)
         object.__setattr__(self, "n_vars", int(self.n_vars))
         monos = []
-        for m in self.monomials:
+        for i, m in enumerate(self.monomials):
+            if not all(_is_int(v) for v in m):
+                msg = f"monomial {i}: variables must be integers, got {tuple(m)!r}"
+                raise ValueError(msg)
             mt = tuple(int(v) for v in m)
             if not 1 <= len(mt) <= 3:
                 msg = f"monomial {mt} has size {len(mt)}, only sizes 1..3 are allowed"
@@ -304,28 +327,28 @@ class IsingInstance:
     fields: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if int(self.n_spins) != self.n_spins or self.n_spins < 1:
+        if not _is_int(self.n_spins) or self.n_spins < 1:
             msg = f"n_spins must be a positive integer, got {self.n_spins!r}"
             raise ValueError(msg)
         object.__setattr__(self, "n_spins", int(self.n_spins))
 
         raw = self.couplings.items() if isinstance(self.couplings, dict) else self.couplings
         pairs = []
-        for entry in raw:
+        for i, entry in enumerate(raw):
             if isinstance(self.couplings, dict):
                 (j, k), theta = entry
             else:
                 j, k, theta = entry
-            j, k = int(j), int(k)
+            j, k, angle = self._entry(f"coupling {i}", (j, k), theta)
             if j == k:
-                msg = f"self-coupling on spin {j}"
+                msg = f"coupling {i}: self-coupling on spin {j}"
                 raise ValueError(msg)
             if j > k:
                 j, k = k, j
             if j < 0 or k >= self.n_spins:
-                msg = f"coupling ({j}, {k}) outside 0..{self.n_spins - 1}"
+                msg = f"coupling {i}: ({j}, {k}) outside 0..{self.n_spins - 1}"
                 raise ValueError(msg)
-            pairs.append((j, k, float(theta)))
+            pairs.append((j, k, angle))
         if len({(j, k) for j, k, _ in pairs}) != len(pairs):
             msg = "duplicate coupling pair"
             raise ValueError(msg)
@@ -333,17 +356,28 @@ class IsingInstance:
 
         raw = self.fields.items() if isinstance(self.fields, dict) else self.fields
         sites = []
-        for entry in raw:
-            j, theta = entry
-            j = int(j)
+        for i, (j, theta) in enumerate(raw):
+            j, angle = self._entry(f"field {i}", (j,), theta)
             if j < 0 or j >= self.n_spins:
-                msg = f"field on spin {j} outside 0..{self.n_spins - 1}"
+                msg = f"field {i}: spin {j} outside 0..{self.n_spins - 1}"
                 raise ValueError(msg)
-            sites.append((j, float(theta)))
+            sites.append((j, angle))
         if len({j for j, _ in sites}) != len(sites):
             msg = "duplicate field spin"
             raise ValueError(msg)
         object.__setattr__(self, "fields", tuple(sorted(sites)))
+
+    @staticmethod
+    def _entry(where: str, spins: tuple, theta) -> tuple:
+        """(*spins, theta) as ints and a finite float; ValueError naming ``where``."""
+        if not all(_is_int(j) for j in spins):
+            msg = f"{where}: spins must be integers, got {list(spins)!r}"
+            raise ValueError(msg)
+        angle = _finite_float(theta)
+        if angle is None:
+            msg = f"{where}: theta must be a finite number, got {theta!r}"
+            raise ValueError(msg)
+        return (*(int(j) for j in spins), angle)
 
 
 _PHASE_KIND = {1: "Z", 2: "CZ", 3: "CCZ"}
@@ -415,16 +449,6 @@ def _no_extra_fields(obj: dict, allowed: set[str], what: str) -> None:
         raise CircuitFormatError(msg)
 
 
-def _is_int(value) -> bool:
-    """JSON integer; booleans are ints to Python but not to the formats."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    """JSON number that is a finite float; the bound rejects NaN, infinities and huge ints."""
-    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
-
-
 def _int_list(value, where: str) -> list[int]:
     if not isinstance(value, list) or not all(_is_int(v) for v in value):
         msg = f"{where}: expected a list of integers, got {value!r}"
@@ -462,9 +486,6 @@ def parse_circuit(text: str) -> Circuit:
         controls = _int_list(entry.get("c", []), f"{where} field 'c'")
         pol = entry.get("pol")
         theta = entry.get("theta")
-        if theta is not None and not _is_finite(theta):
-            msg = f"{where}: 'theta' must be a finite number, got {theta!r}"
-            raise CircuitFormatError(msg)
         if pol is not None:
             pol = _int_list(pol, f"{where} field 'pol'")
         elif kind == "MCX":
@@ -550,12 +571,6 @@ def parse_ising(text: str) -> IsingInstance:
             where = f"ising: {name} {i}"
             if not isinstance(entry, list) or len(entry) != size:
                 msg = f"{where} must be {shape}, got {entry!r}"
-                raise CircuitFormatError(msg)
-            if not all(_is_int(j) for j in entry[:-1]):
-                msg = f"{where}: spins must be integers, got {entry[:-1]!r}"
-                raise CircuitFormatError(msg)
-            if not _is_finite(entry[-1]):
-                msg = f"{where}: theta must be a finite number, got {entry[-1]!r}"
                 raise CircuitFormatError(msg)
     try:
         return IsingInstance(

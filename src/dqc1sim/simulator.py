@@ -14,7 +14,10 @@ Two paths apply gates:
   buffer, with X gates kept as bit flips instead of data moves.  A pass
   from a basis state keeps each qubit settled at a known bit until a gate
   first mixes it, and works only where the settled qubits sit at that bit,
-  so gates on unmixed qubits cost little or nothing.
+  so gates on unmixed qubits cost little or nothing.  Two run kernels
+  apply a run of diagonal gates as one multiply by a table of eighth turns,
+  and a run of H gates on the lowest index bits in cache-sized transposed
+  blocks; neither needs more than a block of temporary memory.
 
 Index layout (see circuits module): qubit q owns bit (width-1-q) of the
 amplitude index, so viewing a state as a (2,)*width array puts qubit q on
@@ -54,17 +57,16 @@ DEFAULT_MAX_MIXED_QUBITS = 14
 MAX_SINGLE_PASS_WIDTH = 26
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_PHASE_S = 1.0j
 _PHASE_T = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
 
-# Factor on the |1> half of each single-qubit phase gate.
-_SINGLE_PHASE = {
-    "Z": -1.0,
-    "S": _PHASE_S,
-    "SDG": -_PHASE_S,
-    "T": _PHASE_T,
-    "TDG": _PHASE_T.conjugate(),
-}
+# Each diagonal gate with a fixed angle puts exp(i pi e/4) on the block
+# where all its targets are 1: e eighth turns (CZ and CCZ flip the sign).
+_EIGHTHS = {"Z": 4, "S": 2, "SDG": 6, "T": 1, "TDG": 7, "CZ": 4, "CCZ": 4}
+# exp(i pi e/4) at entry e, repeated so any uint8 count indexes it mod 8.
+_EIGHTH_TURN = np.tile(
+    np.array([1.0, _PHASE_T, 1j, 1j * _PHASE_T, -1.0, -_PHASE_T, -1j, _PHASE_T.conjugate()]),
+    32,
+)
 _PERMUTATION_KINDS = frozenset({"X", "CX", "MCX"})
 
 # Entries per batch chunk (16 MiB of complex128 per buffer): large enough
@@ -174,9 +176,10 @@ class Distribution:
 #
 # The state lives in one buffer, seen as a (2,)*width array ``full`` so
 # qubit q is axis q and every block the kernels touch is a basic-index view
-# ``full[bits]``.  Nothing is reshaped after that, so no kernel copies the
-# state behind the caller's back, and copies between interleaved halves go
-# through ufuncs (``np.positive(lo, out=hi)``), never ``view[...] = view``.
+# ``full[bits]``.  Only contiguous views are reshaped after that, which
+# never copies, so no kernel copies the state behind the caller's back, and
+# copies between interleaved halves go through ufuncs
+# (``np.positive(lo, out=hi)``), never ``view[...] = view``.
 #
 # Two pieces of bookkeeping avoid sweeps of the state:
 #
@@ -194,6 +197,29 @@ class Distribution:
 # A diagonal gate on settled qubits becomes a scalar ``phase`` or a gate on
 # fewer qubits, and a control on a settled qubit either always fires or
 # never does.
+#
+# Two run kernels turn many strided sweeps into one:
+#
+# * Diagonal runs.  Z, S, SDG, T, TDG, CZ and CCZ gates on live qubits are
+#   held back until a gate that moves data (H, or a CX/MCX with a live
+#   control) or the end of the pass.  They are recorded by stored bit, so a
+#   free flip does not end the run, and RZ, which commutes with them, is
+#   still applied at once.  A run of two or more gates is summed, one
+#   block of the live view at a time, into a uint8 count of eighth turns
+#   (``_EIGHTHS``) and applied as ``v *= _EIGHTH_TURN[count]``: one sweep
+#   in all.  A run of one gate is applied directly.
+# * Low-bit H runs.  The halves of a qubit on one of the lowest stored bits
+#   are runs of a few amplitudes, which numpy walks slowly.  Consecutive H
+#   gates on live qubits among the lowest k = log2(_TEMP_ENTRIES) // 2 bits
+#   (7) of a contiguous live view are applied together, one block of rows
+#   at a time, in a transposed copy of at most _TEMP_ENTRIES entries where
+#   each half is a run of whole rows.  Each amplitude sees the same
+#   butterflies in the same order, so the bytes do not change.  Otherwise
+#   (a higher bit, or a settled qubit below a live one) an H is one
+#   butterfly on the state.
+#
+# Every temporary of a pass, apart from the second state ``apply_circuit``
+# may write, holds at most as many bytes as _TEMP_ENTRIES complex entries.
 
 # Largest temporary of a single-column kernel, in entries (256 KiB).
 _TEMP_ENTRIES = 1 << 14
@@ -210,15 +236,27 @@ def _part(full: np.ndarray, index: list, fixed: dict[int, int]) -> np.ndarray:
     return full[tuple(sel)]
 
 
+def _lead_axes(v: np.ndarray, limit: int) -> int:
+    """How many leading axes of v to fix for blocks of at most ``limit`` entries."""
+    lead, size = 0, v.size
+    while size > limit:
+        size //= v.shape[lead]
+        lead += 1
+    return lead
+
+
+def _blocks(v: np.ndarray):
+    """Views that tile v in index order, each of at most _TEMP_ENTRIES entries."""
+    for i in np.ndindex(v.shape[: _lead_axes(v, _TEMP_ENTRIES)]):
+        yield v[i + (...,)]
+
+
 def _swap(a: np.ndarray, b: np.ndarray) -> None:
     """Exchange two disjoint equal-shape views, through at most _TEMP_ENTRIES of temporary."""
-    if a.size > _TEMP_ENTRIES:
-        for i in range(a.shape[0]):
-            _swap(a[i], b[i])
-        return
-    tmp = a.copy()
-    np.positive(b, out=a)
-    np.positive(tmp, out=b)
+    for x, y in zip(_blocks(a), _blocks(b)):
+        tmp = x.copy()
+        np.positive(y, out=x)
+        np.positive(tmp, out=y)
 
 
 def _sq_norm(v: np.ndarray) -> float:
@@ -226,6 +264,93 @@ def _sq_norm(v: np.ndarray) -> float:
     if v.size <= _TEMP_ENTRIES or v.flags.c_contiguous:
         return float(np.vdot(v, v).real)
     return _sq_norm(v[0]) + _sq_norm(v[1])
+
+
+def _butterfly(lo: np.ndarray, hi: np.ndarray, flipped: int) -> None:
+    """H on a live qubit whose stored halves are lo and hi, in place."""
+    lo += hi
+    lo *= _INV_SQRT2
+    if flipped:
+        # H X = Z H: the butterfly of the swapped halves.
+        hi *= 2.0 * _INV_SQRT2
+        hi -= lo
+    else:
+        # lo' = (lo + hi)/sqrt2, hi' = lo' - sqrt2*hi.
+        hi *= -2.0 * _INV_SQRT2
+        hi += lo
+
+
+def _low_h_run(live: np.ndarray, k: int, axes: list[tuple[int, int]]) -> None:
+    """Butterflies (axis, flipped) on the last k axes of the contiguous view ``live``.
+
+    Each block of rows of the (rows, 2**k) view is copied into a transposed
+    temporary of at most _TEMP_ENTRIES entries, so each half is a run of at
+    least one whole row, and copied back.
+    """
+    mat = live.reshape(-1, 1 << k)
+    step = min(len(mat), _TEMP_ENTRIES >> k)
+    tmp = np.empty((1 << k, step), dtype=np.complex128)
+    cube = tmp.reshape((2,) * k + (step,))
+    halves = [(cube[(_LIVE,) * a + (0,)], cube[(_LIVE,) * a + (1,)], f) for a, f in axes]
+    # ufuncs copy strided runs shorter than their buffer through it; a
+    # buffer of one row lets them walk the halves in place.
+    bufsize = np.setbufsize(max(16, step))
+    try:
+        for r0 in range(0, len(mat), step):
+            blk = mat[r0 : r0 + step]
+            np.copyto(tmp, blk.T)
+            for lo, hi, flipped in halves:
+                _butterfly(lo, hi, flipped)
+            np.copyto(blk, tmp.T)
+    finally:
+        np.setbufsize(bufsize)
+
+
+def _diagonal_run(full: np.ndarray, index: list, run: list) -> None:
+    """Apply the pending diagonal run [(fixed, eighths)], if any, to the live view and clear it.
+
+    A run of two or more gates is counted one block of the live view at a
+    time: a gate adds its eighth turns where its bits on the block's own
+    axes match, in the blocks whose index matches its bits on the leading
+    axes.  Gates on the block's axes alone make up the count every block
+    starts from.  That start and the count of a block are uint8 arrays that
+    together hold as many bytes as a complex temporary of _TEMP_ENTRIES
+    entries.
+    """
+    if len(run) <= 1:
+        for fixed, e in run:
+            blk = _part(full, index, fixed)
+            blk *= _EIGHTH_TURN[e]
+        run.clear()
+        return
+    live = _part(full, index, {})
+    lead = _lead_axes(live, 8 * _TEMP_ENTRIES)
+    axis = {q: a for a, q in enumerate(q for q, i in enumerate(index) if i is _LIVE)}
+    start = np.zeros(live.shape[lead:], dtype=np.uint8)
+    outer = []  # (mask, value) on the block number, selection in the block, eighths
+    for fixed, e in run:
+        mask = value = 0
+        sel = [_LIVE] * start.ndim
+        for q, bit in fixed.items():
+            a = axis[q]
+            if a < lead:
+                mask |= 1 << (lead - 1 - a)
+                value |= bit << (lead - 1 - a)
+            else:
+                sel[a - lead] = bit
+        if mask:
+            outer.append((mask, value, tuple(sel), e))
+        else:
+            start[tuple(sel)] += e
+    count = np.empty_like(start)
+    for b, i in enumerate(np.ndindex(live.shape[:lead])):
+        np.copyto(count, start)
+        for mask, value, sel, e in outer:
+            if b & mask == value:
+                count[sel] += e
+        for v, c in zip(_blocks(live[i + (...,)]), _blocks(count)):
+            v *= _EIGHTH_TURN[c]
+    run.clear()
 
 
 def _single_pass(width: int, gates, start):
@@ -246,29 +371,42 @@ def _single_pass(width: int, gates, start):
         flip = [(start >> (width - 1 - q)) & 1 for q in range(width)]
     full = buf.reshape((2,) * width)
     phase = complex(1.0)
-    for g in gates:
+    run: list = []  # the pending diagonal run on live qubits
+    gates = tuple(gates)
+    i = 0
+    while i < len(gates):
+        g = gates[i]
+        i += 1
         kind = g.kind
         if kind == "H":
+            _diagonal_run(full, index, run)
             q = g.targets[0]
-            lo = _part(full, index, {q: 0})
-            hi = _part(full, index, {q: 1})
             if index[q] is not _LIVE:
+                lo = _part(full, index, {q: 0})
                 lo *= _INV_SQRT2
-                (np.negative if flip[q] else np.positive)(lo, out=hi)
+                (np.negative if flip[q] else np.positive)(lo, out=_part(full, index, {q: 1}))
                 index[q] = _LIVE
-            elif flip[q]:
-                # H X = Z H: the butterfly of the swapped halves.
-                lo += hi
-                lo *= _INV_SQRT2
-                hi *= 2.0 * _INV_SQRT2
-                hi -= lo
-            else:
-                # lo' = (lo + hi)/sqrt2, hi' = lo' - sqrt2*hi.
-                lo += hi
-                lo *= _INV_SQRT2
-                hi *= -2.0 * _INV_SQRT2
-                hi += lo
-            flip[q] = 0
+                flip[q] = 0
+                continue
+            live = _part(full, index, {})
+            # Square blocks: k low bits by _TEMP_ENTRIES >> k rows.
+            k = min((_TEMP_ENTRIES.bit_length() - 1) // 2, live.ndim)
+            low = width - k
+            if q < low or not live.flags.c_contiguous:
+                _butterfly(_part(full, index, {q: 0}), _part(full, index, {q: 1}), flip[q])
+                flip[q] = 0
+                continue
+            # This H and each H right after it on a live low qubit, in order.
+            axes = []
+            i -= 1
+            while i < len(gates) and gates[i].kind == "H":
+                q = gates[i].targets[0]
+                if q < low or index[q] is not _LIVE:
+                    break
+                axes.append((q - low, flip[q]))
+                flip[q] = 0
+                i += 1
+            _low_h_run(live, k, axes)
         elif kind in _PERMUTATION_KINDS:
             pols = g.polarities if kind == "MCX" else (1,) * len(g.controls)
             fixed = {}
@@ -282,6 +420,7 @@ def _single_pass(width: int, gates, start):
                 if not fixed:
                     flip[t] ^= 1
                     continue
+                _diagonal_run(full, index, run)
                 index[t] = _LIVE  # its stored-1 half is still zero
                 a = _part(full, index, {**fixed, t: 0})
                 b = _part(full, index, {**fixed, t: 1})
@@ -293,7 +432,7 @@ def _single_pass(width: int, gates, start):
                 phase *= complex(math.cos(0.5 * g.theta), -math.sin(0.5 * g.theta))
                 factor = complex(math.cos(g.theta), math.sin(g.theta))
             else:
-                factor = _SINGLE_PHASE.get(kind, -1.0)  # CZ and CCZ flip the sign
+                factor = complex(_EIGHTH_TURN[_EIGHTHS[kind]])
             fixed = {}
             for q in g.targets:
                 if index[q] is _LIVE:
@@ -301,11 +440,14 @@ def _single_pass(width: int, gates, start):
                 elif not flip[q]:
                     break  # a settled target at 0: the factor never applies
             else:
-                if fixed:
+                if not fixed:
+                    phase *= factor
+                elif kind == "RZ":
                     blk = _part(full, index, fixed)
                     blk *= factor
                 else:
-                    phase *= factor
+                    run.append((fixed, _EIGHTHS[kind]))
+    _diagonal_run(full, index, run)
     return full, flip, index, phase
 
 
@@ -353,7 +495,11 @@ def f_value(u: Circuit, zbits) -> float:
     else:
         idx = bits_to_index(zbits, u.width)
     full, flip, index, _ = _single_pass(u.width, adjoint(u).gates, idx)
-    return _sq_norm(_part(full, index, {0: flip[0]}))
+    f = _sq_norm(_part(full, index, {0: flip[0]}))
+    if not -1e-12 <= f <= 1.0 + 1e-12:  # unitarity self-check; NaN fails it too
+        msg = f"f value {f} outside [0, 1]"
+        raise RuntimeError(msg)
+    return f
 
 
 # --- compiled plan for the 2**n-pass distribution ----------------------------
@@ -411,8 +557,7 @@ def _monomial(gates, bits: np.ndarray):
             np.multiply(phase, complex(math.cos(half), math.sin(half)), out=phase, where=hi)
             continue
         hit = np.logical_and.reduce(bits[list(g.targets)] == 1)
-        # CZ and CCZ flip the sign.
-        np.multiply(phase, _SINGLE_PHASE.get(g.kind, -1.0), out=phase, where=hit)
+        np.multiply(phase, _EIGHTH_TURN[_EIGHTHS[g.kind]], out=phase, where=hit)
     if phase is not None and np.all(phase == 1.0):
         phase = None
     return src, phase

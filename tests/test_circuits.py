@@ -83,6 +83,16 @@ class TestGateValidation:
             Gate("H", (0,), theta=1.0)
         assert rz(2, 0).theta == 2.0
 
+    @pytest.mark.parametrize("theta", [float("nan"), -float("inf"), 10**400, True, np.False_, "1"])
+    def test_rejects_non_finite_and_boolean_theta(self, theta):
+        with pytest.raises(ValueError, match="'theta' must be a finite number"):
+            Gate("RZ", (0,), theta=theta)
+
+    @pytest.mark.parametrize("wire", [True, 1.0, np.True_])
+    def test_rejects_boolean_and_float_wires(self, wire):
+        with pytest.raises(ValueError, match="must be a nonnegative integer"):
+            Gate("H", (wire,))
+
     def test_negative_index(self):
         with pytest.raises(ValueError, match="nonnegative"):
             Gate("H", (-1,))
@@ -156,6 +166,18 @@ class TestPolyF2:
     def test_canonical_order(self):
         assert PolyF2(3, ((1, 2), (0,))) == PolyF2(3, ((0,), (1, 2)))
 
+    def test_rejects_non_integer_variables(self):
+        # int() used to truncate these to ((0, 2),).
+        with pytest.raises(ValueError, match=r"^monomial 0: variables must be integers, got \(0.9, 2.2\)"):
+            PolyF2(3, ((0.9, 2.2),))
+
+    def test_rejects_boolean_variables(self):
+        # int() used to turn this into ((1, 2),).
+        with pytest.raises(ValueError, match=r"^monomial 1: variables must be integers, got \(True, 2"):
+            PolyF2(3, ((0,), (True, 2)))
+        with pytest.raises(ValueError, match="n_vars"):
+            PolyF2(True)
+
 
 class TestIsingInstance:
     def test_pair_normalization(self):
@@ -178,6 +200,23 @@ class TestIsingInstance:
             IsingInstance(2, ((0, 2, 0.1),))
         with pytest.raises(ValueError, match="outside"):
             IsingInstance(2, (), ((5, 0.1),))
+
+    def test_rejects_non_integer_spins(self):
+        # int() used to truncate this coupling to (0, 1, 0.3).
+        with pytest.raises(ValueError, match=r"^coupling 0: spins must be integers, got \[0.5, 1.9\]$"):
+            IsingInstance(2, ((0.5, 1.9, 0.3),), ((1.7, float("nan")),))
+        with pytest.raises(ValueError, match=r"^field 0: spins must be integers, got \[1.7\]$"):
+            IsingInstance(2, (), ((1.7, float("nan")),))
+        with pytest.raises(ValueError, match=r"^coupling 1: spins must be integers, got \[True, 0\]$"):
+            IsingInstance(2, ((0, 1, 0.3), (True, 0, 0.1)))
+
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), 10**400, True, "0.5"])
+    def test_rejects_non_finite_and_boolean_angles(self, theta):
+        # A NaN field used to be stored as ((1, nan),).
+        with pytest.raises(ValueError, match="^field 0: theta must be a finite number"):
+            IsingInstance(2, ((0, 1, 0.3),), ((1, theta),))
+        with pytest.raises(ValueError, match="^coupling 0: theta must be a finite number"):
+            IsingInstance(2, {(0, 1): theta})
 
 
 class TestIqpFromPoly:

@@ -4,9 +4,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import dqc1sim.cli as cli
+import dqc1sim.simulator as simulator
 from dqc1sim.circuits import (
     Circuit,
     PolyF2,
@@ -14,7 +16,13 @@ from dqc1sim.circuits import (
     h,
     save_circuit,
 )
-from dqc1sim.hardness import BoundViolationError, ChainReport, ErrorBudget
+from dqc1sim.ensembles import random_poly
+from dqc1sim.hardness import (
+    BoundViolationError,
+    ChainReport,
+    ErrorBudget,
+    build_worst_case_embedding,
+)
 
 
 def run_cli(*args):
@@ -72,6 +80,17 @@ class TestNumericCommands:
     def test_f_value(self, identity3, capsys):
         assert run_main(capsys, "f-value", "--circuit", identity3, "--z", "000") == (0, "1.0\n")
         assert run_main(capsys, "f-value", "--circuit", identity3, "--z", "100") == (0, "0.0\n")
+
+    @pytest.mark.parametrize(
+        ("seed", "golden"),
+        [(1, "3.433227539062483e-05\n"), (2, "0.0005493164062499973\n")],
+    )
+    def test_f_value_bytes_on_worst_case_embeddings(self, tmp_path, capsys, seed, golden):
+        # Pinned stdout bytes: the run kernels must not change the arithmetic.
+        poly = random_poly(14, 42, np.random.default_rng(seed))
+        path = tmp_path / "embedding.json"
+        save_circuit(build_worst_case_embedding(compile_iqp_from_poly(poly)), path)
+        assert run_main(capsys, "f-value", "--circuit", str(path), "--z", "0" * 15) == (0, golden)
 
 
 class TestDistributionCommands:
@@ -283,6 +302,12 @@ class TestExitCodes:
         assert cli.main(["dqc1-dist", "--circuit", identity3]) == 1
         err = capsys.readouterr().err
         assert err == "error: simulator defect: distribution sums to nan\n"
+
+    def test_f_value_self_check_is_one_line(self, identity3, capsys, monkeypatch):
+        monkeypatch.setattr(simulator, "_sq_norm", lambda v: float("nan"))
+        assert cli.main(["f-value", "--circuit", identity3, "--z", "000"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: simulator defect: f value nan outside [0, 1]\n")
 
     def test_no_command_is_usage_error(self):
         r = run_cli()

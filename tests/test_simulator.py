@@ -19,6 +19,7 @@ from dqc1sim.circuits import (
     rz,
     s,
     sdg,
+    shift_qubits,
     t,
     tdg,
     x,
@@ -180,6 +181,12 @@ class TestFValue:
         with pytest.raises(ValueError):
             f_value(Circuit(2), "011")
 
+    @pytest.mark.parametrize("bad", [float("nan"), 1.5, -1e-9])
+    def test_out_of_range_fails_self_check(self, monkeypatch, bad):
+        monkeypatch.setattr(sim, "_sq_norm", lambda v: bad)
+        with pytest.raises(RuntimeError, match=r"^f value .* outside \[0, 1\]$"):
+            f_value(Circuit(2, (h(1),)), 0)
+
     def test_matches_distribution(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
@@ -216,6 +223,24 @@ def _assert_single_column_matches(c: Circuit) -> None:
     psi = rng.standard_normal(1 << w) + 1j * rng.standard_normal(1 << w)
     psi /= np.linalg.norm(psi)
     assert np.abs(apply_circuit(StateVector(w, psi), c).amplitudes - u @ psi).max() <= 1e-12
+
+
+def _assert_single_column_memory(c: Circuit) -> None:
+    """Peak traced bytes of each entry point stay within its states plus 1 MiB."""
+    state = 16 << c.width
+    psi = StateVector.zero(c.width)
+
+    def peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: f_value(c, 0)) <= state + (1 << 20)
+    assert peak(lambda: amplitude_zero(c)) <= state + (1 << 20)
+    assert peak(lambda: apply_circuit(psi, c)) <= 2 * state + (1 << 20)
 
 
 def _many_h(count: int) -> Circuit:
@@ -261,6 +286,132 @@ _SETTLED_CASES = {
 
 # Two entries make swaps and norms split every block they touch.
 _TEMP_SIZES = pytest.mark.parametrize("temp_entries", [2, sim._TEMP_ENTRIES])
+# The run kernels also at 16 entries: low-bit H runs on 2 bits, in many blocks.
+_RUN_TEMP_SIZES = (2, 16, sim._TEMP_ENTRIES)
+
+_DIAGONAL_KINDS = ("Z", "S", "SDG", "T", "TDG", "CZ", "CCZ")
+_ARITY = {"CZ": 2, "CCZ": 3}
+
+
+def _run_circuit(w: int, rng: np.random.Generator) -> Circuit:
+    """Seeded circuit of long diagonal runs and H runs, biased to the low qubits.
+
+    Diagonal runs mix all seven fixed-angle kinds with RZ, free X flips and
+    CX/MCX (free when their controls are settled); some qubits start flipped
+    and some stay settled for a while, so targets are settled, flipped or live.
+    """
+    gates = [x(int(q)) for q in range(w) if rng.random() < 0.3]
+    gates += [h(int(q)) for q in range(w) if rng.random() < 0.6]
+    for _ in range(3):
+        for _ in range(int(rng.integers(5, 25))):
+            r = rng.random()
+            q = int(rng.integers(w))
+            if r < 0.1:
+                gates.append(rz(float(rng.uniform(-3, 3)), q))
+            elif r < 0.2:
+                gates.append(x(q))
+            elif r < 0.25 and w > 1:
+                others = [p for p in range(w) if p != q]
+                size = min(int(rng.integers(1, 4)), w - 1)
+                ctl = [int(c) for c in rng.choice(others, size, replace=False)]
+                gates.append(mcx(q, ctl, [int(b) for b in rng.integers(2, size=len(ctl))]))
+            else:
+                kind = str(rng.choice(_DIAGONAL_KINDS))
+                arity = _ARITY.get(kind, 1)
+                if arity <= w:
+                    gates.append(Gate(kind, tuple(int(p) for p in rng.choice(w, arity, replace=False))))
+        # An H run: low qubits more often, some twice, some flipped first.
+        pool = [q for q in range(w) for _ in range(1 + q * 3 // w)]
+        run = [int(q) for q in rng.choice(pool, size=int(rng.integers(1, 2 * w + 1)))]
+        gates += [x(q) for q in set(run) if rng.random() < 0.3]
+        gates += [h(q) for q in run]
+    return Circuit(w, tuple(gates))
+
+
+def _assert_product_matches(monkeypatch, parts: list[Circuit], rng, samples: int = 4) -> None:
+    """Sampled unitary entries, phases included, at every run-kernel temporary size.
+
+    The circuit runs the parts on consecutive qubit blocks with their gates
+    interleaved in seeded chunks (each part keeps its order), so its dense
+    unitary is the Kronecker product of the parts' ``circuit_unitary``.
+    """
+    mats = [circuit_unitary(p) for p in parts]
+    w = sum(p.width for p in parts)
+    queues, offset = [], 0
+    for p in parts:
+        queues.append(list(shift_qubits(p, offset, w).gates))
+        offset += p.width
+    gates = []
+    while any(queues):
+        queue = queues[rng.choice([i for i, q in enumerate(queues) if q])]
+        take = int(rng.integers(1, 9))
+        gates += queue[:take]
+        del queue[:take]
+    c = Circuit(w, tuple(gates))
+
+    def entries(index: int, axis: int) -> np.ndarray:
+        """Column (axis 1) or row (axis 0) ``index`` of the product unitary."""
+        out, shift = np.ones(1, dtype=np.complex128), w
+        for p, m in zip(parts, mats):
+            shift -= p.width
+            sub = (index >> shift) & ((1 << p.width) - 1)
+            out = np.kron(out, m[:, sub] if axis else m[sub, :])
+        return out
+
+    def flips(i: int) -> tuple:
+        return tuple(x(q) for q in range(w) if i >> (w - 1 - q) & 1)
+
+    psi = rng.standard_normal(1 << w) + 1j * rng.standard_normal(1 << w)
+    psi /= np.linalg.norm(psi)
+    want = psi.reshape([m.shape[0] for m in mats])
+    for axis, m in enumerate(mats):
+        want = np.moveaxis(np.tensordot(m, want, axes=(1, axis)), 0, axis)
+    want = want.reshape(-1)
+    half = 1 << (w - 1)
+    picks = [int(i) for i in rng.choice(1 << w, size=min(samples, 1 << w), replace=False)]
+    for temp_entries in _RUN_TEMP_SIZES:
+        monkeypatch.setattr(sim, "_TEMP_ENTRIES", temp_entries)
+        for col in picks:
+            column = entries(col, 1)
+            row = entries(col, 0)
+            for r in picks[:2]:
+                got = amplitude_zero(Circuit(w, flips(col) + c.gates + flips(r)))
+                assert abs(got - column[r]) <= 1e-12, (temp_entries, r, col)
+            assert abs(f_value(adjoint(c), col) - np.sum(np.abs(column[:half]) ** 2)) <= 1e-12
+            assert abs(f_value(c, col) - np.sum(np.abs(row[:half]) ** 2)) <= 1e-12
+            out = apply_circuit(StateVector.basis(w, col), c).amplitudes
+            assert np.abs(out - column).max() <= 1e-12, (temp_entries, col)
+        assert np.abs(apply_circuit(StateVector(w, psi), c).amplitudes - want).max() <= 1e-12
+
+
+def _every_low_bit(w: int) -> Circuit:
+    """H runs over every low bit, the odd qubits flipped first, around a diagonal run."""
+    layer = tuple(h(q) for q in range(w))
+    odd = tuple(x(q) for q in range(1, w, 2))
+    diag = tuple(
+        Gate(k, tuple(range(q, q + _ARITY.get(k, 1))))
+        for q, k in zip(range(w - 2), _DIAGONAL_KINDS * w)
+    )
+    return Circuit(w, layer + odd + layer[::-1] + diag + odd + layer + (t(w - 1),) + layer)
+
+
+# Cases for the run kernels, each checked at every size in _RUN_TEMP_SIZES.
+_RUN_CASES = {
+    "every_low_bit": [_every_low_bit(8)],
+    # Qubit 7 (stored bit 0) stays settled, then flipped: the live view is
+    # not contiguous, so the H runs fall back to plain butterflies.
+    "non_contiguous_live_view": [Circuit(
+        8,
+        tuple(h(q) for q in range(7)) + (x(7), cz(6, 7), t(7), ccz(5, 6, 7), s(5))
+        + tuple(h(q) for q in (6, 5, 4, 6)) + (tdg(6), sdg(7), cz(4, 5), h(6), h(5)),
+    )],
+    "settled_middle_qubit": [Circuit(
+        7,
+        tuple(h(q) for q in range(7) if q != 3) + (x(3), ccz(2, 3, 6), cz(3, 5), t(3), s(6), z(5))
+        + tuple(h(q) for q in (6, 5, 4)) + (cx(3, 6), tdg(6), h(6), h(3), cz(3, 6), h(4)),
+    )],
+    "product_of_two_sixes": [_every_low_bit(6), _every_low_bit(6)],
+}
 
 
 class TestSingleColumnPass:
@@ -278,28 +429,39 @@ class TestSingleColumnPass:
         for w in range(1, 5):
             _assert_single_column_matches(random_circuit(w, int(rng.integers(0, 30)), rng, GATE_KINDS))
 
+    @pytest.mark.parametrize("name", sorted(_RUN_CASES))
+    def test_run_kernel_cases(self, monkeypatch, name):
+        _assert_product_matches(monkeypatch, _RUN_CASES[name], np.random.default_rng(11))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_run_kernels_random(self, monkeypatch, seed):
+        # Widths 1-8 against one dense unitary; width 12 as a product of two.
+        rng = np.random.default_rng(700 + seed)
+        for w in range(1, 9):
+            _assert_product_matches(monkeypatch, [_run_circuit(w, rng)], rng)
+        _assert_product_matches(monkeypatch, [_run_circuit(6, rng), _run_circuit(6, rng)], rng)
+
     def test_no_hidden_state_copies(self):
         # Swaps on the qubits of the low-order bits must not copy half states.
         w = 18
-        state = 16 << w
         c = Circuit(
             w,
             tuple(h(q) for q in range(w))
             + (x(17), cx(16, 17), x(16), mcx(17, (15, 16), (0, 1)), h(17), cx(17, 0), t(17)),
         )
-        psi = StateVector.zero(w)
+        _assert_single_column_memory(c)
 
-        def peak(fn) -> int:
-            tracemalloc.start()
-            try:
-                fn()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert peak(lambda: f_value(c, 0)) <= state + (1 << 20)
-        assert peak(lambda: amplitude_zero(c)) <= state + (1 << 20)
-        assert peak(lambda: apply_circuit(psi, c)) <= 2 * state + (1 << 20)
+    def test_run_kernels_stay_within_temporaries(self):
+        # A 60-gate diagonal run between full H layers: one byte of count per
+        # live amplitude, and blocks of at most _TEMP_ENTRIES entries.
+        w = 18
+        rng = np.random.default_rng(18)
+        layer = tuple(h(q) for q in range(w))
+        run = tuple(
+            Gate(k, tuple(int(q) for q in rng.choice(w, _ARITY.get(k, 1), replace=False)))
+            for k in rng.choice(_DIAGONAL_KINDS, size=60)
+        )
+        _assert_single_column_memory(Circuit(w, layer + run + layer + (x(w - 1),) + layer))
 
 
 class TestDqc1Distribution:
@@ -346,6 +508,13 @@ class TestDqc1Distribution:
         # Width 1 is just the clean qubit: n=0, two outcomes.
         d = dqc1_distribution(Circuit(1, (h(0),)))
         assert np.allclose(d.probs, [0.5, 0.5])
+
+
+def _nan_rz(q: int) -> Gate:
+    """RZ(nan) on q, past the constructor's check: stands in for a defect that makes NaN."""
+    g = rz(0.0, q)
+    object.__setattr__(g, "theta", float("nan"))
+    return g
 
 
 def _columns_reference(u: Circuit) -> np.ndarray:
@@ -401,7 +570,7 @@ class TestFusedPlan:
         assert dqc1_distribution(u).n == 4
 
     def test_non_finite_angle_fails_self_check(self):
-        u = Circuit(2, (h(0), Gate("RZ", (1,), theta=float("nan")), h(1)))
+        u = Circuit(2, (h(0), _nan_rz(1), h(1)))
         with pytest.raises(RuntimeError, match="sums to nan"):
             dqc1_distribution(u)
 

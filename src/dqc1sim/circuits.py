@@ -150,6 +150,8 @@ def _wire_tuple(wires, role: str) -> tuple[int, ...]:
 
 def _is_int(value) -> bool:
     """An integer (Python or numpy) that is not a boolean."""
+    if type(value) is int:  # the common case, without the slow ABC check
+        return True
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 

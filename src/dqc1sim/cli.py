@@ -63,7 +63,7 @@ def _add_max_n(p: argparse.ArgumentParser) -> None:
         "--max-n",
         type=int,
         default=DEFAULT_MAX_MIXED_QUBITS,
-        help=f"cap on mixed qubits for the 2**n-pass distribution (default {DEFAULT_MAX_MIXED_QUBITS})",
+        help=f"cap on mixed qubits n for the distribution, which runs up to 2**n columns (default {DEFAULT_MAX_MIXED_QUBITS})",
     )
 
 

@@ -112,8 +112,13 @@ def _gate_matrix(g: Gate, width: int) -> np.ndarray:
     return mat
 
 
-def circuit_unitary(c: Circuit, *, max_width: int = 12) -> np.ndarray:
-    """The circuit's full 2**w x 2**w matrix, one explicit matmul per gate."""
+def circuit_unitary(c: Circuit, *, max_width: int = 10) -> np.ndarray:
+    """The circuit's full 2**w x 2**w matrix, one explicit matmul per gate.
+
+    The default cap, width 10, is what this route can serve: each matrix
+    takes 16 MiB and each gate is a 1024**3 matmul.  At width 12 each
+    matrix would take 256 MiB and each gate a 4096**3 matmul.
+    """
     if c.width > max_width:
         msg = f"width {c.width} exceeds the dense-matrix cap of {max_width}"
         raise ValueError(msg)

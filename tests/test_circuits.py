@@ -93,6 +93,15 @@ class TestGateValidation:
         with pytest.raises(ValueError, match="must be a nonnegative integer"):
             Gate("H", (wire,))
 
+    def test_numpy_integer_wires_accepted_and_boolean_wires_rejected(self):
+        g = Gate("MCX", (np.int64(2),), (np.int64(0), np.uint8(1)), (1, 0))
+        assert g.targets == (2,) and g.controls == (0, 1)
+        assert all(type(q) is int for q in g.qubits)
+        with pytest.raises(ValueError, match="control index must be a nonnegative integer"):
+            Gate("CX", (np.int64(1),), (True,))
+        with pytest.raises(ValueError, match="target index must be a nonnegative integer"):
+            Gate("CX", (True,), (np.int64(0),))
+
     def test_negative_index(self):
         with pytest.raises(ValueError, match="nonnegative"):
             Gate("H", (-1,))

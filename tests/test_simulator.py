@@ -1,5 +1,6 @@
 """State-vector kernels, the clean-qubit output distribution, and sampling."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from dqc1sim.circuits import (
     Gate,
     adjoint,
     ccz,
+    compile_iqp_from_poly,
     cx,
     cz,
     h,
@@ -25,7 +27,8 @@ from dqc1sim.circuits import (
     x,
     z,
 )
-from dqc1sim.ensembles import random_circuit
+from dqc1sim.ensembles import random_circuit, random_poly
+from dqc1sim.hardness import build_postselection_pair, build_worst_case_embedding
 from dqc1sim.oracles import circuit_unitary, density_matrix_dqc1
 from dqc1sim.simulator import (
     Distribution,
@@ -573,6 +576,135 @@ class TestFusedPlan:
         u = Circuit(2, (h(0), _nan_rz(1), h(1)))
         with pytest.raises(RuntimeError, match="sums to nan"):
             dqc1_distribution(u)
+
+
+def _full_plan(u: Circuit) -> np.ndarray:
+    """The plan over all 2**n columns (B empty), run directly through _compile and _run_plan."""
+    n = u.width - 1
+    plan = sim._compile(u, sim._CHUNK_ENTRIES, split=False)
+    assert plan.slot_sizes == (1 << n,) and not plan.out_comp.any()
+    bufs = [np.empty(len(plan.final_rows) * plan.cols, dtype=np.complex128) for _ in range(2)]
+    parts = [sim._run_plan(plan, chunk, bufs)[:, 0] for chunk in plan.chunks]
+    return sim._tree_sum(parts)[plan.final_rows] * math.ldexp(1.0, -(plan.pending_h + n))
+
+
+def _untouched_case(width: int, rng: np.random.Generator) -> Circuit:
+    """A monomial prefix, then gates that never mix a random set B of qubits.
+
+    B still carries X gates, phase gates and controls after the first H,
+    except on a random part of it that only X gates touch.
+    """
+    no_h = tuple(k for k in GATE_KINDS if k != "H")
+    keep = {int(q) for q in rng.choice(width, size=int(rng.integers(1, width + 1)), replace=False)}
+    free = {q for q in keep if rng.random() < 0.5}
+    mixed = [q for q in range(width) if q not in keep]
+    body = [
+        g
+        for g in random_circuit(width, int(rng.integers(10, 60)), rng, GATE_KINDS).gates
+        if not (g.kind in ("H", "CX", "MCX") and g.targets[0] in keep)
+        and (g.kind == "X" or not free.intersection(g.qubits))
+    ]
+    first = (h(int(rng.choice(mixed))),) if mixed else ()
+    return Circuit(width, random_circuit(width, 12, rng, no_h).gates + first + tuple(body))
+
+
+def _reduced_cases():
+    """Circuits whose untouched qubits leave fewer than 2**n columns to run."""
+    rng = np.random.default_rng(606)
+    cases = [_untouched_case(w, rng) for w in range(1, 9) for _ in range(5)]
+    for w in range(2, 8):
+        v = random_circuit(w, 30, rng, GATE_KINDS)
+        cases.append(build_worst_case_embedding(v))
+        cases.extend(build_postselection_pair(v))
+    # Leading permutations spread the inputs unevenly over qubits 0 and 1,
+    # which nothing after them touches: sides of several widths.
+    for w in range(4, 8):
+        for _ in range(4):
+            lead = random_circuit(w, 8, rng, ("X", "CX", "MCX", "T")).gates
+            body = Circuit(w - 2, (h(0),) + random_circuit(w - 2, 20, rng, GATE_KINDS).gates)
+            cases.append(Circuit(w, lead + shift_qubits(body, 2, w).gates))
+    # Two MCX gates onto the clean qubit, which nothing after them touches:
+    # the inputs of a direct side form two subcubes, so its tree is sparse.
+    for w in range(4, 8):
+        for _ in range(3):
+            pair = [tuple(int(q) for q in rng.choice(np.arange(1, w), 2, replace=False)) for _ in "ab"]
+            body = Circuit(w - 1, tuple(h(q) for q in range(w - 1)) + random_circuit(w - 1, 40, rng).gates)
+            lead = (mcx(0, pair[0]), mcx(0, pair[1], (0, 0)))
+            cases.append(Circuit(w, lead + shift_qubits(body, 1, w).gates))
+    # The clean qubit is never touched: one side of each b has no columns.
+    layer = tuple(h(q) for q in range(1, 5))
+    cases.append(Circuit(5, layer + shift_qubits(random_circuit(4, 20, rng), 1, 5).gates))
+    cases.append(shift_qubits(random_circuit(4, 30, rng, GATE_KINDS), 1, 5))
+    return cases
+
+
+def _complement_bound(u: Circuit) -> float:
+    """The docstring bound on rows from the complement: (2 gates + n) ulp(1) 2**-n."""
+    n = u.width - 1
+    return (2 * len(u.gates) + n) * np.spacing(1.0) * 2.0**-n
+
+
+class TestUntouchedQubits:
+    def test_matches_full_plan(self):
+        for u in _reduced_cases():
+            got = dqc1_distribution(u).probs
+            want = _full_plan(u)
+            comp = sim._compile(u, sim._CHUNK_ENTRIES).out_comp
+            assert np.array_equal(got[~comp], want[~comp]), u
+            assert np.abs(got - want)[comp].max(initial=0.0) <= _complement_bound(u), u
+
+    def test_iqp_embeddings_are_byte_identical(self):
+        # Dyadic amplitudes: the complement rows are exact too.
+        rng = np.random.default_rng(14)
+        for n in range(2, 9):  # at n = 1 both sides tie and run directly
+            poly = random_poly(n, int(rng.integers(1, 3 * n + 1)), rng)
+            u = build_worst_case_embedding(compile_iqp_from_poly(poly))
+            assert sim._compile(u, sim._CHUNK_ENTRIES).out_comp.any()
+            assert np.array_equal(dqc1_distribution(u).probs, _full_plan(u)), n
+
+    def test_matches_density_matrix_oracle(self):
+        for u in _reduced_cases():
+            if u.width <= 6:
+                want = density_matrix_dqc1(u).probs
+                assert np.abs(dqc1_distribution(u).probs - want).max() < 1e-12, u
+
+    def test_bytes_independent_of_chunks_and_threads(self, monkeypatch):
+        cases = _reduced_cases()
+        whole = [dqc1_distribution(u).probs for u in cases]
+        assert any(len(set(sim._compile(u, 1 << 5).slot_sizes)) > 1 for u in cases)
+        for log_chunk in (2, 5, 9):
+            monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 1 << log_chunk)
+            for threads in (1, 2):
+                for u, want in zip(cases, whole):
+                    got = dqc1_distribution(u, threads=threads).probs
+                    assert np.array_equal(got, want), (u, log_chunk, threads)
+
+    def test_embedding_runs_one_column(self, monkeypatch):
+        runs = []
+        real = sim._run_plan
+
+        def spy(plan, chunk, bufs):
+            runs.append((len(plan.final_rows), chunk[1]))
+            return real(plan, chunk, bufs)
+
+        monkeypatch.setattr(sim, "_run_plan", spy)
+        poly = random_poly(12, 40, np.random.default_rng(8))
+        d = dqc1_distribution(build_worst_case_embedding(compile_iqp_from_poly(poly)))
+        assert d.n == 12
+        assert all(rows == 1 << 12 for rows, _ in runs)
+        assert sum(cols for _, cols in runs) == 1
+
+    def test_non_finite_leading_phase_fails_self_check(self):
+        # The inputs all run from the complement side, which never multiplies by it.
+        with pytest.raises(RuntimeError, match="non-finite phase"):
+            dqc1_distribution(Circuit(2, (_nan_rz(1), h(1))))
+
+    def test_untouched_clean_qubit_runs_nothing(self, monkeypatch):
+        monkeypatch.setattr(sim, "_run_plan", None)  # any run would fail
+        u = shift_qubits(random_circuit(4, 30, np.random.default_rng(2), GATE_KINDS), 1, 5)
+        want = np.zeros(32)
+        want[:16] = 1 / 16
+        assert np.array_equal(dqc1_distribution(u).probs, want)
 
 
 class TestDistributionType:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = [
@@ -138,6 +138,18 @@ class Gate:
         return self.targets + self.controls
 
 
+def _checked_gate(kind: str, targets, controls, polarities, theta) -> Gate:
+    """The Gate of fields that already passed Gate's checks, without checking them again."""
+    g = object.__new__(Gate)
+    # In field order, as Gate.__init__ sets them, so all gates share one key table.
+    object.__setattr__(g, "kind", kind)
+    object.__setattr__(g, "targets", targets)
+    object.__setattr__(g, "controls", controls)
+    object.__setattr__(g, "polarities", polarities)
+    object.__setattr__(g, "theta", theta)
+    return g
+
+
 def _wire_tuple(wires, role: str) -> tuple[int, ...]:
     out = []
     for q in wires:
@@ -225,18 +237,20 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self) -> None:
-        if int(self.width) != self.width or self.width < 1:
+        if not _is_int(self.width) or self.width < 1:
             msg = f"width must be a positive integer, got {self.width!r}"
             raise ValueError(msg)
-        object.__setattr__(self, "width", int(self.width))
+        width = int(self.width)
+        object.__setattr__(self, "width", width)
         object.__setattr__(self, "gates", tuple(self.gates))
         for i, g in enumerate(self.gates):
             if not isinstance(g, Gate):
                 msg = f"gate {i} is not a Gate: {g!r}"
                 raise ValueError(msg)
-            bad = [q for q in g.qubits if q >= self.width]
-            if bad:
-                msg = f"gate {i} ({g.kind}) uses qubit {bad[0]} on a {self.width}-qubit circuit"
+            wires = g.targets + g.controls
+            if max(wires) >= width:
+                bad = next(q for q in wires if q >= width)
+                msg = f"gate {i} ({g.kind}) uses qubit {bad} on a {width}-qubit circuit"
                 raise ValueError(msg)
 
     def __len__(self) -> int:
@@ -254,22 +268,25 @@ def adjoint(c: Circuit) -> Circuit:
         if g.kind in _SELF_INVERSE:
             out.append(g)
         elif g.kind in _INVERSE_KIND:
-            out.append(replace(g, kind=_INVERSE_KIND[g.kind]))
+            out.append(_checked_gate(_INVERSE_KIND[g.kind], g.targets, g.controls, g.polarities, None))
         else:  # RZ
-            out.append(replace(g, theta=-g.theta))
+            out.append(_checked_gate("RZ", g.targets, g.controls, g.polarities, -g.theta))
     return Circuit(c.width, tuple(out))
 
 
 def shift_qubits(c: Circuit, offset: int, width: int) -> Circuit:
     """The same gate list with every wire moved up by ``offset`` on a wider register."""
-    if offset < 0 or width < c.width + offset:
+    if not _is_int(offset) or offset < 0 or width < c.width + offset:
         msg = f"cannot shift a {c.width}-qubit circuit by {offset} into width {width}"
         raise ValueError(msg)
+    offset = int(offset)
     gates = [
-        replace(
-            g,
-            targets=tuple(q + offset for q in g.targets),
-            controls=tuple(q + offset for q in g.controls),
+        _checked_gate(
+            g.kind,
+            tuple(q + offset for q in g.targets),
+            tuple(q + offset for q in g.controls),
+            g.polarities,
+            g.theta,
         )
         for g in c.gates
     ]
@@ -393,10 +410,10 @@ def compile_iqp_from_poly(f: PolyF2) -> Circuit:
     and the sandwich averages those signs.
     """
     n = f.n_vars
-    gates = [h(q) for q in range(n)]
-    gates += [Gate(_PHASE_KIND[len(m)], m) for m in f.monomials]
-    gates += [h(q) for q in range(n)]
-    return Circuit(n, tuple(gates))
+    layer = tuple(h(q) for q in range(n))
+    # PolyF2 already checked each monomial: distinct in-range integer wires.
+    phases = tuple(_checked_gate(_PHASE_KIND[len(m)], m, (), (), None) for m in f.monomials)
+    return Circuit(n, layer + phases + layer)
 
 
 def compile_iqp_from_ising(m: IsingInstance) -> Circuit:

@@ -54,8 +54,22 @@ def _scalar(value: float) -> str:
     return repr(float(value))
 
 
+def _thread_count(text: str) -> int:
+    """The --threads value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        msg = f"must be an integer >= 1, got {text!r}"
+        raise argparse.ArgumentTypeError(msg)
+    return value
+
+
 def _add_threads(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=1, help="worker threads (output is identical for any value)")
+    p.add_argument(
+        "--threads", type=_thread_count, default=1, help="worker threads (output is identical for any value)"
+    )
 
 
 def _add_max_n(p: argparse.ArgumentParser) -> None:

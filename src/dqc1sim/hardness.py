@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, adjoint, cx, mcx, shift_qubits, x
+from .circuits import Circuit, _is_int, adjoint, cx, mcx, shift_qubits, x
 from .simulator import Distribution, _parallel_map, dqc1_distribution
 
 __all__ = [
@@ -150,7 +150,7 @@ class Ensemble:
     circuits: tuple[Circuit, ...]
 
     def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n < 0:
+        if not _is_int(self.n) or self.n < 0:
             msg = f"n must be a nonnegative integer, got {self.n!r}"
             raise ValueError(msg)
         object.__setattr__(self, "n", int(self.n))

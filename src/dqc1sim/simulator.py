@@ -71,6 +71,9 @@ _EIGHTH_TURN = np.tile(
     np.array([1.0, _PHASE_T, 1j, 1j * _PHASE_T, -1.0, -_PHASE_T, -1j, _PHASE_T.conjugate()]),
     32,
 )
+# The gates whose factor is a power of i, in quarter turns, and i**k at entry k.
+_QUARTERS = {kind: e // 2 for kind, e in _EIGHTHS.items() if e % 2 == 0}
+_QUARTER_TURN = np.array([1.0, 1j, -1.0, -1j])
 _PERMUTATION_KINDS = frozenset({"X", "CX", "MCX"})
 
 # Entries per batch chunk (16 MiB of complex128 per buffer): large enough
@@ -518,10 +521,18 @@ def f_value(u: Circuit, zbits) -> float:
 # * ("h", bit): an unnormalised butterfly [[1, 1], [1, -1]] on a stored bit;
 # * ("scale",): an exact rescale that keeps unnormalised norms bounded.
 #
+# A gather's phase table is built per gate, except that each maximal run of
+# Z, S, SDG, CZ and CCZ gates is counted in integer quarter turns per row
+# and applied as one multiply by a power of i.  Powers of i multiply
+# exactly, so the table has the values of one multiply per gate.
+#
 # Rows are stored under a qubit layout that the plan chooses: before an H
 # on a qubit whose stored halves would be short strided runs, a gather
-# moves it to a top bit.  Per column the arithmetic never depends on the
-# layout, the chunk width or the thread, which keeps output bytes fixed.
+# moves it to a top bit.  A chunk of at most _MIN_RUN floats is one short
+# run whatever the layout, so there every stored bit counts as a top bit
+# and no gather only moves qubits.  Per column the arithmetic never depends
+# on the layout, the chunk width or the thread, which keeps output bytes
+# fixed.
 #
 # Only the columns that the untouched qubits leave undetermined run.  The
 # leading run of non-H gates sends input |0 x> to one basis row with a
@@ -564,51 +575,79 @@ _MIXING_KINDS = frozenset({"H", "CX", "MCX"})
 def _monomial(gates, bits, pos):
     """(src, phase) with out[r] = phase[r] * in[src[r]] for a run of non-H gates.
 
-    ``bits[q]`` is qubit q's bit of every row index and ``pos[q]`` the index
-    bit it sits on.  ``phase`` is None when every factor is 1.
+    ``bits[q]`` is qubit q's bit (0 or 1) of every row index and ``pos[q]``
+    the index bit it sits on.  ``phase`` is None when every factor is 1.
     """
     rows = np.arange(len(bits[0]))
     src = rows
     phase = None
-    for g in gates:
-        if g.kind in _PERMUTATION_KINDS:
-            flip = np.ones(len(rows), dtype=bool)
-            pols = g.polarities if g.kind == "MCX" else (1,)
-            for c, pol in zip(g.controls, pols):
-                flip &= bits[c] == pol
-            sigma = rows ^ (flip.astype(rows.dtype) << pos[g.targets[0]])
-            src = src[sigma]
-            if phase is not None:
-                phase = phase[sigma]
+    for quarter, run in groupby(gates, key=lambda g: g.kind in _QUARTERS):
+        if quarter:
+            # Powers of i multiply exactly: one multiply by the run's total
+            # gives the values of one multiply per gate.
+            count = np.zeros_like(rows)
+            for g in run:
+                hit = bits[g.targets[0]]
+                for q in g.targets[1:]:
+                    hit = hit & bits[q]
+                count += _QUARTERS[g.kind] * hit
+            turn = _QUARTER_TURN[count & 3]
+            if phase is None:
+                phase = turn
+            else:
+                phase *= turn
             continue
-        if phase is None:
-            phase = np.ones(len(rows), dtype=np.complex128)
-        if g.kind == "RZ":
-            half = 0.5 * g.theta
-            hi = bits[g.targets[0]] == 1
-            np.multiply(phase, complex(math.cos(half), -math.sin(half)), out=phase, where=~hi)
-            np.multiply(phase, complex(math.cos(half), math.sin(half)), out=phase, where=hi)
-            continue
-        hit = np.logical_and.reduce([bits[q] == 1 for q in g.targets])
-        np.multiply(phase, _EIGHTH_TURN[_EIGHTHS[g.kind]], out=phase, where=hit)
+        for g in run:
+            if g.kind in _PERMUTATION_KINDS:
+                flip = np.ones(len(rows), dtype=bool)
+                pols = g.polarities if g.kind == "MCX" else (1,)
+                for c, pol in zip(g.controls, pols):
+                    flip &= bits[c] == pol
+                sigma = rows ^ (flip.astype(rows.dtype) << pos[g.targets[0]])
+                src = src[sigma]
+                if phase is not None:
+                    phase = phase[sigma]
+                continue
+            if phase is None:
+                phase = np.ones(len(rows), dtype=np.complex128)
+            hi = bits[g.targets[0]] == 1  # T, TDG and RZ have one target
+            if g.kind == "RZ":
+                half = 0.5 * g.theta
+                np.multiply(phase, complex(math.cos(half), -math.sin(half)), out=phase, where=~hi)
+                np.multiply(phase, complex(math.cos(half), math.sin(half)), out=phase, where=hi)
+            else:
+                np.multiply(phase, _EIGHTH_TURN[_EIGHTHS[g.kind]], out=phase, where=hi)
     if phase is not None and np.all(phase == 1.0):
         phase = None
     return src, phase
 
 
+def _runs(seq) -> list[tuple[int, int]]:
+    """(first position, length) of each maximal run of ``seq`` that counts up by one."""
+    runs: list[tuple[int, int]] = []
+    for i, v in enumerate(seq):
+        if runs and v == seq[i - 1] + 1:
+            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+        else:
+            runs.append((i, 1))
+    return runs
+
+
 def _pack(rows: np.ndarray, qubits, width: int) -> np.ndarray:
     """The bits of width-qubit row indices on ``qubits``, the first one most significant."""
     out = np.zeros_like(rows)
-    for q in qubits:
-        out = (out << 1) | ((rows >> (width - 1 - q)) & 1)
+    for i, k in _runs(qubits):
+        # Consecutive qubits own consecutive bits, first qubit highest.
+        out = (out << k) | ((rows >> (width - qubits[i] - k)) & ((1 << k) - 1))
     return out
 
 
 def _deposit(values: np.ndarray, slots, nbits: int) -> np.ndarray:
     """The bits of ``values``, first most significant, put on index bits nbits-1-slots[i]."""
     out = np.zeros_like(values)
-    for i, slot in enumerate(slots):
-        out |= ((values >> (len(slots) - 1 - i)) & 1) << (nbits - 1 - slot)
+    for i, k in _runs(slots):
+        field = (values >> (len(slots) - i - k)) & ((1 << k) - 1)
+        out |= field << (nbits - slots[i] - k)
     return out
 
 
@@ -617,7 +656,8 @@ def _tree_positions(keys: np.ndarray, groups: np.ndarray, ngroups: int, nbits: i
 
     ``keys`` are nbits-bit and ascend within each group, and ``groups``
     ascend.  Of the adjacent-pair tree over a group's keys only the levels
-    where two of its keys first differ are kept.
+    where two of its keys first differ are kept: the set bits of the
+    group's mask, gathered one run of consecutive set bits at a time.
     """
     same = groups[1:] == groups[:-1]
     first_diff = np.frexp((keys[1:] ^ keys[:-1])[same])[1] - 1
@@ -625,13 +665,15 @@ def _tree_positions(keys: np.ndarray, groups: np.ndarray, ngroups: int, nbits: i
     np.bitwise_or.at(mask, groups[1:][same], np.left_shift(1, first_diff, dtype=np.int64))
     keep = mask[groups]
     pos = np.zeros_like(keys)
-    depth = np.zeros_like(keys)
     levels = np.zeros_like(mask)
-    for bit in range(nbits):
-        kept = (keep >> bit) & 1
-        pos |= ((keys >> bit) & kept) << depth
-        depth += kept
-        levels += (mask >> bit) & 1
+    for m in set(mask.tolist()) - {0}:
+        levels[mask == m] = bin(m).count("1")
+        at = keep == m
+        kept = [b for b in range(nbits) if m >> b & 1]
+        depth = 0
+        for i, k in _runs(kept):
+            pos[at] |= ((keys[at] >> kept[i]) & ((1 << k) - 1)) << depth
+            depth += k
     return pos, levels
 
 
@@ -740,7 +782,10 @@ def _program(body, width: int, rows_of: list[int], cols: int):
     for i, g in enumerate(body):
         if g.kind == "H":
             h_uses.setdefault(local[g.targets[0]], []).append(i)
-    top = [b for b in range(nr) if 2 * cols << b >= min(_MIN_RUN, 2 * cols << (nr - 1))]
+    if 2 * cols << nr <= _MIN_RUN:
+        top = list(range(nr))  # the whole chunk is one short run: no move helps
+    else:
+        top = [b for b in range(nr) if 2 * cols << b >= min(_MIN_RUN, 2 * cols << (nr - 1))]
 
     def next_use(q: int, i: int) -> int:
         later = h_uses.get(q, [])
@@ -793,7 +838,11 @@ def _program(body, width: int, rows_of: list[int], cols: int):
 
     def stored(slot: list[int]) -> np.ndarray:
         """Stored row of each logical row when qubit q sits on stored bit slot[q]."""
-        return (bits << np.array(slot, dtype=np.int64)[:, None]).sum(axis=0)
+        out = np.zeros_like(rows)
+        for i, k in _runs([-b for b in slot]):
+            # Qubits i..i+k-1 sit on stored bits slot[i] down to slot[i]-k+1.
+            out |= ((rows >> (nr - i - k)) & ((1 << k) - 1)) << (slot[i] - k + 1)
+        return out
 
     steps = []
     start = prev = stored(place)

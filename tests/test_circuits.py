@@ -2,6 +2,7 @@
 
 import copy
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from dqc1sim.circuits import (
     z,
 )
 from dqc1sim.ensembles import random_circuit
+from dqc1sim.hardness import build_worst_case_embedding
 from dqc1sim.simulator import (
     DEFAULT_MAX_MIXED_QUBITS,
     MAX_SINGLE_PASS_WIDTH,
@@ -111,6 +113,18 @@ class TestGateValidation:
             Circuit(3, (h(3),))
         with pytest.raises(ValueError, match="positive integer"):
             Circuit(0)
+        with pytest.raises(ValueError, match=r"^gate 1 \(CX\) uses qubit 4 on a 3-qubit circuit$"):
+            Circuit(3, (h(0), cx(4, 1)))
+
+    def test_circuit_width_must_be_an_integer(self):
+        # True used to build a 1-qubit circuit, NaN to fail inside int().
+        with pytest.raises(ValueError, match=r"^width must be a positive integer, got True$"):
+            Circuit(True, (h(0),))
+        with pytest.raises(ValueError, match=r"^width must be a positive integer, got nan$"):
+            Circuit(float("nan"))
+        with pytest.raises(ValueError, match=r"^width must be a positive integer, got 2.0$"):
+            Circuit(2.0)
+        assert Circuit(np.int64(2)).width == 2 and type(Circuit(np.int64(2)).width) is int
 
 
 class TestAdjoint:
@@ -141,6 +155,36 @@ class TestAdjoint:
             assert np.abs(back.amplitudes - psi.amplitudes).max() < 1e-12
 
 
+def _replaced_adjoint(c: Circuit) -> Circuit:
+    """adjoint built gate by gate with dataclasses.replace, which checks every gate again."""
+    inverse = {"S": "SDG", "SDG": "S", "T": "TDG", "TDG": "T"}
+    out = []
+    for g in reversed(c.gates):
+        if g.kind in inverse:
+            g = replace(g, kind=inverse[g.kind])
+        elif g.kind == "RZ":
+            g = replace(g, theta=-g.theta)
+        out.append(g)
+    return Circuit(c.width, tuple(out))
+
+
+def _replaced_shift(c: Circuit, offset: int, width: int) -> Circuit:
+    """shift_qubits built with dataclasses.replace."""
+    gates = tuple(
+        replace(g, targets=tuple(q + offset for q in g.targets), controls=tuple(q + offset for q in g.controls))
+        for g in c.gates
+    )
+    return Circuit(width, gates)
+
+
+def _assert_same_gates(got: Circuit, want: Circuit) -> None:
+    assert got == want
+    for a, b in zip(got.gates, want.gates):
+        assert [type(v) for v in a.qubits + a.polarities] == [type(v) for v in b.qubits + b.polarities]
+        assert type(a.theta) is type(b.theta)
+        assert hash(a) == hash(b)
+
+
 class TestShiftQubits:
     def test_shift(self):
         c = Circuit(2, (h(0), cx(0, 1)))
@@ -151,6 +195,36 @@ class TestShiftQubits:
     def test_bad_shift(self):
         with pytest.raises(ValueError, match="shift"):
             shift_qubits(Circuit(2), 2, 3)
+
+    @pytest.mark.parametrize("offset, width", [(-1, 4), (3, 4), (1.0, 4), (True, 4), (0, 1)])
+    def test_bad_offsets_and_widths(self, offset, width):
+        c = Circuit(2, (cx(0, 1),))
+        with pytest.raises(ValueError, match=rf"^cannot shift a 2-qubit circuit by {offset} into width {width}$"):
+            shift_qubits(c, offset, width)
+
+    def test_bad_target_width(self):
+        with pytest.raises(ValueError, match=r"^width must be a positive integer, got 3.5$"):
+            shift_qubits(Circuit(2, (cx(0, 1),)), 1, 3.5)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_replace(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(60):
+            c = random_circuit(int(rng.integers(1, 7)), int(rng.integers(0, 30)), rng, GATE_KINDS)
+            offset = int(rng.integers(0, 4))
+            width = c.width + offset + int(rng.integers(0, 3))
+            _assert_same_gates(shift_qubits(c, offset, width), _replaced_shift(c, offset, width))
+            _assert_same_gates(shift_qubits(c, np.int64(offset), width), _replaced_shift(c, offset, width))
+            _assert_same_gates(adjoint(c), _replaced_adjoint(c))
+
+    def test_worst_case_embedding_matches_replace(self):
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            c = random_circuit(int(rng.integers(1, 7)), int(rng.integers(0, 30)), rng, GATE_KINDS)
+            n = c.width
+            flip = (x(0), mcx(0, tuple(range(1, n + 1)), (0,) * n))
+            want = _replaced_adjoint(Circuit(n + 1, _replaced_shift(c, 1, n + 1).gates + flip))
+            _assert_same_gates(build_worst_case_embedding(c), want)
 
 
 class TestPolyF2:

@@ -309,6 +309,20 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert (out, err) == ("", "error: simulator defect: f value nan outside [0, 1]\n")
 
+    @pytest.mark.parametrize("command", ["dqc1-dist", "anticoncentration", "verify-chain"])
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_usage_error(self, identity3, capsys, command, threads):
+        argv = [command, "--threads", threads] + (["--circuit", identity3] if command == "dqc1-dist" else [])
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            f"dqc1sim {command}: error: argument --threads: must be an integer >= 1, got '{threads}'"
+        )
+        assert err.count("error:") == 1
+
     def test_no_command_is_usage_error(self):
         r = run_cli()
         assert r.returncode == 2

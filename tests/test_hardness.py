@@ -100,6 +100,13 @@ class TestEnsembleType:
         with pytest.raises(ValueError, match="at least one"):
             Ensemble(2, ())
 
+    def test_n_must_be_an_integer(self):
+        # False used to pass as n = 0.
+        with pytest.raises(ValueError, match=r"^n must be a nonnegative integer, got False$"):
+            Ensemble(False, (Circuit(1),))
+        with pytest.raises(ValueError, match=r"^n must be a nonnegative integer, got 1.0$"):
+            Ensemble(1.0, (Circuit(2),))
+
     def test_len(self):
         assert len(Ensemble(1, (Circuit(2), Circuit(2)))) == 2
 

@@ -578,6 +578,121 @@ class TestFusedPlan:
             dqc1_distribution(u)
 
 
+def _layout_cases():
+    rng = np.random.default_rng(77)
+    embeddings = [
+        build_worst_case_embedding(compile_iqp_from_poly(random_poly(8, 24, rng))),
+        build_worst_case_embedding(random_circuit(7, 40, rng, GATE_KINDS)),
+    ]
+    return _plan_cases() + embeddings
+
+
+def _step_kinds(plan) -> list[str]:
+    return [step[0] for step in plan.steps]
+
+
+class TestPlanLayout:
+    def test_layout_does_not_change_bytes(self, monkeypatch):
+        cases = _layout_cases()
+        want = [dqc1_distribution(u).probs for u in cases]
+        steps = [len(sim._compile(u, sim._CHUNK_ENTRIES).steps) for u in cases]
+        for min_run in (1, 1 << 40):
+            monkeypatch.setattr(sim, "_MIN_RUN", min_run)
+            for u, probs in zip(cases, want):
+                assert np.array_equal(dqc1_distribution(u).probs, probs), (u, min_run)
+            # The cases do run under other layouts: some plans lose their moves.
+            assert [len(sim._compile(u, sim._CHUNK_ENTRIES).steps) for u in cases] != steps
+
+    def test_small_chunk_makes_no_layout_moves(self):
+        # Every stored bit of a chunk of at most _MIN_RUN floats is a top bit:
+        # 16 butterflies and the one gather of the phase layer.
+        poly = random_poly(8, 24, np.random.default_rng(5))
+        plan = sim._compile(build_worst_case_embedding(compile_iqp_from_poly(poly)), sim._CHUNK_ENTRIES)
+        kinds = _step_kinds(plan)
+        assert (kinds.count("h"), kinds.count("gather"), len(kinds)) == (16, 1, 17)
+
+    def test_large_chunk_still_moves_low_bits(self, monkeypatch):
+        monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 1 << 20)
+        layer = tuple(h(q) for q in range(9))
+        u = Circuit(9, layer + layer)
+        plan = sim._compile(u, sim._CHUNK_ENTRIES, split=False)
+        # No gate but H: every gather only moves qubits to top bits.
+        assert "gather" in _step_kinds(plan)
+        assert np.abs(dqc1_distribution(u).probs - _columns_reference(u)).max() < 1e-13
+
+
+_QUARTER_KINDS = ("Z", "S", "SDG", "CZ", "CCZ")
+_OTHER_KINDS = ("X", "CX", "MCX", "T", "TDG", "RZ")
+
+
+def _monomial_reference(gates, bits, pos):
+    """(src, phase) of a run of non-H gates, one multiply per phase gate."""
+    rows = np.arange(len(bits[0]))
+    src = rows.copy()
+    phase = np.ones(len(rows), dtype=np.complex128)
+    t_factor = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
+    factors = {"Z": -1.0, "S": 1j, "SDG": -1j, "T": t_factor, "TDG": t_factor.conjugate()}
+    factors.update(CZ=-1.0, CCZ=-1.0)
+    for g in gates:
+        if g.kind in ("X", "CX", "MCX"):
+            fire = np.ones(len(rows), dtype=bool)
+            pols = g.polarities if g.kind == "MCX" else (1,)
+            for c, pol in zip(g.controls, pols):
+                fire &= bits[c] == pol
+            sigma = rows ^ (fire.astype(rows.dtype) << pos[g.targets[0]])
+            src, phase = src[sigma], phase[sigma]
+            continue
+        hit = np.ones(len(rows), dtype=bool)
+        for q in g.targets:
+            hit &= bits[q] == 1
+        if g.kind == "RZ":
+            half = 0.5 * g.theta
+            phase[~hit] *= complex(math.cos(half), -math.sin(half))
+            phase[hit] *= complex(math.cos(half), math.sin(half))
+        else:
+            phase[hit] *= factors[g.kind]
+    return src, phase
+
+
+def _mixed_run(width: int, rng: np.random.Generator) -> tuple:
+    """Runs of power-of-i gates between T, TDG, RZ gates and permutations."""
+    gates = ()
+    for _ in range(int(rng.integers(1, 6))):
+        for kinds in (_QUARTER_KINDS, _OTHER_KINDS):
+            gates += random_circuit(width, int(rng.integers(0, 6)), rng, kinds).gates
+    return gates
+
+
+class TestMonomial:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_gate_products(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            width = int(rng.integers(3, 8))
+            rows = np.arange(1 << width)
+            bits = [(rows >> (width - 1 - q)) & 1 for q in range(width)]
+            pos = [width - 1 - q for q in range(width)]
+            if rng.random() < 0.5:
+                gates = _mixed_run(width, rng)
+            else:
+                no_h = tuple(k for k in GATE_KINDS if k != "H")
+                gates = random_circuit(width, int(rng.integers(0, 40)), rng, no_h).gates
+            src, phase = sim._monomial(gates, bits, pos)
+            want_src, want_phase = _monomial_reference(gates, bits, pos)
+            assert np.array_equal(src, want_src), gates
+            if phase is None:
+                assert np.all(want_phase == 1.0), gates
+            else:
+                assert np.array_equal(phase, want_phase), gates
+
+    def test_power_of_i_runs_cancel_to_no_phase(self):
+        rows = np.arange(8)
+        bits = [(rows >> (2 - q)) & 1 for q in range(3)]
+        gates = (s(0), cz(0, 1), sdg(0), ccz(0, 1, 2), sdg(2), z(1), cz(0, 1), s(2), ccz(0, 1, 2), z(1))
+        src, phase = sim._monomial(gates, bits, [2, 1, 0])
+        assert np.array_equal(src, rows) and phase is None
+
+
 def _full_plan(u: Circuit) -> np.ndarray:
     """The plan over all 2**n columns (B empty), run directly through _compile and _run_plan."""
     n = u.width - 1

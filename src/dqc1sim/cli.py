@@ -54,16 +54,26 @@ def _scalar(value: float) -> str:
     return repr(float(value))
 
 
-def _thread_count(text: str) -> int:
-    """The --threads value: an integer of at least 1."""
+def _int_at_least(text: str, low: int) -> int:
+    """An argparse value that must be an integer of at least ``low``."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        msg = f"must be an integer >= 1, got {text!r}"
+        value = low - 1
+    if value < low:
+        msg = f"must be an integer >= {low}, got {text!r}"
         raise argparse.ArgumentTypeError(msg)
     return value
+
+
+def _thread_count(text: str) -> int:
+    """The --threads value: an integer of at least 1."""
+    return _int_at_least(text, 1)
+
+
+def _seed(text: str) -> int:
+    """A --seed value: an integer of at least 0."""
+    return _int_at_least(text, 0)
 
 
 def _add_threads(p: argparse.ArgumentParser) -> None:
@@ -119,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw outcome bit strings from a circuit's distribution")
     p.add_argument("--circuit", required=True, help="circuit JSON file")
     p.add_argument("--count", type=int, required=True, help="number of draws")
-    p.add_argument("--seed", type=int, required=True, help="RNG seed")
+    p.add_argument("--seed", type=_seed, required=True, help="RNG seed (an integer >= 0)")
     _add_max_n(p)
 
     p = sub.add_parser("anticoncentration", help="heavy-set fraction of an ensemble vs its threshold")
@@ -134,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=1.0 / 36.0, help="sampler TV budget")
     p.add_argument("--delta", type=float, default=1.0 / 6.0, help="Markov outlier budget")
     p.add_argument("--eta", type=float, default=1.0 / 100.0, help="relative error of the counter")
-    p.add_argument("--seed", type=int, default=0, help="master seed for the counter noise")
+    p.add_argument("--seed", type=_seed, default=0, help="master seed for the counter noise (an integer >= 0)")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     _add_threads(p)
 

@@ -144,8 +144,8 @@ def parse_ensemble_spec(spec: str) -> Ensemble:
         except ValueError:
             msg = f"n, count, depth, seed must be integers in {spec!r}"
             raise ValueError(msg) from None
-        if n < 1 or count < 1 or depth < 0:
-            msg = f"need n >= 1, count >= 1, depth >= 0 in {spec!r}"
+        if n < 1 or count < 1 or depth < 0 or seed < 0:
+            msg = f"need n >= 1, count >= 1, depth >= 0, seed >= 0 in {spec!r}"
             raise ValueError(msg)
         if n > DEFAULT_MAX_MIXED_QUBITS:
             msg = f"n={n} exceeds the cap of {DEFAULT_MAX_MIXED_QUBITS} mixed qubits in {spec!r}"

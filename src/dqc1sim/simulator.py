@@ -5,7 +5,7 @@ Every quantity is assembled from pure forward passes: the input
 |0><0| (x) I/2**n is the uniform mixture of the basis states |0 x>, so the
 output distribution is the average of the 2**n pure output distributions.
 
-Two paths apply gates:
+Two paths apply gates, with one gate arithmetic:
 
 * ``dqc1_distribution`` compiles the circuit once into a plan of fused
   steps and runs it over chunks of columns (see the plan section).  Only
@@ -21,6 +21,14 @@ Two paths apply gates:
   apply a run of diagonal gates as one multiply by a table of eighth turns,
   and a run of H gates on the lowest index bits in cache-sized transposed
   blocks; neither needs more than a block of temporary memory.
+
+Both paths apply H as the unnormalised butterfly ``_butterfly``,
+[[1, 1], [1, -1]], rescale by 2**-256 every _RESCALE_EVERY butterflies and
+undo the rest with one power of two at the end, and take every power of i
+from the one table ``_EIGHTH_TURN``.  The scales and the powers of i are
+exact and a butterfly rounds only its sums, so dyadic amplitudes, such as
+gap/2**n on the IQP circuits of the paper, come out exact: f_value on a
+worst-case embedding is (gap/2**n)**2 to the bit.
 
 Index layout (see circuits module): qubit q owns bit (width-1-q) of the
 amplitude index, so viewing a state as a (2,)*width array puts qubit q on
@@ -38,7 +46,7 @@ from itertools import groupby, islice
 
 import numpy as np
 
-from .circuits import Circuit, Gate, adjoint
+from .circuits import Circuit, Gate, _is_int, adjoint
 
 __all__ = [
     "StateVector",
@@ -60,21 +68,24 @@ __all__ = [
 DEFAULT_MAX_MIXED_QUBITS = 14
 MAX_SINGLE_PASS_WIDTH = 26
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _PHASE_T = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
 
 # Each diagonal gate with a fixed angle puts exp(i pi e/4) on the block
 # where all its targets are 1: e eighth turns (CZ and CCZ flip the sign).
 _EIGHTHS = {"Z": 4, "S": 2, "SDG": 6, "T": 1, "TDG": 7, "CZ": 4, "CCZ": 4}
 # exp(i pi e/4) at entry e, repeated so any uint8 count indexes it mod 8.
+# Entries 0, 2, 4 and 6 are exactly 1, i, -1 and -i.
 _EIGHTH_TURN = np.tile(
     np.array([1.0, _PHASE_T, 1j, 1j * _PHASE_T, -1.0, -_PHASE_T, -1j, _PHASE_T.conjugate()]),
     32,
 )
-# The gates whose factor is a power of i, in quarter turns, and i**k at entry k.
-_QUARTERS = {kind: e // 2 for kind, e in _EIGHTHS.items() if e % 2 == 0}
-_QUARTER_TURN = np.array([1.0, 1j, -1.0, -1j])
 _PERMUTATION_KINDS = frozenset({"X", "CX", "MCX"})
+
+# Each unnormalised H doubles the squared norm; rescaling the amplitudes by
+# _RESCALE = 2**-256 every 512 H keeps every amplitude and probability far
+# from overflow, and the scale is exact.
+_RESCALE_EVERY = 512
+_RESCALE = 2.0 ** -(_RESCALE_EVERY // 2)
 
 # Entries per batch chunk (16 MiB of complex128 per buffer): large enough
 # to amortize per-step dispatch.  Output bytes do not depend on it.
@@ -88,14 +99,35 @@ def bits_to_index(zbits, width: int) -> int:
             msg = f"need a {width}-bit string of 0/1, got {zbits!r}"
             raise ValueError(msg)
         return int(zbits, 2)
-    bits = [int(b) for b in zbits]
-    if len(bits) != width or any(b not in (0, 1) for b in bits):
+    try:
+        bits = list(zbits)
+    except TypeError:
+        bits = None
+    if bits is None or len(bits) != width or not all(_is_int(b) and b in (0, 1) for b in bits):
         msg = f"need {width} bits of 0/1, got {zbits!r}"
         raise ValueError(msg)
     idx = 0
     for b in bits:
         idx = (idx << 1) | b
     return idx
+
+
+def _basis_index(z, width: int) -> int:
+    """Index of the basis state z: an integer in [0, 2**width), or bits for bits_to_index."""
+    if _is_int(z):
+        if not 0 <= z < (1 << width):
+            msg = f"index {z!r} out of range for width {width}"
+            raise ValueError(msg)
+        return int(z)
+    return bits_to_index(z, width)
+
+
+def _nonnegative_int(value, field: str) -> int:
+    """value as an int; a one-line ValueError naming ``field`` unless it is an integer >= 0."""
+    if not _is_int(value) or value < 0:
+        msg = f"{field} must be a nonnegative integer, got {value!r}"
+        raise ValueError(msg)
+    return int(value)
 
 
 def index_to_bits(index: int, width: int) -> str:
@@ -117,6 +149,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "width", _nonnegative_int(self.width, "width"))
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (1 << self.width,):
             msg = f"need {1 << self.width} amplitudes for width {self.width}, got shape {amps.shape}"
@@ -130,13 +163,8 @@ class StateVector:
 
     @classmethod
     def basis(cls, width: int, index_or_bits) -> "StateVector":
-        idx = (
-            index_or_bits
-            if isinstance(index_or_bits, int)
-            else bits_to_index(index_or_bits, width)
-        )
-        amps = np.zeros(1 << width, dtype=np.complex128)
-        amps[idx] = 1.0
+        amps = np.zeros(1 << _nonnegative_int(width, "width"), dtype=np.complex128)
+        amps[_basis_index(index_or_bits, width)] = 1.0
         return cls(width, amps)
 
     def norm(self) -> float:
@@ -157,10 +185,7 @@ class Distribution:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n < 0:
-            msg = f"n must be a nonnegative integer, got {self.n!r}"
-            raise ValueError(msg)
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _nonnegative_int(self.n, "n"))
         p = np.asarray(self.probs, dtype=np.float64)
         if p.shape != (1 << (self.n + 1),):
             msg = f"need {1 << (self.n + 1)} probabilities for n={self.n}, got shape {p.shape}"
@@ -196,7 +221,8 @@ class Distribution:
 # * ``index[q]``: 0 while qubit q is settled (not mixed yet), _LIVE after.
 #   While q is settled the buffer is zero wherever q's stored bit is 1, so
 #   every kernel indexes q's axis at 0 and q's logical bit is flip[q].  An H
-#   makes q live by writing its stored-1 half from its stored-0 half; a
+#   makes q live by copying its stored-0 half, negated if q is flipped, into
+#   its stored-1 half: the unnormalised butterfly of a half that is zero.  A
 #   CX/MCX with a control on a live qubit makes its target live with no
 #   write at all.  A pass from a basis state starts with every qubit
 #   settled, so a leading H layer costs about one sweep in all.
@@ -218,12 +244,20 @@ class Distribution:
 # * Low-bit H runs.  The halves of a qubit on one of the lowest stored bits
 #   are runs of a few amplitudes, which numpy walks slowly.  Consecutive H
 #   gates on live qubits among the lowest k = log2(_TEMP_ENTRIES) // 2 bits
-#   (7) of a contiguous live view are applied together, one block of rows
-#   at a time, in a transposed copy of at most _TEMP_ENTRIES entries where
-#   each half is a run of whole rows.  Each amplitude sees the same
+#   (7) of a contiguous live view, up to the next rescale, are applied
+#   together, one block of rows at a time, in a transposed copy of at most
+#   _TEMP_ENTRIES entries where each half is a run of whole rows.  Each amplitude sees the same
 #   butterflies in the same order, so the bytes do not change.  Otherwise
 #   (a higher bit, or a settled qubit below a live one) an H is one
 #   butterfly on the state.
+#
+# Every H, activation included, is an unnormalised butterfly, and the pass
+# counts them.  Before each gate, once _RESCALE_EVERY of them are not undone
+# yet, it scales the live view by _RESCALE, as the plan does; a low-bit run
+# ends there, so the count never exceeds _RESCALE_EVERY.  It returns
+# the count left, and the caller undoes it once: 2**(-count/2) on an
+# amplitude, which rounds only for an odd count, or 2**-count on a squared
+# norm, which is exact.
 #
 # Every temporary of a pass, apart from the second state ``apply_circuit``
 # may write, holds at most as many bytes as _TEMP_ENTRIES complex entries.
@@ -274,16 +308,18 @@ def _sq_norm(v: np.ndarray) -> float:
 
 
 def _butterfly(lo: np.ndarray, hi: np.ndarray, flipped: int) -> None:
-    """H on a live qubit whose stored halves are lo and hi, in place."""
+    """Unnormalised H, [[1, 1], [1, -1]], on the stored halves lo and hi, in place.
+
+    lo' = lo + hi and hi' = lo' - 2 hi, one rounding each (the doubling is
+    exact).  ``flipped``: H X = Z H, the butterfly of the swapped halves,
+    hi' = 2 hi - lo'.  The halves may be complex or their float64 views.
+    """
     lo += hi
-    lo *= _INV_SQRT2
     if flipped:
-        # H X = Z H: the butterfly of the swapped halves.
-        hi *= 2.0 * _INV_SQRT2
+        hi *= 2.0
         hi -= lo
     else:
-        # lo' = (lo + hi)/sqrt2, hi' = lo' - sqrt2*hi.
-        hi *= -2.0 * _INV_SQRT2
+        hi *= -2.0
         hi += lo
 
 
@@ -361,11 +397,12 @@ def _diagonal_run(full: np.ndarray, index: list, run: list) -> None:
 
 
 def _single_pass(width: int, gates, start):
-    """Apply ``gates`` to one column; returns (full, flip, index, phase).
+    """Apply ``gates`` to one column; returns (full, flip, index, phase, pending).
 
     ``start`` is a basis index (every qubit starts settled) or an amplitude
     array (every qubit starts live; the array is copied).  The logical state
-    is ``phase`` times ``full`` with the axes q where flip[q] is 1 reversed.
+    is ``phase * 2**(-pending/2)`` times ``full`` with the axes q where
+    flip[q] is 1 reversed: ``pending`` butterflies are not undone yet.
     """
     if isinstance(start, np.ndarray):
         buf = np.array(start, dtype=np.complex128)
@@ -378,19 +415,24 @@ def _single_pass(width: int, gates, start):
         flip = [(start >> (width - 1 - q)) & 1 for q in range(width)]
     full = buf.reshape((2,) * width)
     phase = complex(1.0)
+    pending = 0
     run: list = []  # the pending diagonal run on live qubits
     gates = tuple(gates)
     i = 0
     while i < len(gates):
+        if pending >= _RESCALE_EVERY:
+            live = _part(full, index, {})
+            live *= _RESCALE
+            pending -= _RESCALE_EVERY
         g = gates[i]
         i += 1
         kind = g.kind
         if kind == "H":
             _diagonal_run(full, index, run)
+            pending += 1
             q = g.targets[0]
             if index[q] is not _LIVE:
                 lo = _part(full, index, {q: 0})
-                lo *= _INV_SQRT2
                 (np.negative if flip[q] else np.positive)(lo, out=_part(full, index, {q: 1}))
                 index[q] = _LIVE
                 flip[q] = 0
@@ -403,15 +445,17 @@ def _single_pass(width: int, gates, start):
                 _butterfly(_part(full, index, {q: 0}), _part(full, index, {q: 1}), flip[q])
                 flip[q] = 0
                 continue
-            # This H and each H right after it on a live low qubit, in order.
-            axes = []
-            i -= 1
-            while i < len(gates) and gates[i].kind == "H":
+            # This H and each H right after it on a live low qubit, in order,
+            # up to the next rescale.
+            axes = [(q - low, flip[q])]
+            flip[q] = 0
+            while i < len(gates) and gates[i].kind == "H" and pending < _RESCALE_EVERY:
                 q = gates[i].targets[0]
                 if q < low or index[q] is not _LIVE:
                     break
                 axes.append((q - low, flip[q]))
                 flip[q] = 0
+                pending += 1
                 i += 1
             _low_h_run(live, k, axes)
         elif kind in _PERMUTATION_KINDS:
@@ -455,7 +499,12 @@ def _single_pass(width: int, gates, start):
                 else:
                     run.append((fixed, _EIGHTHS[kind]))
     _diagonal_run(full, index, run)
-    return full, flip, index, phase
+    return full, flip, index, phase, pending
+
+
+def _amplitude_scale(pending: int) -> float:
+    """2**(-pending/2), which undoes ``pending`` butterflies; rounded only for odd counts."""
+    return math.ldexp(math.sqrt(0.5) if pending & 1 else 1.0, -(pending >> 1))
 
 
 def _check_width(width: int) -> None:
@@ -470,20 +519,23 @@ def apply_circuit(psi: StateVector, c: Circuit) -> StateVector:
         msg = f"state width {psi.width} != circuit width {c.width}"
         raise ValueError(msg)
     _check_width(c.width)
-    full, flip, _, phase = _single_pass(c.width, c.gates, psi.amplitudes)
+    full, flip, _, phase, pending = _single_pass(c.width, c.gates, psi.amplitudes)
+    factor = phase * _amplitude_scale(pending)
     axes = tuple(q for q in range(c.width) if flip[q])
-    if axes or phase != 1.0:
+    if axes:
         out = np.empty(1 << c.width, dtype=np.complex128)
-        np.multiply(np.flip(full, axes), phase, out=out.reshape(full.shape))
+        np.multiply(np.flip(full, axes), factor, out=out.reshape(full.shape))
         return StateVector(c.width, out)
+    if factor != 1.0:
+        full *= factor
     return StateVector(c.width, full.reshape(-1))
 
 
 def amplitude_zero(c: Circuit) -> complex:
     """<0...0| C |0...0>: first amplitude of the circuit applied to the zero state."""
     _check_width(c.width)
-    full, flip, _, phase = _single_pass(c.width, c.gates, 0)
-    return phase * complex(full[tuple(flip)])
+    full, flip, _, phase, pending = _single_pass(c.width, c.gates, 0)
+    return phase * (complex(full[tuple(flip)]) * _amplitude_scale(pending))
 
 
 def f_value(u: Circuit, zbits) -> float:
@@ -492,17 +544,13 @@ def f_value(u: Circuit, zbits) -> float:
     Equals <z| U (|0><0| (x) I) U^dagger |z>, which is 2**n times the
     probability of outcome z when U runs on one clean qubit plus n
     maximally mixed ones.  Result lies in [0, 1] up to 1e-12 float slack.
+    The butterflies are undone by one exact power of two, so f is exact
+    wherever the squared norm is, as on a worst-case embedding.
     """
     _check_width(u.width)
-    if isinstance(zbits, int):
-        if not 0 <= zbits < (1 << u.width):
-            msg = f"outcome index {zbits} out of range for width {u.width}"
-            raise ValueError(msg)
-        idx = zbits
-    else:
-        idx = bits_to_index(zbits, u.width)
-    full, flip, index, _ = _single_pass(u.width, adjoint(u).gates, idx)
-    f = _sq_norm(_part(full, index, {0: flip[0]}))
+    idx = _basis_index(zbits, u.width)
+    full, flip, index, _, pending = _single_pass(u.width, adjoint(u).gates, idx)
+    f = math.ldexp(_sq_norm(_part(full, index, {0: flip[0]})), -pending)
     if not -1e-12 <= f <= 1.0 + 1e-12:  # unitarity self-check; NaN fails it too
         msg = f"f value {f} outside [0, 1]"
         raise RuntimeError(msg)
@@ -518,13 +566,14 @@ def f_value(u: Circuit, zbits) -> float:
 # * ("gather", idx, phase): a = phase * a[idx], one maximal run of diagonal
 #   and permutation gates fused into one row gather and one multiply
 #   (either half is None when trivial);
-# * ("h", bit): an unnormalised butterfly [[1, 1], [1, -1]] on a stored bit;
-# * ("scale",): an exact rescale that keeps unnormalised norms bounded.
+# * ("h", bit): ``_butterfly`` on a stored bit;
+# * ("scale",): the exact rescale by _RESCALE after every _RESCALE_EVERY H.
 #
 # A gather's phase table is built per gate, except that each maximal run of
-# Z, S, SDG, CZ and CCZ gates is counted in integer quarter turns per row
-# and applied as one multiply by a power of i.  Powers of i multiply
-# exactly, so the table has the values of one multiply per gate.
+# Z, S, SDG, CZ and CCZ gates (an even count of eighth turns each) is
+# counted in integer eighth turns per row and applied as one multiply by
+# ``_EIGHTH_TURN[count & 7]``, a power of i.  Powers of i multiply exactly,
+# so the table has the values of one multiply per gate.
 #
 # Rows are stored under a qubit layout that the plan chooses: before an H
 # on a qubit whose stored halves would be short strided runs, a gather
@@ -566,9 +615,6 @@ def f_value(u: Circuit, zbits) -> float:
 # numpy buffers ufuncs over strided runs shorter than this many float64
 # entries, which makes them 2.5-3x slower per element.
 _MIN_RUN = 4096
-# Each unnormalised H doubles the squared norm; rescaling by 2**-256 every
-# 512 H keeps every amplitude and probability far from overflow.
-_RESCALE_EVERY = 512
 _MIXING_KINDS = frozenset({"H", "CX", "MCX"})
 
 
@@ -581,8 +627,8 @@ def _monomial(gates, bits, pos):
     rows = np.arange(len(bits[0]))
     src = rows
     phase = None
-    for quarter, run in groupby(gates, key=lambda g: g.kind in _QUARTERS):
-        if quarter:
+    for power_of_i, run in groupby(gates, key=lambda g: _EIGHTHS.get(g.kind, 1) % 2 == 0):
+        if power_of_i:
             # Powers of i multiply exactly: one multiply by the run's total
             # gives the values of one multiply per gate.
             count = np.zeros_like(rows)
@@ -590,8 +636,8 @@ def _monomial(gates, bits, pos):
                 hit = bits[g.targets[0]]
                 for q in g.targets[1:]:
                     hit = hit & bits[q]
-                count += _QUARTERS[g.kind] * hit
-            turn = _QUARTER_TURN[count & 3]
+                count += _EIGHTHS[g.kind] * hit
+            turn = _EIGHTH_TURN[count & 7]
             if phase is None:
                 phase = turn
             else:
@@ -971,12 +1017,10 @@ def _run_plan(plan: _Plan, chunk: tuple, bufs) -> np.ndarray:
     for step in plan.steps:
         if step[0] == "h":
             bit = step[1]
+            # Float views: the layout keeps runs of _MIN_RUN floats, which as
+            # complex entries would be half as long and go through ufunc buffers.
             view = amps.view(np.float64).reshape(dim >> (bit + 1), 2, (2 * cols) << bit)
-            lo = view[:, 0]
-            hi = view[:, 1]
-            lo += hi
-            hi *= -2.0
-            hi += lo
+            _butterfly(view[:, 0], view[:, 1], 0)
         elif step[0] == "gather":
             _, idx, phase = step
             if idx is not None:
@@ -986,7 +1030,7 @@ def _run_plan(plan: _Plan, chunk: tuple, bufs) -> np.ndarray:
                 amps *= phase[:, None]
         else:
             flat = amps.view(np.float64)
-            flat *= 2.0 ** -(_RESCALE_EVERY // 2)
+            flat *= _RESCALE
     flat = amps.view(np.float64)
     src = spare.view(np.float64)
     np.multiply(flat, flat, out=src)

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, file round trips, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -10,19 +11,21 @@ import pytest
 import dqc1sim.cli as cli
 import dqc1sim.simulator as simulator
 from dqc1sim.circuits import (
+    GATE_KINDS,
     Circuit,
     PolyF2,
     compile_iqp_from_poly,
     h,
     save_circuit,
 )
-from dqc1sim.ensembles import random_poly
+from dqc1sim.ensembles import random_circuit, random_poly
 from dqc1sim.hardness import (
     BoundViolationError,
     ChainReport,
     ErrorBudget,
     build_worst_case_embedding,
 )
+from dqc1sim.oracles import gap
 
 
 def run_cli(*args):
@@ -81,15 +84,13 @@ class TestNumericCommands:
         assert run_main(capsys, "f-value", "--circuit", identity3, "--z", "000") == (0, "1.0\n")
         assert run_main(capsys, "f-value", "--circuit", identity3, "--z", "100") == (0, "0.0\n")
 
-    @pytest.mark.parametrize(
-        ("seed", "golden"),
-        [(1, "3.433227539062483e-05\n"), (2, "0.0005493164062499973\n")],
-    )
-    def test_f_value_bytes_on_worst_case_embeddings(self, tmp_path, capsys, seed, golden):
-        # Pinned stdout bytes: the run kernels must not change the arithmetic.
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_f_value_bytes_on_worst_case_embeddings(self, tmp_path, capsys, seed):
+        # f(0, U) = (gap / 2**n)**2 is dyadic, and the printed value is it exactly.
         poly = random_poly(14, 42, np.random.default_rng(seed))
         path = tmp_path / "embedding.json"
         save_circuit(build_worst_case_embedding(compile_iqp_from_poly(poly)), path)
+        golden = repr((gap(poly) / 2**14) ** 2) + "\n"
         assert run_main(capsys, "f-value", "--circuit", str(path), "--z", "0" * 15) == (0, golden)
 
 
@@ -323,7 +324,83 @@ class TestExitCodes:
         )
         assert err.count("error:") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify-chain", "--seed", "-1"], ["sample", "--count", "1", "--seed", "-1"]],
+    )
+    def test_negative_seed_is_usage_error(self, identity3, capsys, argv):
+        if argv[0] == "sample":
+            argv = argv + ["--circuit", identity3]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            f"dqc1sim {argv[0]}: error: argument --seed: must be an integer >= 0, got '-1'"
+        )
+        assert err.count("error:") == 1
+
+    def test_negative_ensemble_seed_exits_1(self, capsys):
+        assert cli.main(["verify-chain", "--ensemble", "random:iqp:2:2:3:-1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: need n >= 1, count >= 1, depth >= 0, seed >= 0 in 'random:iqp:2:2:3:-1'\n"
+        )
+
     def test_no_command_is_usage_error(self):
         r = run_cli()
         assert r.returncode == 2
         assert "usage" in r.stderr
+
+
+def _digest(capsys, *args) -> tuple[int, str]:
+    code, out = run_main(capsys, *args)
+    return code, hashlib.sha256(out.encode()).hexdigest()
+
+
+# sha256 of each stdout, the same at every --threads.
+_CHAIN_DIGESTS = {
+    ("random:iqp:4:50:24:1", "exact"): "4350ff5fc773db7638b132b51334da2233c462f17d966b71816dbd3c8c91071a",
+    ("random:iqp:4:50:24:1", "mass_shift:0.0277"): "5c194a6d9a4e9ddf757a5ad97e531f6dc8775e0768291be6c1649679ebd32bf1",
+    ("random:iqp:4:50:24:1", "mixture:0.0138"): "2823fb3e8f2547d1bc19407d4a471f7521660b910a91f57ed9bd49b64d562016",
+    ("random:iqp:4:50:12:20260107", "exact"): "18ccb34a2b426c1211b61edb5d59b39d3894738e73f6f4512c4bc7540964e056",
+    ("random:iqp:4:50:12:20260107", "mass_shift:0.0277"): "51aff5c449034ed2d63ea9e774ce60608068327a3beef3c6036fb4d90a3217b8",
+    ("random:iqp:4:50:12:20260107", "mixture:0.0138"): "4e74573596173331c4aa7fa9f501f3fd215ed0f87077be91b10f276faab01217",
+    ("random:htcx:3:50:20:20260108", "exact"): "0e2ebdf6a2ef236ef94baf138c0b8aa5ef705428f23c83861c5d7e4a76ae5acd",
+    ("random:htcx:3:50:20:20260108", "mass_shift:0.0277"): "71583f08a89a6ed4b3ea430060c60c743b702a43d8f48a4fa52aefbb9774fa72",
+    ("random:htcx:3:50:20:20260108", "mixture:0.0138"): "cc109c8e688a5038001457d6f84c4261212f4924f7a19d1a1df273f664f3330f",
+    ("random:iqp:3:20:15:7", "exact"): "7d306c3c028f1b2184221597ba1f04e3f1235cbdd7630618277e2795f29b35e9",
+    ("random:iqp:3:20:15:7", "mass_shift:0.0277"): "2f513ca226f440c428737e5c6cfa75dc98ca9927cf826f5d067a24f11695b20b",
+    ("random:iqp:3:20:15:7", "mixture:0.0138"): "543e1dd0636d6be382d73135fa8e8ae071a6527e70607403dfe6a111cc06e16f",
+}
+# dqc1-dist on 11 qubits: seed 1 after an H layer (every qubit mixed: the
+# full plan), seed 2 a plain random circuit (some columns left out).
+_DIST_DIGESTS = {
+    1: "3437d605a3098c839bd5729f97eefc4ede4662b699b07854fccbadc2e2f60cbc",
+    2: "bce1cf087807427fb7896551665a1235a440fc46d57014d0eba2cb1cae930e53",
+}
+
+
+class TestPinnedBytes:
+    """Output bytes that changes to the arithmetic must leave as they are."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(("ensemble", "sampler"), sorted(_CHAIN_DIGESTS))
+    def test_verify_chain_json(self, capsys, ensemble, sampler, threads):
+        got = _digest(
+            capsys, "verify-chain", "--ensemble", ensemble, "--sampler", sampler,
+            "--json", "--threads", threads,
+        )
+        assert got == (0, _CHAIN_DIGESTS[ensemble, sampler])
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("seed", sorted(_DIST_DIGESTS))
+    def test_dqc1_dist(self, tmp_path, capsys, seed, threads):
+        layer = tuple(h(q) for q in range(11)) if seed == 1 else ()
+        gates = random_circuit(11, 120, np.random.default_rng(seed), GATE_KINDS).gates
+        path = tmp_path / "circuit.json"
+        save_circuit(Circuit(11, layer + gates), path)
+        got = _digest(capsys, "dqc1-dist", "--circuit", str(path), "--threads", threads)
+        assert got == (0, _DIST_DIGESTS[seed])

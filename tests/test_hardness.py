@@ -489,3 +489,8 @@ class TestEnsembleSpecs:
                      "random:iqp:500:1:5:0"):
             with pytest.raises(ValueError):
                 parse_ensemble_spec(spec)
+
+    @pytest.mark.parametrize("spec", ["random:iqp:2:2:3:-1", "random:htcx:2:2:3:-5"])
+    def test_negative_seed(self, spec):
+        with pytest.raises(ValueError, match=r"^need n >= 1, count >= 1, depth >= 0, seed >= 0 in "):
+            parse_ensemble_spec(spec)

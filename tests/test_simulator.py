@@ -29,7 +29,7 @@ from dqc1sim.circuits import (
 )
 from dqc1sim.ensembles import random_circuit, random_poly
 from dqc1sim.hardness import build_postselection_pair, build_worst_case_embedding
-from dqc1sim.oracles import circuit_unitary, density_matrix_dqc1
+from dqc1sim.oracles import circuit_unitary, density_matrix_dqc1, gap
 from dqc1sim.simulator import (
     Distribution,
     StateVector,
@@ -69,6 +69,40 @@ class TestIndexConvention:
         psi = StateVector.basis(2, "01")
         assert psi.amplitudes[1] == 1.0
         assert np.count_nonzero(psi.amplitudes) == 1
+
+    @pytest.mark.parametrize(
+        ("z", "needle"),
+        [(True, "need 2 bits of 0/1, got True"), (-1, "index -1 out of range for width 2"),
+         (4, "index 4 out of range for width 2"), ((1, 2), "need 2 bits of 0/1"),
+         (2.0, "need 2 bits of 0/1, got 2.0")],
+    )
+    def test_basis_rejects_bad_index(self, z, needle):
+        with pytest.raises(ValueError) as exc:
+            StateVector.basis(2, z)
+        assert needle in str(exc.value) and "\n" not in str(exc.value)
+
+    def test_numpy_integer_index(self):
+        psi = StateVector.basis(2, np.int64(1))
+        assert np.array_equal(psi.amplitudes, StateVector.basis(2, 1).amplitudes)
+        assert bits_to_index(np.array([1, 0, 1]), 3) == 5
+
+    @pytest.mark.parametrize("bits", [[1.7, 0], [1.0, 0], [True, False], [0, 1, 0]])
+    def test_bits_must_be_integers_zero_or_one(self, bits):
+        with pytest.raises(ValueError, match=r"^need 2 bits of 0/1, got "):
+            bits_to_index(bits, 2)
+
+    @pytest.mark.parametrize("width", [True, 2.0, -1, float("nan")])
+    def test_state_width_must_be_an_integer(self, width):
+        with pytest.raises(ValueError, match=r"^width must be a nonnegative integer, got "):
+            StateVector(width, np.zeros(4))
+
+    def test_basis_width_must_be_an_integer(self):
+        with pytest.raises(ValueError, match=r"^width must be a nonnegative integer, got 2.0$"):
+            StateVector.basis(2.0, 0)
+
+    def test_state_width_numpy_integer(self):
+        psi = StateVector(np.int64(2), np.zeros(4))
+        assert type(psi.width) is int and psi.width == 2
 
 
 class TestSingleGates:
@@ -184,9 +218,20 @@ class TestFValue:
         with pytest.raises(ValueError):
             f_value(Circuit(2), "011")
 
+    @pytest.mark.parametrize("z", [True, -1, 4, 1.0])
+    def test_z_rejects_booleans_and_bad_integers(self, z):
+        with pytest.raises(ValueError):
+            f_value(Circuit(2, (h(0),)), z)
+
+    def test_z_numpy_integer(self):
+        u = random_circuit(4, 30, np.random.default_rng(3))
+        assert f_value(u, np.int64(6)) == f_value(u, 6)
+
     @pytest.mark.parametrize("bad", [float("nan"), 1.5, -1e-9])
     def test_out_of_range_fails_self_check(self, monkeypatch, bad):
-        monkeypatch.setattr(sim, "_sq_norm", lambda v: bad)
+        # The pass runs one butterfly, so the squared norm is scaled by 1/2:
+        # the fault is injected as 2 * bad, which the scale turns into bad.
+        monkeypatch.setattr(sim, "_sq_norm", lambda v: math.ldexp(bad, 1))
         with pytest.raises(RuntimeError, match=r"^f value .* outside \[0, 1\]$"):
             f_value(Circuit(2, (h(1),)), 0)
 
@@ -465,6 +510,61 @@ class TestSingleColumnPass:
             for k in rng.choice(_DIAGONAL_KINDS, size=60)
         )
         _assert_single_column_memory(Circuit(w, layer + run + layer + (x(w - 1),) + layer))
+
+
+class TestExactDyadic:
+    """Unnormalised butterflies undone by one power of two are exact on dyadic amplitudes."""
+
+    def test_f_value_on_worst_case_embeddings(self):
+        # f(0, U) = |<0|C|0>|**2 = (gap / 2**n)**2 for the IQP circuit C.
+        rng = np.random.default_rng(41)
+        for n in range(1, 16):
+            for _ in range(2):
+                poly = random_poly(n, int(rng.integers(1, 3 * n + 1)), rng)
+                u = build_worst_case_embedding(compile_iqp_from_poly(poly))
+                assert f_value(u, 0) == (gap(poly) / 2**n) ** 2, poly
+
+    def test_amplitude_zero_of_iqp_circuits(self):
+        rng = np.random.default_rng(42)
+        for n in range(1, 13):
+            for _ in range(3):
+                poly = random_poly(n, int(rng.integers(1, 3 * n + 1)), rng)
+                assert amplitude_zero(compile_iqp_from_poly(poly)) == gap(poly) / 2**n, poly
+
+    @pytest.mark.parametrize("w, layers", [(9, 116), (7, 150), (7, 300)])
+    def test_rescale_inside_low_h_run(self, monkeypatch, w, layers):
+        # Layers of H on w qubits: the identity.  The first layer activates
+        # every qubit.  Qubits below the 7 lowest bits take plain
+        # butterflies; the rest go into low runs, which end at a plain
+        # butterfly and at every multiple of _RESCALE_EVERY butterflies, so
+        # the rescale comes before the next gate.  On 9 qubits H number 512
+        # and 1024 fall inside a layer's run; on 7 qubits every H after the
+        # first layer is on a low bit, and 150 layers (1050 H) would
+        # overflow the squared norm, 300 (2100 H) the amplitudes, if a run
+        # went on past the rescale.
+        low = w - (sim._TEMP_ENTRIES.bit_length() - 1) // 2
+        assert layers * w > 2 * sim._RESCALE_EVERY
+        want, cur = [], []  # the expected low runs
+        for n in range(w + 1, layers * w + 1):  # H number n acts on qubit (n - 1) % w
+            q = (n - 1) % w
+            if q >= low:
+                cur.append((q - low, 0))
+            if cur and (q < low or n % sim._RESCALE_EVERY == 0):
+                want.append(cur)
+                cur = []
+        if cur:
+            want.append(cur)
+        c = Circuit(w, tuple(h(q) for _ in range(layers) for q in range(w)))
+        runs = []
+        real_run = sim._low_h_run
+        monkeypatch.setattr(sim, "_low_h_run", lambda *a: runs.append(list(a[2])) or real_run(*a))
+        assert amplitude_zero(c) == 1.0
+        assert runs == want
+        assert sim._single_pass(w, c.gates, 0)[4] <= sim._RESCALE_EVERY
+        for z in (0, 5, (1 << w) - 1):
+            assert f_value(c, z) == float(z < 1 << (w - 1))
+            out = apply_circuit(StateVector.basis(w, z), c).amplitudes
+            assert np.array_equal(out, StateVector.basis(w, z).amplitudes)
 
 
 class TestDqc1Distribution:
@@ -832,6 +932,11 @@ class TestDistributionType:
             Distribution(1, np.array([-0.1, 0.55, 0.55, 0.0]))  # negative
         with pytest.raises(ValueError):
             Distribution(1, np.array([np.nan] * 4))
+
+    @pytest.mark.parametrize("n", [True, float("nan"), 1.0, -1])
+    def test_n_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match=r"^n must be a nonnegative integer, got "):
+            Distribution(n, np.array([0.25, 0.25, 0.25, 0.25]))
 
     def test_outcome_bits(self):
         d = Distribution(1, np.array([0.25, 0.25, 0.25, 0.25]))

@@ -6,7 +6,8 @@ The chain being checked, per circuit ensemble and noise model:
     one-clean-qubit circuit is at most 2**-n.
 2.  A sampler within total-variation budget eps has few per-outcome
     outliers (Markov's inequality): the fraction of pairs (z, U) with
-    |p_z - q_z| >= eps / (2**(n+1) * delta) is at most delta.
+    |p_z - q_z| >= eps / (2**(n+1) * delta), not counting p_z = q_z, is at
+    most delta.
 3.  The heavy set, pairs with eps / (2**(n+1) * delta) <= p_z / 3, always
     holds more than (1 - 3 eps/delta) / (2 - 3 eps/delta) of all pairs.
 4.  Feeding the sampler's q_z through a relative-error counter therefore
@@ -20,12 +21,13 @@ directly against the Markov threshold above.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import Circuit, _is_int, adjoint, cx, mcx, shift_qubits, x
-from .simulator import Distribution, _parallel_map, dqc1_distribution
+from .simulator import Distribution, _nonnegative_int, _parallel_map, dqc1_distribution
 
 __all__ = [
     "BoundViolationError",
@@ -51,6 +53,18 @@ class BoundViolationError(RuntimeError):
     """An inequality that should hold unconditionally came out false."""
 
 
+def _real(value, field: str) -> float:
+    """value as a float; a one-line ValueError naming ``field`` unless it is a real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        msg = f"{field} must be a real number, got {value!r}"
+        raise ValueError(msg)
+    try:
+        return float(value)
+    except OverflowError:
+        msg = f"{field} must be a real number in float range, got {value!r}"
+        raise ValueError(msg) from None
+
+
 @dataclass(frozen=True)
 class ErrorBudget:
     """The three error knobs of the chain.
@@ -61,7 +75,7 @@ class ErrorBudget:
 
     The chain needs 3*eps/delta < 1 to say anything at all.  eps = 0 is
     allowed (an exact sampler) so the bound formulas can be evaluated at
-    that corner too.
+    that corner too.  Each knob is stored as a float.
     """
 
     eps: float = 1.0 / 36.0
@@ -69,6 +83,8 @@ class ErrorBudget:
     eta: float = 1.0 / 100.0
 
     def __post_init__(self) -> None:
+        for field in ("eps", "delta", "eta"):
+            object.__setattr__(self, field, _real(getattr(self, field), field))
         if not 0.0 <= self.eps:
             msg = f"eps must be nonnegative, got {self.eps}"
             raise ValueError(msg)
@@ -380,7 +396,10 @@ def _pair_counts(
         zero = p.probs == 0.0
         good = np.where(zero, q_tilde == 0.0, np.abs(estimate - f) < f / 2.0)
 
-        markov = int(np.count_nonzero(np.abs(p.probs - q.probs) >= thr))
+        # A pair with p_z = q_z is never an outlier, also at eps = 0 where
+        # the threshold is 0: the limit of Markov's inequality as t -> 0+.
+        diff = np.abs(p.probs - q.probs)
+        markov = int(np.count_nonzero((diff >= thr) & (diff > 0.0)))
         heavy = int(np.count_nonzero(thr <= p.probs / 3.0))
         return markov, heavy, int(np.count_nonzero(good))
 
@@ -396,7 +415,7 @@ def markov_outlier_fraction(
     threads: int = 1,
     check: bool = True,
 ) -> float:
-    """Fraction of pairs (z, U) with |p_z - q_z| >= eps / (2**(n+1) delta).
+    """Fraction of pairs (z, U) with |p_z - q_z| >= eps / (2**(n+1) delta), p_z != q_z.
 
     Requires the sampler to honor the TV budget on every circuit; Markov's
     inequality then promises the fraction is at most delta, and a larger
@@ -498,7 +517,9 @@ def verify_chain(
 
     Bounds are recorded, not raised: the report carries observed fraction,
     threshold, and pass flag for the Markov, heavy-set, and success steps.
+    ``seed`` must be an integer >= 0.
     """
+    seed = _nonnegative_int(seed, "seed")
     if not budget.eta < 1.0 / 6.0:
         msg = f"need eta < 1/6 for the factor-1/2 window, got {budget.eta}"
         raise ValueError(msg)

@@ -112,16 +112,6 @@ def bits_to_index(zbits, width: int) -> int:
     return idx
 
 
-def _basis_index(z, width: int) -> int:
-    """Index of the basis state z: an integer in [0, 2**width), or bits for bits_to_index."""
-    if _is_int(z):
-        if not 0 <= z < (1 << width):
-            msg = f"index {z!r} out of range for width {width}"
-            raise ValueError(msg)
-        return int(z)
-    return bits_to_index(z, width)
-
-
 def _nonnegative_int(value, field: str) -> int:
     """value as an int; a one-line ValueError naming ``field`` unless it is an integer >= 0."""
     if not _is_int(value) or value < 0:
@@ -130,12 +120,26 @@ def _nonnegative_int(value, field: str) -> int:
     return int(value)
 
 
+def _index(index, width: int) -> int:
+    """index as an int; a one-line ValueError unless it is an integer in [0, 2**width)."""
+    if not _is_int(index):
+        msg = f"index must be an integer, got {index!r}"
+        raise ValueError(msg)
+    if not 0 <= index < (1 << width):
+        msg = f"index {int(index)} out of range for width {width}"
+        raise ValueError(msg)
+    return int(index)
+
+
+def _basis_index(z, width: int) -> int:
+    """Index of the basis state z: an integer in [0, 2**width), or bits for bits_to_index."""
+    return _index(z, width) if _is_int(z) else bits_to_index(z, width)
+
+
 def index_to_bits(index: int, width: int) -> str:
     """Bit string of |index> with qubit 0 as the leftmost character."""
-    if not 0 <= index < (1 << width):
-        msg = f"index {index} out of range for width {width}"
-        raise ValueError(msg)
-    return format(index, f"0{width}b")
+    width = _nonnegative_int(width, "width")
+    return format(_index(index, width), f"0{width}b")
 
 
 @dataclass(frozen=True, eq=False)
@@ -571,9 +575,16 @@ def f_value(u: Circuit, zbits) -> float:
 #
 # A gather's phase table is built per gate, except that each maximal run of
 # Z, S, SDG, CZ and CCZ gates (an even count of eighth turns each) is
-# counted in integer eighth turns per row and applied as one multiply by
-# ``_EIGHTH_TURN[count & 7]``, a power of i.  Powers of i multiply exactly,
-# so the table has the values of one multiply per gate.
+# counted in uint8 eighth turns per row and applied as one multiply by
+# ``_EIGHTH_TURN[count]``, a power of i.  Powers of i multiply exactly, so
+# the table has the values of one multiply per gate.
+#
+# The compiler holds only 1-D arrays over row indices, never a table of
+# every qubit's bit of every row: ``_monomial`` finds the rows a gate acts
+# on with one mask and compare of the row index, and every move of bits
+# between index layouts goes through ``_pack`` and ``_deposit``, one shift
+# and mask per run of consecutive bits.  On a worst-case embedding its
+# peak traced memory is about 13.5 times 8 bytes per row.
 #
 # Rows are stored under a qubit layout that the plan chooses: before an H
 # on a qubit whose stored halves would be short strided runs, a gather
@@ -618,26 +629,32 @@ _MIN_RUN = 4096
 _MIXING_KINDS = frozenset({"H", "CX", "MCX"})
 
 
-def _monomial(gates, bits, pos):
+def _monomial(gates, rows, pos):
     """(src, phase) with out[r] = phase[r] * in[src[r]] for a run of non-H gates.
 
-    ``bits[q]`` is qubit q's bit (0 or 1) of every row index and ``pos[q]``
-    the index bit it sits on.  ``phase`` is None when every factor is 1.
+    ``rows`` is every row index in order and qubit q sits on index bit
+    ``pos[q]``.  ``phase`` is None when every factor is 1.
     """
-    rows = np.arange(len(bits[0]))
+
+    def matching(qubits, values) -> np.ndarray:
+        """Whether each row's bits on ``qubits`` are ``values``: one mask and compare."""
+        mask = value = 0
+        for q, v in zip(qubits, values):
+            mask |= 1 << pos[q]
+            value |= v << pos[q]
+        return (rows & mask) == value
+
     src = rows
     phase = None
     for power_of_i, run in groupby(gates, key=lambda g: _EIGHTHS.get(g.kind, 1) % 2 == 0):
         if power_of_i:
             # Powers of i multiply exactly: one multiply by the run's total
-            # gives the values of one multiply per gate.
-            count = np.zeros_like(rows)
+            # gives the values of one multiply per gate.  The uint8 count
+            # wraps mod 256, over which _EIGHTH_TURN repeats.
+            count = np.zeros(len(rows), dtype=np.uint8)
             for g in run:
-                hit = bits[g.targets[0]]
-                for q in g.targets[1:]:
-                    hit = hit & bits[q]
-                count += _EIGHTHS[g.kind] * hit
-            turn = _EIGHTH_TURN[count & 7]
+                count += matching(g.targets, (1,) * len(g.targets)) * np.uint8(_EIGHTHS[g.kind])
+            turn = _EIGHTH_TURN[count]
             if phase is None:
                 phase = turn
             else:
@@ -645,10 +662,8 @@ def _monomial(gates, bits, pos):
             continue
         for g in run:
             if g.kind in _PERMUTATION_KINDS:
-                flip = np.ones(len(rows), dtype=bool)
-                pols = g.polarities if g.kind == "MCX" else (1,)
-                for c, pol in zip(g.controls, pols):
-                    flip &= bits[c] == pol
+                pols = g.polarities if g.kind == "MCX" else (1,) * len(g.controls)
+                flip = matching(g.controls, pols)
                 sigma = rows ^ (flip.astype(rows.dtype) << pos[g.targets[0]])
                 src = src[sigma]
                 if phase is not None:
@@ -656,7 +671,7 @@ def _monomial(gates, bits, pos):
                 continue
             if phase is None:
                 phase = np.ones(len(rows), dtype=np.complex128)
-            hi = bits[g.targets[0]] == 1  # T, TDG and RZ have one target
+            hi = matching(g.targets, (1,))  # T, TDG and RZ have one target
             if g.kind == "RZ":
                 half = 0.5 * g.theta
                 np.multiply(phase, complex(math.cos(half), -math.sin(half)), out=phase, where=~hi)
@@ -703,7 +718,7 @@ def _tree_positions(keys: np.ndarray, groups: np.ndarray, ngroups: int, nbits: i
     ``keys`` are nbits-bit and ascend within each group, and ``groups``
     ascend.  Of the adjacent-pair tree over a group's keys only the levels
     where two of its keys first differ are kept: the set bits of the
-    group's mask, gathered one run of consecutive set bits at a time.
+    group's mask, packed highest first.
     """
     same = groups[1:] == groups[:-1]
     first_diff = np.frexp((keys[1:] ^ keys[:-1])[same])[1] - 1
@@ -715,11 +730,7 @@ def _tree_positions(keys: np.ndarray, groups: np.ndarray, ngroups: int, nbits: i
     for m in set(mask.tolist()) - {0}:
         levels[mask == m] = bin(m).count("1")
         at = keep == m
-        kept = [b for b in range(nbits) if m >> b & 1]
-        depth = 0
-        for i, k in _runs(kept):
-            pos[at] |= ((keys[at] >> kept[i]) & ((1 << k) - 1)) << depth
-            depth += k
+        pos[at] = _pack(keys[at], [q for q in range(nbits) if m >> (nbits - 1 - q) & 1], nbits)
     return pos, levels
 
 
@@ -742,8 +753,7 @@ class _Plan:
 def _leading(gates, width: int):
     """(row, phase) of each input |0 x> after the leading non-H gates (phase None: all 1)."""
     rows = np.arange(1 << width)
-    bits = (rows >> np.arange(width - 1, -1, -1)[:, None]) & 1
-    src, phase = _monomial(gates, bits, [width - 1 - q for q in range(width)])
+    src, phase = _monomial(gates, rows, [width - 1 - q for q in range(width)])
     first = np.empty_like(src)
     first[src] = rows
     first = first[: len(rows) >> 1]  # inputs |0 x> have the clean bit 0
@@ -816,7 +826,7 @@ def _slots(ncols: np.ndarray, levels: np.ndarray, nd: int):
     return slot_of, slot_levels
 
 
-def _program(body, width: int, rows_of: list[int], cols: int):
+def _program(body, rows_of: list[int], cols: int):
     """(start layout, steps, final rows, H count) of ``body`` on the qubits ``rows_of``.
 
     The plan's logical rows index the qubits in ``rows_of``, the first most
@@ -828,10 +838,9 @@ def _program(body, width: int, rows_of: list[int], cols: int):
     for i, g in enumerate(body):
         if g.kind == "H":
             h_uses.setdefault(local[g.targets[0]], []).append(i)
-    if 2 * cols << nr <= _MIN_RUN:
-        top = list(range(nr))  # the whole chunk is one short run: no move helps
-    else:
-        top = [b for b in range(nr) if 2 * cols << b >= min(_MIN_RUN, 2 * cols << (nr - 1))]
+    # Top bits hold halves of at least _MIN_RUN floats.  With none, the
+    # whole chunk is one short run: every bit counts, and no move helps.
+    top = [b for b in range(nr) if 2 * cols << b >= _MIN_RUN] or list(range(nr))
 
     def next_use(q: int, i: int) -> int:
         later = h_uses.get(q, [])
@@ -877,18 +886,11 @@ def _program(body, width: int, rows_of: list[int], cols: int):
             program.append(("scale",))
 
     rows = np.arange(1 << nr)
-    bits = (rows >> np.arange(nr - 1, -1, -1)[:, None]) & 1
-    # Indexed by circuit qubit; no gate of body reads the qubits not in rows_of.
-    qbits = [bits[local[q]] if q in local else rows for q in range(width)]
-    qpos = [nr - 1 - local.get(q, 0) for q in range(width)]
+    qpos = {q: nr - 1 - i for q, i in local.items()}
 
     def stored(slot: list[int]) -> np.ndarray:
         """Stored row of each logical row when qubit q sits on stored bit slot[q]."""
-        out = np.zeros_like(rows)
-        for i, k in _runs([-b for b in slot]):
-            # Qubits i..i+k-1 sit on stored bits slot[i] down to slot[i]-k+1.
-            out |= ((rows >> (nr - i - k)) & ((1 << k) - 1)) << (slot[i] - k + 1)
-        return out
+        return _deposit(rows, [nr - 1 - b for b in slot], nr)
 
     steps = []
     start = prev = stored(place)
@@ -897,7 +899,7 @@ def _program(body, width: int, rows_of: list[int], cols: int):
             steps.append(item)
             continue
         gates_run, slot = item
-        src, phase = _monomial(gates_run, qbits, qpos)
+        src, phase = _monomial(gates_run, rows, qpos)
         new = stored(slot)
         logical = np.empty_like(new)
         logical[new] = rows
@@ -909,7 +911,7 @@ def _program(body, width: int, rows_of: list[int], cols: int):
         if idx is not None or phase is not None:
             steps.append(("gather", idx, phase))
         prev = new
-    src, _ = _monomial(run, qbits, qpos)  # trailing phases do not change |amplitude|**2
+    src, _ = _monomial(run, rows, qpos)  # trailing phases do not change |amplitude|**2
     return start, tuple(steps), prev[src], n_h
 
 
@@ -951,7 +953,7 @@ def _compile(u: Circuit, chunk_entries: int, *, split: bool = True) -> _Plan:
         raise RuntimeError(msg)
 
     # A block b is (F-value, D-value), the D-value in the low bits.
-    blk = (_pack(first, f_qubits, width) << nd) | _pack(first, d_qubits, width)
+    blk = _pack(first, f_qubits + d_qubits, width)
     a_of = _pack(first, a_qubits, width)
     unit = np.ones(len(first), dtype=bool) if phase is None else phase == 1.0
     comp, ncols, levels, owner, (e_blk, e_a, e_pos, e_x) = _sides(
@@ -962,8 +964,8 @@ def _compile(u: Circuit, chunk_entries: int, *, split: bool = True) -> _Plan:
     sizes = np.left_shift(1, slot_levels)
     e_col = (np.cumsum(sizes) - sizes)[slot_of[e_blk]] + e_pos
     by_col = np.argsort(e_col, kind="stable")
-    e_row = _deposit(e_blk & ((1 << nd) - 1), [r_qubits.index(q) for q in d_qubits], nr)
-    e_row |= _deposit(e_a, [r_qubits.index(q) for q in a_qubits], nr)
+    e_da = ((e_blk & ((1 << nd) - 1)) << len(a_qubits)) | e_a
+    e_row = _deposit(e_da, [r_qubits.index(q) for q in d_qubits + a_qubits], nr)
     vals = None
     if phase is not None:
         vals = phase[e_x]
@@ -979,10 +981,10 @@ def _compile(u: Circuit, chunk_entries: int, *, split: bool = True) -> _Plan:
         chunks.extend((c0 + c, min(cols, total - c), level) for c in range(0, total, cols))
         c0 += total
 
-    start, steps, final_rows, n_h = _program(body, width, r_qubits, cols)
+    start, steps, final_rows, n_h = _program(body, r_qubits, cols)
     rows = np.arange(1 << width)
     out = rows ^ flip_b
-    out_blk = (_pack(out, f_qubits, width) << nd) | _pack(out, d_qubits, width)
+    out_blk = _pack(out, f_qubits + d_qubits, width)
     return _Plan(
         steps=steps,
         final_rows=final_rows,
@@ -1134,10 +1136,8 @@ def dqc1_distribution(
 
 def sample(d: Distribution, count: int, seed: int) -> list[str]:
     """Draw ``count`` outcome bit strings; identical (d, count, seed) give identical draws."""
-    if count < 0:
-        msg = f"count must be nonnegative, got {count}"
-        raise ValueError(msg)
-    rng = np.random.default_rng(seed)
+    count = _nonnegative_int(count, "count")
+    rng = np.random.default_rng(_nonnegative_int(seed, "seed"))
     p = np.maximum(d.probs, 0.0)
     p = p / p.sum()
     width = d.n + 1

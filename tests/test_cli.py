@@ -17,12 +17,14 @@ from dqc1sim.circuits import (
     compile_iqp_from_poly,
     h,
     save_circuit,
+    shift_qubits,
 )
 from dqc1sim.ensembles import random_circuit, random_poly
 from dqc1sim.hardness import (
     BoundViolationError,
     ChainReport,
     ErrorBudget,
+    build_postselection_pair,
     build_worst_case_embedding,
 )
 from dqc1sim.oracles import gap
@@ -198,6 +200,14 @@ class TestVerifyChain:
         assert report["ensemble_size"] == 6
         assert report["sampler"] == "exact"
         assert 0.0 <= report["markov_fraction"] <= report["markov_bound"]
+
+    def test_exact_sampler_at_zero_eps_passes(self, capsys):
+        code, out = run_main(
+            capsys, "verify-chain", "--ensemble", "random:iqp:3:5:6:1", "--sampler", "exact",
+            "--eps", "0", "--json",
+        )
+        report = json.loads(out)
+        assert (code, report["markov_fraction"], report["markov_pass"]) == (0, 0.0, True)
 
     def test_threads_byte_identical(self, capsys):
         args = ("verify-chain", "--ensemble", "random:iqp:3:8:10:2", "--sampler", "mixture:0.01")
@@ -382,6 +392,39 @@ _DIST_DIGESTS = {
     2: "bce1cf087807427fb7896551665a1235a440fc46d57014d0eba2cb1cae930e53",
 }
 
+# dqc1-dist on circuits that the plan splits into sides (see _split_circuit).
+_SPLIT_DIGESTS = {
+    "embedding": "1031e2f2beb7a7af1dd3d73def32512c29053bfba6650b08b2ba1dd82e693645",
+    "pair": "6fd8326a619f513b438dac5354fc466cc6f3c5fb4910834c2044424bb5e11838",
+    "spread": "9b49d05df9dc7600cacdb8f1bf8bab2e5036bc6c2dd1319e068e94b3f713f1a5",
+}
+# anticoncentration stdout on the ensembles of _CHAIN_DIGESTS.
+_ANTICONCENTRATION_DIGESTS = {
+    "random:iqp:3:20:15:7": "caf85732997c80bee4c2ebe701abc32f866f1e45950dd5f2e770da067c547daa",
+    "random:iqp:4:50:12:20260107": "12ae9e1bd7330f234d81e6881801157706ab64cdd86098d8147cf47026b4c7d0",
+    "random:iqp:4:50:24:1": "54ced6588f81e78c8b3e6e19b51defd3fc91421e475e4545e9d0e6eb1c5319da",
+    "random:htcx:3:50:20:20260108": "1f0db4fd8cb6049ec15673766bbb0f789085e4d998155758cf855d41d483d98b",
+}
+
+
+def _split_circuit(case: str) -> Circuit:
+    """A circuit whose untouched qubits leave fewer than 2**n columns to run.
+
+    "embedding": an n = 8 worst-case embedding (one column); "pair": the
+    two-qubit-joint embedding of a random 8-qubit circuit; "spread":
+    leading X/CX/MCX/T gates spread the inputs over qubits 0 and 1, which
+    nothing after them touches, so sides of several widths run.
+    """
+    if case == "embedding":
+        poly = random_poly(8, 24, np.random.default_rng(9))
+        return build_worst_case_embedding(compile_iqp_from_poly(poly))
+    if case == "pair":
+        return build_postselection_pair(random_circuit(8, 60, np.random.default_rng(9), GATE_KINDS))[1]
+    rng = np.random.default_rng(6)
+    lead = random_circuit(10, 16, rng, ("X", "CX", "MCX", "T")).gates
+    body = Circuit(8, (h(0),) + random_circuit(8, 60, rng, GATE_KINDS).gates)
+    return Circuit(10, lead + shift_qubits(body, 2, 10).gates)
+
 
 class TestPinnedBytes:
     """Output bytes that changes to the arithmetic must leave as they are."""
@@ -404,3 +447,17 @@ class TestPinnedBytes:
         save_circuit(Circuit(11, layer + gates), path)
         got = _digest(capsys, "dqc1-dist", "--circuit", str(path), "--threads", threads)
         assert got == (0, _DIST_DIGESTS[seed])
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("case", sorted(_SPLIT_DIGESTS))
+    def test_dqc1_dist_split(self, tmp_path, capsys, case, threads):
+        path = tmp_path / "circuit.json"
+        save_circuit(_split_circuit(case), path)
+        got = _digest(capsys, "dqc1-dist", "--circuit", str(path), "--threads", threads)
+        assert got == (0, _SPLIT_DIGESTS[case])
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("ensemble", sorted(_ANTICONCENTRATION_DIGESTS))
+    def test_anticoncentration(self, capsys, ensemble, threads):
+        got = _digest(capsys, "anticoncentration", "--ensemble", ensemble, "--threads", threads)
+        assert got == (0, _ANTICONCENTRATION_DIGESTS[ensemble])

@@ -1,5 +1,8 @@
 """Worst-case embeddings, sampler models, and the anti-concentration chain."""
 
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -63,6 +66,24 @@ class TestErrorBudget:
             ErrorBudget(eta=1.0)
         with pytest.raises(ValueError, match="eta"):
             ErrorBudget(eta=-0.01)
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("eps", False), ("eta", False), ("delta", True), ("eps", "0.1"), ("eps", None), ("delta", 0.5j)],
+    )
+    def test_rejects_non_reals(self, field, value):
+        message = f"{field} must be a real number, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ErrorBudget(**{field: value})
+
+    def test_rejects_reals_out_of_float_range(self):
+        with pytest.raises(ValueError, match=r"^eta must be a real number in float range, got 1\d+$"):
+            ErrorBudget(eta=10**400)
+
+    def test_stores_floats(self):
+        b = ErrorBudget(eps=0, delta=np.float64(0.25), eta=Fraction(1, 50))
+        assert [type(v) for v in (b.eps, b.delta, b.eta)] == [float] * 3
+        assert (b.eps, b.delta, b.eta) == (0.0, 0.25, 0.02)
 
     def test_rejects_vacuous_combination(self):
         # 3*eps/delta must stay below 1 or the chain's bounds degenerate.
@@ -361,6 +382,14 @@ class TestMarkovStep:
             frac = markov_outlier_fraction(ens, m, budget)
             assert frac <= budget.delta
 
+    def test_exact_sampler_at_zero_eps(self):
+        # The threshold is 0 there; a pair with p_z = q_z is still no outlier.
+        ens = random_iqp_ensemble(3, 5, 6, seed=1)
+        budget = ErrorBudget(eps=0.0)
+        assert markov_outlier_fraction(ens, SamplerModel.exact(), budget) == 0.0
+        report = verify_chain(ens, SamplerModel.exact(), budget)
+        assert (report.markov_fraction, report.markov_pass, report.all_pass) == (0.0, True, True)
+
     def test_tv_budget_enforced(self):
         ens = identity_ensemble(2)
         with pytest.raises(ValueError, match="TV budget"):
@@ -435,6 +464,16 @@ class TestVerifyChain:
     def test_eta_precondition(self):
         with pytest.raises(ValueError, match="1/6"):
             verify_chain(identity_ensemble(2), SamplerModel.exact(), ErrorBudget(eta=0.2))
+
+    @pytest.mark.parametrize("seed", [True, -1, 1.5, "0"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        message = f"seed must be a nonnegative integer, got {seed!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_chain(identity_ensemble(2), SamplerModel.exact(), ErrorBudget(), seed=seed)
+
+    def test_numpy_integer_seed(self):
+        report = verify_chain(identity_ensemble(2), SamplerModel.exact(), ErrorBudget(), seed=np.int64(3))
+        assert type(report.seed) is int and report.to_dict()["seed"] == 3
 
     def test_tv_violation_names_circuit(self):
         with pytest.raises(ValueError, match="circuit 0"):

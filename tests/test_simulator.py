@@ -1,6 +1,7 @@
 """State-vector kernels, the clean-qubit output distribution, and sampling."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -64,6 +65,22 @@ class TestIndexConvention:
             bits_to_index("01", 3)
         with pytest.raises(ValueError):
             index_to_bits(4, 2)
+
+    @pytest.mark.parametrize(
+        ("index", "width", "message"),
+        [(True, 2, "index must be an integer, got True"), (1.0, 2, "index must be an integer, got 1.0"),
+         (-1, 2, "index -1 out of range for width 2"),
+         (1, True, "width must be a nonnegative integer, got True")],
+    )
+    def test_index_to_bits_rejects_non_integers(self, index, width, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            index_to_bits(index, width)
+
+    @pytest.mark.parametrize("index", [True, 1.0, np.float64(1.0)])
+    def test_outcome_bits_rejects_non_integers(self, index):
+        d = Distribution(1, np.array([0.25, 0.25, 0.25, 0.25]))
+        with pytest.raises(ValueError, match=r"^index must be an integer, got "):
+            d.outcome_bits(index)
 
     def test_basis_state(self):
         psi = StateVector.basis(2, "01")
@@ -720,14 +737,27 @@ class TestPlanLayout:
         assert "gather" in _step_kinds(plan)
         assert np.abs(dqc1_distribution(u).probs - _columns_reference(u)).max() < 1e-13
 
+    def test_compile_memory_stays_linear_in_rows(self):
+        # 1-D arrays over the 2**width rows only, no qubits-by-rows bit table,
+        # which alone would take width * 8 bytes per row.
+        poly = random_poly(18, 54, np.random.default_rng(1))
+        u = build_worst_case_embedding(compile_iqp_from_poly(poly))
+        tracemalloc.start()
+        try:
+            sim._compile(u, sim._CHUNK_ENTRIES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 18 * 8 << u.width
+
 
 _QUARTER_KINDS = ("Z", "S", "SDG", "CZ", "CCZ")
 _OTHER_KINDS = ("X", "CX", "MCX", "T", "TDG", "RZ")
 
 
-def _monomial_reference(gates, bits, pos):
+def _monomial_reference(gates, rows, pos):
     """(src, phase) of a run of non-H gates, one multiply per phase gate."""
-    rows = np.arange(len(bits[0]))
+    bits = {q: (rows >> pos[q]) & 1 for q in range(len(pos))}
     src = rows.copy()
     phase = np.ones(len(rows), dtype=np.complex128)
     t_factor = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
@@ -770,15 +800,14 @@ class TestMonomial:
         for _ in range(40):
             width = int(rng.integers(3, 8))
             rows = np.arange(1 << width)
-            bits = [(rows >> (width - 1 - q)) & 1 for q in range(width)]
             pos = [width - 1 - q for q in range(width)]
             if rng.random() < 0.5:
                 gates = _mixed_run(width, rng)
             else:
                 no_h = tuple(k for k in GATE_KINDS if k != "H")
                 gates = random_circuit(width, int(rng.integers(0, 40)), rng, no_h).gates
-            src, phase = sim._monomial(gates, bits, pos)
-            want_src, want_phase = _monomial_reference(gates, bits, pos)
+            src, phase = sim._monomial(gates, rows, pos)
+            want_src, want_phase = _monomial_reference(gates, rows, pos)
             assert np.array_equal(src, want_src), gates
             if phase is None:
                 assert np.all(want_phase == 1.0), gates
@@ -787,9 +816,8 @@ class TestMonomial:
 
     def test_power_of_i_runs_cancel_to_no_phase(self):
         rows = np.arange(8)
-        bits = [(rows >> (2 - q)) & 1 for q in range(3)]
         gates = (s(0), cz(0, 1), sdg(0), ccz(0, 1, 2), sdg(2), z(1), cz(0, 1), s(2), ccz(0, 1, 2), z(1))
-        src, phase = sim._monomial(gates, bits, [2, 1, 0])
+        src, phase = sim._monomial(gates, rows, [2, 1, 0])
         assert np.array_equal(src, rows) and phase is None
 
 
@@ -971,3 +999,20 @@ class TestSample:
         d = dqc1_distribution(Circuit(2))
         with pytest.raises(ValueError):
             sample(d, -1, seed=0)
+
+    @pytest.mark.parametrize(
+        ("count", "seed", "message"),
+        [(True, 0, "count must be a nonnegative integer, got True"),
+         (2.0, 0, "count must be a nonnegative integer, got 2.0"),
+         (1, -1, "seed must be a nonnegative integer, got -1"),
+         (1, True, "seed must be a nonnegative integer, got True"),
+         (1, 1.5, "seed must be a nonnegative integer, got 1.5")],
+    )
+    def test_integer_arguments(self, count, seed, message):
+        d = dqc1_distribution(Circuit(2))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample(d, count, seed)
+
+    def test_numpy_integer_arguments(self):
+        d = dqc1_distribution(Circuit(2, (h(0),)))
+        assert sample(d, np.int64(5), np.int64(3)) == sample(d, 5, 3)

@@ -175,8 +175,10 @@ def _cmd_f_value(args) -> int:
 
 def _cmd_dqc1_dist(args) -> int:
     d = dqc1_distribution(load_circuit(args.circuit), max_n=args.max_n, threads=args.threads)
+    # d.n is checked where d was built, so each row index needs no check.
+    bits = f"0{d.n + 1}b"
     lines = ["z,probability"]
-    lines += [f"{d.outcome_bits(i)},{_fmt(p)}" for i, p in enumerate(d.probs)]
+    lines += [f"{format(i, bits)},{_fmt(p)}" for i, p in enumerate(d.probs)]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

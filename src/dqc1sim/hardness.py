@@ -117,7 +117,7 @@ class SamplerModel:
         if self.kind not in ("exact", "mixture", "mass_shift"):
             msg = f"unknown sampler kind {self.kind!r}"
             raise ValueError(msg)
-        object.__setattr__(self, "param", float(self.param))
+        object.__setattr__(self, "param", _real(self.param, "sampler parameter"))
         if self.kind == "mixture" and not 0.0 <= self.param <= 1.0:
             msg = f"mixture weight must lie in [0, 1], got {self.param}"
             raise ValueError(msg)

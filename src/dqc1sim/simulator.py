@@ -21,6 +21,10 @@ Two paths apply gates, with one gate arithmetic:
   apply a run of diagonal gates as one multiply by a table of eighth turns,
   and a run of H gates on the lowest index bits in cache-sized transposed
   blocks; neither needs more than a block of temporary memory.
+  ``amplitude_zero`` and ``f_value`` pass a read-out, the logical bits they
+  read: the circuit's trailing X, CX and MCX gates fold into it, and the
+  last H gates on read qubits compute only the half that is read, so the
+  last H layer of a worst-case embedding costs about one sweep in all.
 
 Both paths apply H as the unnormalised butterfly ``_butterfly``,
 [[1, 1], [1, -1]], rescale by 2**-256 every _RESCALE_EVERY butterflies and
@@ -80,6 +84,8 @@ _EIGHTH_TURN = np.tile(
     32,
 )
 _PERMUTATION_KINDS = frozenset({"X", "CX", "MCX"})
+# Gates that may leave their target in a superposition.
+_MIXING_KINDS = frozenset({"H", "CX", "MCX"})
 
 # Each unnormalised H doubles the squared norm; rescaling the amplitudes by
 # _RESCALE = 2**-256 every 512 H keeps every amplitude and probability far
@@ -263,6 +269,33 @@ class Distribution:
 # amplitude, which rounds only for an odd count, or 2**-count on a squared
 # norm, which is exact.
 #
+# A read-out ({qubit: logical bit}, from a basis start) asks for the
+# amplitudes at those bits alone; ``amplitude_zero`` reads every qubit at 0
+# and ``f_value`` reads qubit 0 at 0 and sums the squares.  ``_fold_tail``
+# scans back from the last gate, and each rule is an exact identity on the
+# read amplitudes:
+#
+# * An X on a read qubit flips its read bit; a CX or MCX whose target and
+#   controls are all read flips the target's bit or does nothing.
+# * A CX or MCX on a read target t with controls that are not read (free),
+#   where no earlier H, CX or MCX targets t, so t is settled at a bit s that
+#   the start and the earlier X gates give.  If s differs from t's read
+#   bit, the gate must fire: its free controls are read at their
+#   polarities.  Otherwise it must not: one free control is read at the
+#   opposite polarity.  Two or more free controls that must not fire, or a
+#   read control at the wrong value, end the scan.
+# * Then the maximal run of H gates on distinct read qubits becomes
+#   contractions, in gate order; any other gate ends the scan.
+#
+# The pass runs the gates before the scan's stop, indexes every read qubit
+# that no contraction takes at its stored bit, and then runs the
+# contractions, each an H that counts toward the rescale like any other.
+# A contraction on live q computes only the half at its read bit
+# (``_contract``) and indexes q there, so each one works on half the view
+# of the one before; on settled q it is the activation copy, which is lo
+# itself, negated where the copy would be.  Where a fold removes a CX or
+# MCX, f_value's norm sums fewer exact zeros and may round differently.
+#
 # Every temporary of a pass, apart from the second state ``apply_circuit``
 # may write, holds at most as many bytes as _TEMP_ENTRIES complex entries.
 
@@ -325,6 +358,17 @@ def _butterfly(lo: np.ndarray, hi: np.ndarray, flipped: int) -> None:
     else:
         hi *= -2.0
         hi += lo
+
+
+def _contract(lo: np.ndarray, hi: np.ndarray, bit: int, flipped: int) -> None:
+    """``_butterfly`` computed only where it is read: at stored bit ``bit`` of the result.
+
+    Bit 0 is the butterfly's own lo, lo + hi; bit 1 is the whole butterfly.
+    """
+    if bit:
+        _butterfly(lo, hi, flipped)
+    else:
+        lo += hi
 
 
 def _low_h_run(live: np.ndarray, k: int, axes: list[tuple[int, int]]) -> None:
@@ -400,14 +444,78 @@ def _diagonal_run(full: np.ndarray, index: list, run: list) -> None:
     run.clear()
 
 
-def _single_pass(width: int, gates, start):
+def _fold_tail(width: int, gates: tuple, start: int, read: dict[int, int]):
+    """(head, contractions, read-out) that give the amplitudes of ``read`` after ``gates``.
+
+    ``read`` maps qubits to the logical bits the caller reads, from the
+    basis state ``start``.  The amplitudes are those of the returned
+    read-out after ``head`` and then the contractions [(qubit, bit)], in
+    gate order, of the trailing H gates on distinct read qubits.  See the
+    single-pass section for the rules.
+    """
+    read = dict(read)
+    mixed_at: dict[int, int] = {}  # the first gate that may mix each qubit
+    for i, g in enumerate(gates):
+        if g.kind in _MIXING_KINDS:
+            mixed_at.setdefault(g.targets[0], i)
+    k = len(gates)
+    while k and gates[k - 1].kind in _PERMUTATION_KINDS and gates[k - 1].targets[0] in read:
+        g = gates[k - 1]
+        t = g.targets[0]
+        pols = g.polarities if g.kind == "MCX" else (1,) * len(g.controls)
+        free = [(c, pol) for c, pol in zip(g.controls, pols) if c not in read]
+        fires = all(read[c] == pol for c, pol in zip(g.controls, pols) if c in read)
+        if not free:
+            read[t] ^= fires
+        elif not fires or mixed_at[t] < k - 1:
+            break  # a read control at the wrong value, or t may be mixed
+        else:
+            # t is settled: its start bit, flipped by the X gates before g.
+            s = (start >> (width - 1 - t)) & 1
+            s ^= sum(e.kind == "X" and e.targets[0] == t for e in gates[: k - 1]) & 1
+            if s != read[t]:
+                read.update(free)  # g must fire
+                read[t] = s
+            elif len(free) == 1:
+                (c, pol), = free  # g must not fire
+                read[c] = pol ^ 1
+            else:
+                break
+        k -= 1
+    contractions = []
+    while k and gates[k - 1].kind == "H" and gates[k - 1].targets[0] in read:
+        q = gates[k - 1].targets[0]
+        contractions.append((q, read.pop(q)))
+        k -= 1
+    return gates[:k], contractions[::-1], read
+
+
+def _rescaled(full: np.ndarray, index: list, pending: int) -> int:
+    """``pending`` after scaling the live view by _RESCALE once _RESCALE_EVERY butterflies are due."""
+    if pending >= _RESCALE_EVERY:
+        live = _part(full, index, {})
+        live *= _RESCALE
+        pending -= _RESCALE_EVERY
+    return pending
+
+
+def _single_pass(width: int, gates, start, read=None):
     """Apply ``gates`` to one column; returns (full, flip, index, phase, pending).
 
     ``start`` is a basis index (every qubit starts settled) or an amplitude
     array (every qubit starts live; the array is copied).  The logical state
     is ``phase * 2**(-pending/2)`` times ``full`` with the axes q where
     flip[q] is 1 reversed: ``pending`` butterflies are not undone yet.
+
+    ``read`` ({qubit: logical bit}, from a basis start) computes only the
+    amplitudes at those bits: the tail is folded into the read-out, and on
+    return every read qubit's axis is indexed, so the read amplitudes are
+    the same factor times ``_part(full, index, {})``.
     """
+    gates = tuple(gates)
+    contractions: list = []
+    if read:
+        gates, contractions, read = _fold_tail(width, gates, start, read)
     if isinstance(start, np.ndarray):
         buf = np.array(start, dtype=np.complex128)
         index = [_LIVE] * width
@@ -421,13 +529,9 @@ def _single_pass(width: int, gates, start):
     phase = complex(1.0)
     pending = 0
     run: list = []  # the pending diagonal run on live qubits
-    gates = tuple(gates)
     i = 0
     while i < len(gates):
-        if pending >= _RESCALE_EVERY:
-            live = _part(full, index, {})
-            live *= _RESCALE
-            pending -= _RESCALE_EVERY
+        pending = _rescaled(full, index, pending)
         g = gates[i]
         i += 1
         kind = g.kind
@@ -503,6 +607,17 @@ def _single_pass(width: int, gates, start):
                 else:
                     run.append((fixed, _EIGHTHS[kind]))
     _diagonal_run(full, index, run)
+    for q, bit in (read or {}).items():
+        index[q] = bit ^ flip[q]
+    for q, bit in contractions:
+        pending = _rescaled(full, index, pending) + 1
+        if index[q] is _LIVE:
+            _contract(_part(full, index, {q: 0}), _part(full, index, {q: 1}), bit, flip[q])
+            index[q] = bit
+        elif bit & flip[q]:
+            # The activation copy at stored bit 1 would be -lo: negate lo in place.
+            lo = _part(full, index, {})
+            np.negative(lo, out=lo)
     return full, flip, index, phase, pending
 
 
@@ -536,10 +651,16 @@ def apply_circuit(psi: StateVector, c: Circuit) -> StateVector:
 
 
 def amplitude_zero(c: Circuit) -> complex:
-    """<0...0| C |0...0>: first amplitude of the circuit applied to the zero state."""
+    """<0...0| C |0...0>: first amplitude of the circuit applied to the zero state.
+
+    The pass reads every qubit at 0, so it folds the circuit's trailing X,
+    CX and MCX gates into that read-out and computes, for the H gates
+    before them, only the halves the read-out keeps.
+    """
     _check_width(c.width)
-    full, flip, _, phase, pending = _single_pass(c.width, c.gates, 0)
-    return phase * (complex(full[tuple(flip)]) * _amplitude_scale(pending))
+    read = dict.fromkeys(range(c.width), 0)
+    full, _, index, phase, pending = _single_pass(c.width, c.gates, 0, read)
+    return phase * (complex(_part(full, index, {})) * _amplitude_scale(pending))
 
 
 def f_value(u: Circuit, zbits) -> float:
@@ -550,11 +671,16 @@ def f_value(u: Circuit, zbits) -> float:
     maximally mixed ones.  Result lies in [0, 1] up to 1e-12 float slack.
     The butterflies are undone by one exact power of two, so f is exact
     wherever the squared norm is, as on a worst-case embedding.
+
+    The pass reads qubit 0 at 0 and computes only what that read-out
+    needs: on a worst-case embedding the trailing X and MCX fold into
+    reading qubits 1..n at 0, qubit 0 is never mixed, and the last H
+    layer keeps one half per gate, about one sweep in all.
     """
     _check_width(u.width)
     idx = _basis_index(zbits, u.width)
-    full, flip, index, _, pending = _single_pass(u.width, adjoint(u).gates, idx)
-    f = math.ldexp(_sq_norm(_part(full, index, {0: flip[0]})), -pending)
+    full, _, index, _, pending = _single_pass(u.width, adjoint(u).gates, idx, {0: 0})
+    f = math.ldexp(_sq_norm(_part(full, index, {})), -pending)
     if not -1e-12 <= f <= 1.0 + 1e-12:  # unitarity self-check; NaN fails it too
         msg = f"f value {f} outside [0, 1]"
         raise RuntimeError(msg)
@@ -626,7 +752,6 @@ def f_value(u: Circuit, zbits) -> float:
 # numpy buffers ufuncs over strided runs shorter than this many float64
 # entries, which makes them 2.5-3x slower per element.
 _MIN_RUN = 4096
-_MIXING_KINDS = frozenset({"H", "CX", "MCX"})
 
 
 def _monomial(gates, rows, pos):

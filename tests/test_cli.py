@@ -405,6 +405,30 @@ _ANTICONCENTRATION_DIGESTS = {
     "random:iqp:4:50:24:1": "54ced6588f81e78c8b3e6e19b51defd3fc91421e475e4545e9d0e6eb1c5319da",
     "random:htcx:3:50:20:20260108": "1f0db4fd8cb6049ec15673766bbb0f789085e4d998155758cf855d41d483d98b",
 }
+# iqp-amp on the circuits of _amp_circuit.
+_AMP_DIGESTS = {
+    ("iqp", 1): "7518a9086866d49a3461ef316322e95e3e59b617d97aa1347e87150e1fe41ad0",
+    ("iqp", 2): "524c7fc7ac66caaa7557cd258eaf646a8f07509c4e1d771455c75b3932d63c42",
+    ("tail", 12): "679a1ddfd9454eb4f705ebb143fa0bc3e6173fbd34fbfc186ce922b0ac8b3acb",
+    ("tail", 24): "83ca0b56fbe86dc4788fc9c2d2164ea39fdf0483bbca1f661c5fd6f5aa41d6f8",
+}
+
+
+def _amp_circuit(kind: str, seed: int) -> Circuit:
+    """A circuit whose all-zero amplitude iqp-amp prints.
+
+    "iqp": an n = 10 IQP circuit; "tail": an H layer, 60 random gates of
+    every kind and 12 of H, X and CX on 9 qubits.  The tail of seed 12 ends
+    in three H gates, a CX and an X, that of seed 24 in three H gates, an X
+    and a CX.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "iqp":
+        return compile_iqp_from_poly(random_poly(10, 30, rng))
+    layer = tuple(h(q) for q in range(9))
+    body = random_circuit(9, 60, rng, GATE_KINDS).gates
+    tail = random_circuit(9, 12, rng, ("H", "X", "CX")).gates
+    return Circuit(9, layer + body + tail)
 
 
 def _split_circuit(case: str) -> Circuit:
@@ -461,3 +485,9 @@ class TestPinnedBytes:
     def test_anticoncentration(self, capsys, ensemble, threads):
         got = _digest(capsys, "anticoncentration", "--ensemble", ensemble, "--threads", threads)
         assert got == (0, _ANTICONCENTRATION_DIGESTS[ensemble])
+
+    @pytest.mark.parametrize("case", sorted(_AMP_DIGESTS))
+    def test_iqp_amp(self, tmp_path, capsys, case):
+        path = tmp_path / "circuit.json"
+        save_circuit(_amp_circuit(*case), path)
+        assert _digest(capsys, "iqp-amp", "--circuit", str(path)) == (0, _AMP_DIGESTS[case])

@@ -111,6 +111,12 @@ class TestSamplerModel:
         with pytest.raises(ValueError, match="mass_shift"):
             SamplerModel.mass_shift(2.5)
 
+    @pytest.mark.parametrize(("kind", "param"), [("mixture", True), ("mass_shift", "0.02"), ("mixture", None)])
+    def test_rejects_non_real_parameters(self, kind, param):
+        message = f"sampler parameter must be a real number, got {param!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SamplerModel(kind, param)
+
 
 class TestEnsembleType:
     def test_width_must_match(self):

@@ -575,13 +575,134 @@ class TestExactDyadic:
         runs = []
         real_run = sim._low_h_run
         monkeypatch.setattr(sim, "_low_h_run", lambda *a: runs.append(list(a[2])) or real_run(*a))
-        assert amplitude_zero(c) == 1.0
-        assert runs == want
         assert sim._single_pass(w, c.gates, 0)[4] <= sim._RESCALE_EVERY
+        assert runs == want
+        assert amplitude_zero(c) == 1.0
         for z in (0, 5, (1 << w) - 1):
             assert f_value(c, z) == float(z < 1 << (w - 1))
             out = apply_circuit(StateVector.basis(w, z), c).amplitudes
             assert np.array_equal(out, StateVector.basis(w, z).amplitudes)
+
+
+def _assert_read_out_matches(c: Circuit) -> None:
+    """Both read-outs of the pass that runs c, against its dense unitary.
+
+    f_value(adjoint(c), z) runs c from |z> and reads qubit 0 at 0, for every
+    z; amplitude_zero of c followed by the X gates of a row reads <row|c|0>,
+    for every row, so the folded X gates leave read bits of 0 and 1.
+    """
+    u = circuit_unitary(c)
+    w = c.width
+    want_f = np.sum(np.abs(u[: 1 << (w - 1)]) ** 2, axis=0)
+    for col in range(1 << w):
+        assert abs(f_value(adjoint(c), col) - want_f[col]) <= 1e-12, col
+    for row in range(1 << w):
+        flips = tuple(x(q) for q in range(w) if row >> (w - 1 - q) & 1)
+        assert abs(amplitude_zero(Circuit(w, c.gates + flips)) - u[row, 0]) <= 1e-12, row
+
+
+def _settled_zero_body(w: int, rng: np.random.Generator) -> tuple:
+    """Random gates of every kind that leave qubit 0 settled, with its bit flipped half the time."""
+    gates = shift_qubits(random_circuit(w - 1, int(rng.integers(5, 40)), rng, GATE_KINDS), 1, w).gates
+    return gates + ((x(0),) if rng.integers(2) else ()) + (t(0),)
+
+
+# Tails on qubit 0 of a pass that reads it at 0.  Over every start z, qubit 0
+# is settled at either bit, so each rule of _fold_tail is met: a gate that
+# must fire, one that must not with one free control, two free controls that
+# must not fire, a read control at the wrong value beside a free one, gates
+# whose controls are all read, and trailing H gates on qubit 0 and on read
+# qubits that are settled (1), flipped (2) or live (3 and up).
+_READ_TAILS = {
+    "one_free": (cx(1, 0),),
+    "two_free": (mcx(0, (1, 2), (1, 0)),),
+    "wrong_read_control": (mcx(1, (2, 3), (0, 1)), mcx(0, (1, 2), (1, 1))),
+    "all_read": (x(1), cx(2, 1), x(0), mcx(0, (1, 2), (1, 1))),
+    "h_layer": (h(1), h(2), h(3), h(4), mcx(0, (1, 2, 3, 4), (1, 0, 1, 0))),
+    "h_on_read_zero": (cx(1, 0), h(3), h(0)),
+}
+
+
+class TestReadOut:
+    """f_value and amplitude_zero compute only what their read-outs keep."""
+
+    @pytest.mark.parametrize("name", sorted(_READ_TAILS))
+    def test_tails_on_qubit_zero(self, name):
+        rng = np.random.default_rng(900)
+        for w in (5, 6, 8):
+            body = _settled_zero_body(w, rng)
+            if name == "h_layer":  # qubit 1 stays settled, qubit 2 flipped
+                body = tuple(g for g in body if not {1, 2} & set(g.qubits)) + (x(2),)
+            _assert_read_out_matches(Circuit(w, body + _READ_TAILS[name]))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_tails(self, seed):
+        # H, X, CX and MCX tails after gates of every kind, some live, some not.
+        rng = np.random.default_rng(950 + seed)
+        for w in range(2, 9):
+            body = random_circuit(w, int(rng.integers(0, 30)), rng, GATE_KINDS).gates
+            tail = random_circuit(w, 8, rng, ("H", "X", "CX", "MCX")).gates
+            _assert_read_out_matches(Circuit(w, body + tail))
+
+    def test_embeddings_and_postselection_pairs(self):
+        rng = np.random.default_rng(960)
+        for n in range(2, 8):
+            u = build_worst_case_embedding(compile_iqp_from_poly(random_poly(n, 2 * n, rng)))
+            _assert_read_out_matches(adjoint(u))
+            for u in build_postselection_pair(random_circuit(n, 30, rng, GATE_KINDS)):
+                _assert_read_out_matches(adjoint(u))
+
+    def test_contractions_cross_a_rescale(self):
+        # 510 leading H, then a layer of 4 contractions: butterfly 512 is
+        # the second of them, so the rescale comes before the third.
+        lead = tuple(h(q % 3 + 1) for q in range(510))
+        body = random_circuit(4, 12, np.random.default_rng(970), ("T", "S", "CZ", "CCZ", "X")).gates
+        c = Circuit(4, lead + body + tuple(h(q) for q in range(4)) + (cx(1, 0), x(2)))
+        assert sim._single_pass(4, c.gates, 0, dict.fromkeys(range(4), 0))[4] == 514 - sim._RESCALE_EVERY
+        _assert_read_out_matches(c)
+
+    def test_fold_rules(self):
+        # (start, gates, read) -> (head length, contractions, read-out).
+        tail = _READ_TAILS["all_read"]  # settled qubit 0 at bit z0 ^ 1
+        assert sim._fold_tail(3, tail, 0b000, {0: 0}) == ((), [], {0: 0, 1: 1, 2: 1})
+        assert sim._fold_tail(3, tail, 0b100, {0: 0}) == (tail, [], {0: 0})
+        tail = _READ_TAILS["one_free"]
+        assert sim._fold_tail(2, tail, 0b10, {0: 0}) == ((), [], {0: 1, 1: 1})
+        assert sim._fold_tail(2, tail, 0b00, {0: 0}) == ((), [], {0: 0, 1: 0})
+        tail = _READ_TAILS["wrong_read_control"]
+        assert sim._fold_tail(4, tail, 0b1000, {0: 0}) == (tail[:1], [], {0: 1, 1: 1, 2: 1})
+        # The H run stops at a second H on qubit 2.
+        tail = (h(2),) + _READ_TAILS["h_layer"]
+        assert sim._fold_tail(5, tail, 0b10000, {0: 0}) == (
+            tail[:1], [(1, 1), (2, 0), (3, 1), (4, 0)], {0: 1}
+        )
+        # A target that an earlier gate may have mixed ends the scan.
+        tail = (h(0), cx(1, 0))
+        assert sim._fold_tail(2, tail, 0, {0: 0}) == (tail, [], {0: 0})
+
+    def test_embedding_never_sweeps_the_last_layer(self, monkeypatch):
+        # n = 14: qubit 0 is never mixed, the first H layer only copies, and
+        # the last layer keeps one half per H: under 2**(n+1) entries in all.
+        n = 14
+        poly = random_poly(n, 3 * n, np.random.default_rng(14))
+        u = build_worst_case_embedding(compile_iqp_from_poly(poly))
+        touched = []
+        for name in ("_butterfly", "_contract"):
+            real = getattr(sim, name)
+
+            def spy(lo, hi, *rest, real=real):
+                touched.append(lo.size + hi.size)
+                return real(lo, hi, *rest)
+
+            monkeypatch.setattr(sim, name, spy)
+
+        def no_low_run(*a):
+            raise AssertionError("_low_h_run called")
+
+        monkeypatch.setattr(sim, "_low_h_run", no_low_run)
+        assert f_value(u, 0) == (gap(poly) / 2**n) ** 2
+        assert len(touched) == n
+        assert sum(touched) < 1 << (n + 1)
 
 
 class TestDqc1Distribution:

@@ -160,6 +160,14 @@ def _wire_tuple(wires, role: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _positive_int(value, field: str) -> int:
+    """value as an int; a one-line ValueError naming ``field`` unless it is an integer >= 1."""
+    if not _is_int(value) or value < 1:
+        msg = f"{field} must be a positive integer, got {value!r}"
+        raise ValueError(msg)
+    return int(value)
+
+
 def _is_int(value) -> bool:
     """An integer (Python or numpy) that is not a boolean."""
     if type(value) is int:  # the common case, without the slow ABC check
@@ -237,10 +245,7 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self) -> None:
-        if not _is_int(self.width) or self.width < 1:
-            msg = f"width must be a positive integer, got {self.width!r}"
-            raise ValueError(msg)
-        width = int(self.width)
+        width = _positive_int(self.width, "width")
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "gates", tuple(self.gates))
         for i, g in enumerate(self.gates):
@@ -257,6 +262,14 @@ class Circuit:
         return len(self.gates)
 
 
+def _checked_circuit(width: int, gates: tuple) -> Circuit:
+    """The Circuit of fields that already passed Circuit's checks, without checking them again."""
+    c = object.__new__(Circuit)
+    object.__setattr__(c, "width", width)
+    object.__setattr__(c, "gates", gates)
+    return c
+
+
 def adjoint(c: Circuit) -> Circuit:
     """Inverse circuit: reverse the gate order and invert each gate.
 
@@ -271,7 +284,7 @@ def adjoint(c: Circuit) -> Circuit:
             out.append(_checked_gate(_INVERSE_KIND[g.kind], g.targets, g.controls, g.polarities, None))
         else:  # RZ
             out.append(_checked_gate("RZ", g.targets, g.controls, g.polarities, -g.theta))
-    return Circuit(c.width, tuple(out))
+    return _checked_circuit(c.width, tuple(out))
 
 
 def shift_qubits(c: Circuit, offset: int, width: int) -> Circuit:
@@ -280,6 +293,7 @@ def shift_qubits(c: Circuit, offset: int, width: int) -> Circuit:
         msg = f"cannot shift a {c.width}-qubit circuit by {offset} into width {width}"
         raise ValueError(msg)
     offset = int(offset)
+    width = _positive_int(width, "width")
     gates = [
         _checked_gate(
             g.kind,
@@ -290,7 +304,7 @@ def shift_qubits(c: Circuit, offset: int, width: int) -> Circuit:
         )
         for g in c.gates
     ]
-    return Circuit(width, tuple(gates))
+    return _checked_circuit(width, tuple(gates))
 
 
 @dataclass(frozen=True)
@@ -307,10 +321,7 @@ class PolyF2:
     monomials: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        if not _is_int(self.n_vars) or self.n_vars < 1:
-            msg = f"n_vars must be a positive integer, got {self.n_vars!r}"
-            raise ValueError(msg)
-        object.__setattr__(self, "n_vars", int(self.n_vars))
+        object.__setattr__(self, "n_vars", _positive_int(self.n_vars, "n_vars"))
         monos = []
         for i, m in enumerate(self.monomials):
             if not all(_is_int(v) for v in m):
@@ -399,6 +410,17 @@ class IsingInstance:
         return (*(int(j) for j in spins), angle)
 
 
+def _checked_poly(n_vars: int, monomials: tuple) -> PolyF2:
+    """The PolyF2 of fields that already passed PolyF2's checks, without checking them again.
+
+    ``monomials`` must be sorted, as PolyF2 keeps them.
+    """
+    f = object.__new__(PolyF2)
+    object.__setattr__(f, "n_vars", n_vars)
+    object.__setattr__(f, "monomials", monomials)
+    return f
+
+
 _PHASE_KIND = {1: "Z", 2: "CZ", 3: "CCZ"}
 
 
@@ -413,7 +435,7 @@ def compile_iqp_from_poly(f: PolyF2) -> Circuit:
     layer = tuple(h(q) for q in range(n))
     # PolyF2 already checked each monomial: distinct in-range integer wires.
     phases = tuple(_checked_gate(_PHASE_KIND[len(m)], m, (), (), None) for m in f.monomials)
-    return Circuit(n, layer + phases + layer)
+    return _checked_circuit(n, layer + phases + layer)
 
 
 def compile_iqp_from_ising(m: IsingInstance) -> Circuit:

@@ -18,7 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuits import Circuit, Gate, PolyF2, compile_iqp_from_poly, load_circuit
+from .circuits import (
+    Circuit,
+    Gate,
+    PolyF2,
+    _checked_poly,
+    _positive_int,
+    compile_iqp_from_poly,
+    load_circuit,
+)
 from .hardness import Ensemble, build_worst_case_embedding
 from .simulator import DEFAULT_MAX_MIXED_QUBITS
 
@@ -41,6 +49,7 @@ _FULL_GATE_SET = ("H", "X", "Z", "S", "T", "RZ", "CZ", "CCZ", "CX", "MCX")
 
 def random_poly(n_vars: int, n_monomials: int, rng: np.random.Generator) -> PolyF2:
     """Uniformly chosen distinct monomials of sizes 1..3 on n_vars variables."""
+    n_vars = _positive_int(n_vars, "n_vars")
     pool = [
         m
         for size in (1, 2, 3)
@@ -48,7 +57,8 @@ def random_poly(n_vars: int, n_monomials: int, rng: np.random.Generator) -> Poly
     ]
     k = min(n_monomials, len(pool))
     picks = rng.choice(len(pool), size=k, replace=False)
-    return PolyF2(n_vars, tuple(pool[i] for i in sorted(picks)))
+    # Distinct increasing in-range monomials, sorted as PolyF2 keeps them.
+    return _checked_poly(n_vars, tuple(sorted(pool[i] for i in picks)))
 
 
 def _random_gate(width: int, kind: str, rng: np.random.Generator) -> Gate:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, _is_int, adjoint, cx, mcx, shift_qubits, x
+from .circuits import Circuit, _checked_circuit, _is_int, adjoint, cx, mcx, shift_qubits, x
 from .simulator import Distribution, _nonnegative_int, _parallel_map, dqc1_distribution
 
 __all__ = [
@@ -194,7 +194,7 @@ def build_worst_case_embedding(c: Circuit) -> Circuit:
     gates = list(shift_qubits(c, 1, n + 1).gates)
     gates.append(x(0))
     gates.append(mcx(0, tuple(range(1, n + 1)), (0,) * n))
-    return adjoint(Circuit(n + 1, tuple(gates)))
+    return adjoint(_checked_circuit(n + 1, tuple(gates)))
 
 
 def build_postselection_pair(v: Circuit) -> tuple[Circuit, Circuit]:

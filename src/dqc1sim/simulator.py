@@ -25,11 +25,15 @@ Two paths apply gates, with one gate arithmetic:
   read: the circuit's trailing X, CX and MCX gates fold into it, and the
   last H gates on read qubits compute only the half that is read, so the
   last H layer of a worst-case embedding costs about one sweep in all.
+  ``f_value`` runs in a float64 buffer, half the bytes, when every gate is
+  real (H, X, Z, CZ, CCZ, CX or MCX), as on every worst-case embedding;
+  everything else runs in complex128 (see the single-pass section).
 
 Both paths apply H as the unnormalised butterfly ``_butterfly``,
 [[1, 1], [1, -1]], rescale by 2**-256 every _RESCALE_EVERY butterflies and
 undo the rest with one power of two at the end, and take every power of i
-from the one table ``_EIGHTH_TURN``.  The scales and the powers of i are
+from the one table ``_EIGHTH_TURN`` (a float64 pass reads its real
+parts).  The scales and the powers of i are
 exact and a butterfly rounds only its sums, so dyadic amplitudes, such as
 gap/2**n on the IQP circuits of the paper, come out exact: f_value on a
 worst-case embedding is (gap/2**n)**2 to the bit.
@@ -83,7 +87,12 @@ _EIGHTH_TURN = np.tile(
     np.array([1.0, _PHASE_T, 1j, 1j * _PHASE_T, -1.0, -_PHASE_T, -1j, _PHASE_T.conjugate()]),
     32,
 )
+# The real parts, for a float64 pass: exactly 1 and -1 at entries 0 and 4,
+# the only entries a circuit of _REAL_KINDS reaches.
+_EIGHTH_TURN_REAL = _EIGHTH_TURN.real.copy()
 _PERMUTATION_KINDS = frozenset({"X", "CX", "MCX"})
+# Gates with real matrices: from a basis state every amplitude stays real.
+_REAL_KINDS = frozenset({"H", "X", "Z", "CZ", "CCZ", "CX", "MCX"})
 # Gates that may leave their target in a superposition.
 _MIXING_KINDS = frozenset({"H", "CX", "MCX"})
 
@@ -298,6 +307,28 @@ class Distribution:
 #
 # Every temporary of a pass, apart from the second state ``apply_circuit``
 # may write, holds at most as many bytes as _TEMP_ENTRIES complex entries.
+#
+# The buffer's dtype follows from the gate kinds alone.  ``f_value`` runs
+# in float64 when every gate is in _REAL_KINDS: the amplitudes are then
+# real, the state takes half the bytes, and each butterfly and table
+# multiply moves half as many.  The diagonal runs read
+# ``_EIGHTH_TURN_REAL``, and every other step does the complex pass's
+# arithmetic on the real parts.  The unnormalised amplitudes are integers
+# times one power of two, so the squared norm is exact, and the complex
+# pass's to the bit, while it stays below 2**53 of that unit, as on every
+# worst-case embedding; past that the float and complex dot products add
+# in different orders and may differ in the last bits.  ``amplitude_zero``
+# and ``apply_circuit`` stay complex128: they return complex amplitudes,
+# and ``iqp-amp`` prints the sign of a zero imaginary part, which a float
+# pass does not keep.  The plan of ``dqc1_distribution`` is not a single
+# pass and keeps complex128 chunks.
+#
+# Every negation goes through ``_negate``.  numpy 2.4.6 computes
+# ``np.negative(src, out=dst)`` wrongly when the views have a 64-byte
+# float64 stride, as the halves of a qubit on stored bit 3 do; a multiply
+# by -1.0 gives negation's bytes, signed zeros included.  complex128 keeps
+# ``np.negative``: a complex multiply by -1 would change the sign of zero
+# imaginary parts.
 
 # Largest temporary of a single-column kernel, in entries (256 KiB).
 _TEMP_ENTRIES = 1 << 14
@@ -344,6 +375,14 @@ def _sq_norm(v: np.ndarray) -> float:
     return _sq_norm(v[0]) + _sq_norm(v[1])
 
 
+def _negate(src: np.ndarray, out: np.ndarray) -> None:
+    """out = -src, bit for bit, in float64 or complex128; out may be src."""
+    if src.dtype == np.float64:
+        np.multiply(src, -1.0, out=out)
+    else:
+        np.negative(src, out=out)
+
+
 def _butterfly(lo: np.ndarray, hi: np.ndarray, flipped: int) -> None:
     """Unnormalised H, [[1, 1], [1, -1]], on the stored halves lo and hi, in place.
 
@@ -380,7 +419,7 @@ def _low_h_run(live: np.ndarray, k: int, axes: list[tuple[int, int]]) -> None:
     """
     mat = live.reshape(-1, 1 << k)
     step = min(len(mat), _TEMP_ENTRIES >> k)
-    tmp = np.empty((1 << k, step), dtype=np.complex128)
+    tmp = np.empty((1 << k, step), dtype=live.dtype)
     cube = tmp.reshape((2,) * k + (step,))
     halves = [(cube[(_LIVE,) * a + (0,)], cube[(_LIVE,) * a + (1,)], f) for a, f in axes]
     # ufuncs copy strided runs shorter than their buffer through it; a
@@ -406,12 +445,13 @@ def _diagonal_run(full: np.ndarray, index: list, run: list) -> None:
     axes.  Gates on the block's axes alone make up the count every block
     starts from.  That start and the count of a block are uint8 arrays that
     together hold as many bytes as a complex temporary of _TEMP_ENTRIES
-    entries.
+    entries.  A float64 state reads the real table ``_EIGHTH_TURN_REAL``.
     """
+    turn = _EIGHTH_TURN_REAL if full.dtype == np.float64 else _EIGHTH_TURN
     if len(run) <= 1:
         for fixed, e in run:
             blk = _part(full, index, fixed)
-            blk *= _EIGHTH_TURN[e]
+            blk *= turn[e]
         run.clear()
         return
     live = _part(full, index, {})
@@ -440,7 +480,7 @@ def _diagonal_run(full: np.ndarray, index: list, run: list) -> None:
             if b & mask == value:
                 count[sel] += e
         for v, c in zip(_blocks(live[i + (...,)]), _blocks(count)):
-            v *= _EIGHTH_TURN[c]
+            v *= turn[c]
     run.clear()
 
 
@@ -499,13 +539,15 @@ def _rescaled(full: np.ndarray, index: list, pending: int) -> int:
     return pending
 
 
-def _single_pass(width: int, gates, start, read=None):
+def _single_pass(width: int, gates, start, read=None, dtype=np.complex128):
     """Apply ``gates`` to one column; returns (full, flip, index, phase, pending).
 
     ``start`` is a basis index (every qubit starts settled) or an amplitude
     array (every qubit starts live; the array is copied).  The logical state
     is ``phase * 2**(-pending/2)`` times ``full`` with the axes q where
     flip[q] is 1 reversed: ``pending`` butterflies are not undone yet.
+    ``dtype`` is the buffer's for a basis start: float64 only for gates of
+    _REAL_KINDS.
 
     ``read`` ({qubit: logical bit}, from a basis start) computes only the
     amplitudes at those bits: the tail is folded into the read-out, and on
@@ -521,7 +563,7 @@ def _single_pass(width: int, gates, start, read=None):
         index = [_LIVE] * width
         flip = [0] * width
     else:
-        buf = np.zeros(1 << width, dtype=np.complex128)
+        buf = np.zeros(1 << width, dtype=dtype)
         buf[0] = 1.0
         index = [0] * width
         flip = [(start >> (width - 1 - q)) & 1 for q in range(width)]
@@ -540,8 +582,11 @@ def _single_pass(width: int, gates, start, read=None):
             pending += 1
             q = g.targets[0]
             if index[q] is not _LIVE:
-                lo = _part(full, index, {q: 0})
-                (np.negative if flip[q] else np.positive)(lo, out=_part(full, index, {q: 1}))
+                lo, hi = _part(full, index, {q: 0}), _part(full, index, {q: 1})
+                if flip[q]:
+                    _negate(lo, hi)
+                else:
+                    np.positive(lo, out=hi)
                 index[q] = _LIVE
                 flip[q] = 0
                 continue
@@ -617,7 +662,7 @@ def _single_pass(width: int, gates, start, read=None):
         elif bit & flip[q]:
             # The activation copy at stored bit 1 would be -lo: negate lo in place.
             lo = _part(full, index, {})
-            np.negative(lo, out=lo)
+            _negate(lo, lo)
     return full, flip, index, phase, pending
 
 
@@ -675,11 +720,15 @@ def f_value(u: Circuit, zbits) -> float:
     The pass reads qubit 0 at 0 and computes only what that read-out
     needs: on a worst-case embedding the trailing X and MCX fold into
     reading qubits 1..n at 0, qubit 0 is never mixed, and the last H
-    layer keeps one half per gate, about one sweep in all.
+    layer keeps one half per gate, about one sweep in all.  It runs in
+    float64 when every gate is in _REAL_KINDS, as on every embedding.
     """
     _check_width(u.width)
     idx = _basis_index(zbits, u.width)
-    full, _, index, _, pending = _single_pass(u.width, adjoint(u).gates, idx, {0: 0})
+    real = _REAL_KINDS.issuperset(g.kind for g in u.gates)
+    full, _, index, _, pending = _single_pass(
+        u.width, adjoint(u).gates, idx, {0: 0}, np.float64 if real else np.complex128
+    )
     f = math.ldexp(_sq_norm(_part(full, index, {})), -pending)
     if not -1e-12 <= f <= 1.0 + 1e-12:  # unitarity self-check; NaN fails it too
         msg = f"f value {f} outside [0, 1]"

@@ -411,7 +411,15 @@ _AMP_DIGESTS = {
     ("iqp", 2): "524c7fc7ac66caaa7557cd258eaf646a8f07509c4e1d771455c75b3932d63c42",
     ("tail", 12): "679a1ddfd9454eb4f705ebb143fa0bc3e6173fbd34fbfc186ce922b0ac8b3acb",
     ("tail", 24): "83ca0b56fbe86dc4788fc9c2d2164ea39fdf0483bbca1f661c5fd6f5aa41d6f8",
+    ("real", 35): "94000a9cb9fe14c555c99484dd53ff744569f86d639787cad24a5ca44f080708",
 }
+# f-value on the circuits of _real_circuit, which f_value runs in float64.
+_FVALUE_DIGESTS = {
+    (12, 4): "234ff160d9921e6cd53019b1ef3c824c47747d64c11a24ece5f0353bad3b9607",
+    (16, 4): "0e7e5551c78e2f790611aa5c66095a4a261ab577357dcda6d1dabe9ada329ef8",
+}
+# Gates with real matrices, in the order random_circuit draws them.
+_REAL_KINDS = ("H", "X", "Z", "CZ", "CCZ", "CX", "MCX")
 
 
 def _amp_circuit(kind: str, seed: int) -> Circuit:
@@ -420,15 +428,30 @@ def _amp_circuit(kind: str, seed: int) -> Circuit:
     "iqp": an n = 10 IQP circuit; "tail": an H layer, 60 random gates of
     every kind and 12 of H, X and CX on 9 qubits.  The tail of seed 12 ends
     in three H gates, a CX and an X, that of seed 24 in three H gates, an X
-    and a CX.
+    and a CX.  "real": 80 random real gates on 9 qubits; the amplitude of
+    seed 35 has an imaginary part of -0.0.
     """
     rng = np.random.default_rng(seed)
     if kind == "iqp":
         return compile_iqp_from_poly(random_poly(10, 30, rng))
+    if kind == "real":
+        return random_circuit(9, 80, rng, _REAL_KINDS)
     layer = tuple(h(q) for q in range(9))
     body = random_circuit(9, 60, rng, GATE_KINDS).gates
     tail = random_circuit(9, 12, rng, ("H", "X", "CX")).gates
     return Circuit(9, layer + body + tail)
+
+
+def _real_circuit(width: int, seed: int) -> tuple[Circuit, str]:
+    """An H layer, 4 * width random real gates and an H layer, and the z that f-value reads.
+
+    Not a worst-case embedding: qubit 0 is mixed, and f is neither 0 nor 1/2.
+    """
+    rng = np.random.default_rng(seed)
+    layer = tuple(h(q) for q in range(width))
+    body = random_circuit(width, 4 * width, rng, _REAL_KINDS).gates
+    z = format(int(rng.integers(1 << width)), f"0{width}b")
+    return Circuit(width, layer + body + layer), z
 
 
 def _split_circuit(case: str) -> Circuit:
@@ -491,3 +514,10 @@ class TestPinnedBytes:
         path = tmp_path / "circuit.json"
         save_circuit(_amp_circuit(*case), path)
         assert _digest(capsys, "iqp-amp", "--circuit", str(path)) == (0, _AMP_DIGESTS[case])
+
+    @pytest.mark.parametrize("case", sorted(_FVALUE_DIGESTS))
+    def test_f_value(self, tmp_path, capsys, case):
+        circuit, z = _real_circuit(*case)
+        path = tmp_path / "circuit.json"
+        save_circuit(circuit, path)
+        assert _digest(capsys, "f-value", "--circuit", str(path), "--z", z) == (0, _FVALUE_DIGESTS[case])

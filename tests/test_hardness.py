@@ -14,6 +14,7 @@ from dqc1sim.ensembles import (
     random_circuit,
     random_htcx_ensemble,
     random_iqp_ensemble,
+    random_poly,
 )
 from dqc1sim.hardness import (
     BoundViolationError,
@@ -508,6 +509,23 @@ class TestEnsembleSpecs:
         assert (ens.n, len(ens)) == (3, 5)
         ens = parse_ensemble_spec("random:htcx:2:4:20:3")
         assert (ens.n, len(ens)) == (2, 4)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_iqp_parts_equal_checked_ones(self, seed):
+        # random_poly, compile_iqp_from_poly and the embedding build from
+        # fields that are valid already, without checking them again: each
+        # equals what the checking constructor makes of its fields.
+        rng = np.random.default_rng(seed)
+        poly = random_poly(int(rng.integers(1, 9)), int(rng.integers(0, 40)), rng)
+        assert poly == PolyF2(poly.n_vars, poly.monomials[::-1])
+        c = compile_iqp_from_poly(poly)
+        for circuit in (c, build_worst_case_embedding(c)):
+            assert circuit == Circuit(circuit.width, circuit.gates)
+
+    @pytest.mark.parametrize("n_vars", [0, -2, 2.0, True])
+    def test_random_poly_rejects_bad_n_vars(self, n_vars):
+        with pytest.raises(ValueError, match=rf"^n_vars must be a positive integer, got {n_vars!r}$"):
+            random_poly(n_vars, 3, np.random.default_rng(0))
 
     def test_generators_are_seeded(self):
         a = parse_ensemble_spec("random:iqp:3:5:10:2")

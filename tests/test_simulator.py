@@ -290,9 +290,18 @@ def _assert_single_column_matches(c: Circuit) -> None:
     assert np.abs(apply_circuit(StateVector(w, psi), c).amplitudes - u @ psi).max() <= 1e-12
 
 
+# Gates with real matrices: f_value runs a circuit of these in float64.
+_REAL_GATES = frozenset({"H", "X", "Z", "CZ", "CCZ", "CX", "MCX"})
+
+
 def _assert_single_column_memory(c: Circuit) -> None:
-    """Peak traced bytes of each entry point stay within its states plus 1 MiB."""
+    """Peak traced bytes of each entry point stay within its states plus 1 MiB.
+
+    A complex128 state takes 16 bytes an entry; f_value on a circuit of
+    real gates runs in float64, 8 bytes an entry.
+    """
     state = 16 << c.width
+    f_state = (8 << c.width) if {g.kind for g in c.gates} <= _REAL_GATES else state
     psi = StateVector.zero(c.width)
 
     def peak(fn) -> int:
@@ -303,7 +312,7 @@ def _assert_single_column_memory(c: Circuit) -> None:
         finally:
             tracemalloc.stop()
 
-    assert peak(lambda: f_value(c, 0)) <= state + (1 << 20)
+    assert peak(lambda: f_value(c, 0)) <= f_state + (1 << 20)
     assert peak(lambda: amplitude_zero(c)) <= state + (1 << 20)
     assert peak(lambda: apply_circuit(psi, c)) <= 2 * state + (1 << 20)
 
@@ -393,14 +402,12 @@ def _run_circuit(w: int, rng: np.random.Generator) -> Circuit:
     return Circuit(w, tuple(gates))
 
 
-def _assert_product_matches(monkeypatch, parts: list[Circuit], rng, samples: int = 4) -> None:
-    """Sampled unitary entries, phases included, at every run-kernel temporary size.
+def _interleave(parts: list[Circuit], rng: np.random.Generator) -> Circuit:
+    """The parts on consecutive qubit blocks, their gates interleaved in seeded chunks.
 
-    The circuit runs the parts on consecutive qubit blocks with their gates
-    interleaved in seeded chunks (each part keeps its order), so its dense
-    unitary is the Kronecker product of the parts' ``circuit_unitary``.
+    Each part keeps its order, so the circuit's dense unitary is the
+    Kronecker product of the parts' ``circuit_unitary``.
     """
-    mats = [circuit_unitary(p) for p in parts]
     w = sum(p.width for p in parts)
     queues, offset = [], 0
     for p in parts:
@@ -412,7 +419,17 @@ def _assert_product_matches(monkeypatch, parts: list[Circuit], rng, samples: int
         take = int(rng.integers(1, 9))
         gates += queue[:take]
         del queue[:take]
-    c = Circuit(w, tuple(gates))
+    return Circuit(w, tuple(gates))
+
+
+def _assert_product_matches(monkeypatch, parts: list[Circuit], rng, samples: int = 4) -> None:
+    """Sampled unitary entries of ``_interleave(parts)``, phases included.
+
+    Checked at every run-kernel temporary size.
+    """
+    mats = [circuit_unitary(p) for p in parts]
+    c = _interleave(parts, rng)
+    w = c.width
 
     def entries(index: int, axis: int) -> np.ndarray:
         """Column (axis 1) or row (axis 0) ``index`` of the product unitary."""
@@ -516,17 +533,98 @@ class TestSingleColumnPass:
         )
         _assert_single_column_memory(c)
 
-    def test_run_kernels_stay_within_temporaries(self):
+    @pytest.mark.parametrize("kinds", [_DIAGONAL_KINDS, ("Z", "CZ", "CCZ")])
+    def test_run_kernels_stay_within_temporaries(self, kinds):
         # A 60-gate diagonal run between full H layers: one byte of count per
-        # live amplitude, and blocks of at most _TEMP_ENTRIES entries.
+        # live amplitude, and blocks of at most _TEMP_ENTRIES entries.  With
+        # real kinds alone f_value runs in float64, within half the bytes.
         w = 18
         rng = np.random.default_rng(18)
         layer = tuple(h(q) for q in range(w))
         run = tuple(
             Gate(k, tuple(int(q) for q in rng.choice(w, _ARITY.get(k, 1), replace=False)))
-            for k in rng.choice(_DIAGONAL_KINDS, size=60)
+            for k in rng.choice(kinds, size=60)
         )
         _assert_single_column_memory(Circuit(w, layer + run + layer + (x(w - 1),) + layer))
+
+
+def _assert_real_f_values(monkeypatch, parts: list[Circuit], rng: np.random.Generator) -> None:
+    """f_value of ``_interleave(parts)``, real gates only, from every basis index.
+
+    Each value matches the dense unitary: qubit 0 is in the first part and
+    the other parts' rows have norm 1, so f_value(c, z) is the first part's
+    weight at z's leading bits.  Each is also bit-equal to the complex128
+    pass, which runs once no kind counts as real.
+    """
+    c = _interleave(parts, rng)
+    assert {g.kind for g in c.gates} <= _REAL_GATES
+    w0 = parts[0].width
+    u = circuit_unitary(parts[0])
+    weight = np.sum(np.abs(u[:, : 1 << (w0 - 1)]) ** 2, axis=1)
+    want = np.repeat(weight, 1 << (c.width - w0))
+    got = [f_value(c, z) for z in range(1 << c.width)]
+    assert np.abs(np.array(got) - want).max() <= 1e-12
+    with monkeypatch.context() as m:
+        m.setattr(sim, "_REAL_KINDS", frozenset())
+        assert [f_value(c, z).hex() for z in range(1 << c.width)] == [f.hex() for f in got]
+
+
+class TestRealPass:
+    """f_value runs circuits of real gates in float64, with the complex pass's bytes."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_negate_at_every_stride(self, dtype):
+        # Views of one buffer with byte strides 8 (16 for complex) to 2**12,
+        # negated in place and into an interleaved view; signed zeros too.
+        item = np.dtype(dtype).itemsize
+        rng = np.random.default_rng(5)
+        for log_stride in range(item.bit_length() - 1, 13):
+            step = (1 << log_stride) // item
+            for n in (1, 3, 8, 9, 64):
+                buf = np.zeros(2 * n * step, dtype=dtype)
+                buf[:] = rng.standard_normal(len(buf))
+                buf[::5] = -0.0
+                if dtype == np.complex128:
+                    buf.imag[1::3] = -0.0
+                src = buf[: n * step : step]
+                want = np.array([-v for v in src.tolist()], dtype=dtype)
+                out = buf[n * step :: step]
+                sim._negate(src, out)
+                assert out.tobytes() == want.tobytes(), (log_stride, n)
+                sim._negate(src, src)
+                assert src.tobytes() == want.tobytes(), (log_stride, n)
+
+    def test_real_circuits_against_oracle(self, monkeypatch):
+        # Widths 4-8 as one dense circuit, 9-12 as a product of two.  Each
+        # part ends in gates above its lowest three qubits, which the pass
+        # (of the adjoint) runs first: while the lowest three stay settled,
+        # its views have the 64-byte float64 stride of stored bit 3.  Over
+        # every start a flipped qubit sits on every stored bit.
+        rng = np.random.default_rng(980)
+        kinds = sorted(_REAL_GATES)
+
+        def part(k: int) -> Circuit:
+            gates = random_circuit(k, int(rng.integers(0, 3 * k)), rng, kinds).gates
+            high = random_circuit(k - 3, int(rng.integers(1, 3 * k)), rng, kinds).gates
+            return Circuit(k, gates + high)
+
+        for w in range(4, 13):
+            widths = [w] if w <= 8 else [w - w // 2, w // 2]
+            _assert_real_f_values(monkeypatch, [part(k) for k in widths], rng)
+
+    def test_settled_contraction_at_every_stride(self, monkeypatch):
+        # The pass of the adjoint ends in H and X on qubit 0, which nothing
+        # mixes before: from a start with qubit 0 flipped, a contraction
+        # read at bit 1 negates the live view in place.  Gates on qubits
+        # 1..w-1-j alone leave the lowest j settled, so the view's last
+        # axis has a stride of 8 * 2**j bytes.
+        rng = np.random.default_rng(985)
+        kinds = sorted(_REAL_GATES)
+        for w in range(3, 9):
+            for j in range(w - 1):
+                body = random_circuit(w - 1 - j, int(rng.integers(1, 4 * w)), rng, kinds)
+                c = Circuit(w, (x(0), h(0)) + shift_qubits(body, 1, w).gates)
+                _assert_real_f_values(monkeypatch, [c], rng)
 
 
 class TestExactDyadic:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, _checked_circuit, _is_int, adjoint, cx, mcx, shift_qubits, x
-from .simulator import Distribution, _nonnegative_int, _parallel_map, dqc1_distribution
+from .simulator import Distribution, _nonnegative_int, _parallel_map, _thread_count, dqc1_distribution
 
 __all__ = [
     "BoundViolationError",
@@ -375,8 +375,10 @@ def _pair_counts(
     TV budget), and q~_z from the eta-relative counter on stream
     (seed, i) for circuit i, so counts do not depend on scheduling.  A
     pair succeeds when |q~_z * 2**n - f| < f/2 with f = p_z * 2**n; pairs
-    with f = 0 succeed only if q~_z = 0.
+    with f = 0 succeed only if q~_z = 0.  ``threads`` must be an integer
+    >= 1.
     """
+    threads = _thread_count(threads)
     n = ens.n
     thr = _markov_threshold(n, budget)
 

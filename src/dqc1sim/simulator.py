@@ -45,10 +45,10 @@ axis q.
 
 from __future__ import annotations
 
-import bisect
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import groupby, islice
 
@@ -133,6 +133,14 @@ def _nonnegative_int(value, field: str) -> int:
         msg = f"{field} must be a nonnegative integer, got {value!r}"
         raise ValueError(msg)
     return int(value)
+
+
+def _thread_count(threads) -> int:
+    """threads as an int; a one-line ValueError unless it is an integer >= 1."""
+    if not _is_int(threads) or threads < 1:
+        msg = f"threads must be an integer >= 1, got {threads!r}"
+        raise ValueError(msg)
+    return int(threads)
 
 
 def _index(index, width: int) -> int:
@@ -410,6 +418,20 @@ def _contract(lo: np.ndarray, hi: np.ndarray, bit: int, flipped: int) -> None:
         lo += hi
 
 
+@contextmanager
+def _ufunc_buffer(entries: int):
+    """Run the block with numpy's ufunc buffer at ``entries``, and restore the old size.
+
+    ufuncs copy strided runs shorter than their buffer through it, which
+    makes short runs up to 2.5 times slower per element than walking them.
+    """
+    old = np.setbufsize(entries)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
 def _low_h_run(live: np.ndarray, k: int, axes: list[tuple[int, int]]) -> None:
     """Butterflies (axis, flipped) on the last k axes of the contiguous view ``live``.
 
@@ -422,18 +444,14 @@ def _low_h_run(live: np.ndarray, k: int, axes: list[tuple[int, int]]) -> None:
     tmp = np.empty((1 << k, step), dtype=live.dtype)
     cube = tmp.reshape((2,) * k + (step,))
     halves = [(cube[(_LIVE,) * a + (0,)], cube[(_LIVE,) * a + (1,)], f) for a, f in axes]
-    # ufuncs copy strided runs shorter than their buffer through it; a
-    # buffer of one row lets them walk the halves in place.
-    bufsize = np.setbufsize(max(16, step))
-    try:
+    # A buffer of one row lets the ufuncs walk the halves in place.
+    with _ufunc_buffer(max(16, step)):
         for r0 in range(0, len(mat), step):
             blk = mat[r0 : r0 + step]
             np.copyto(tmp, blk.T)
             for lo, hi, flipped in halves:
                 _butterfly(lo, hi, flipped)
             np.copyto(blk, tmp.T)
-    finally:
-        np.setbufsize(bufsize)
 
 
 def _diagonal_run(full: np.ndarray, index: list, run: list) -> None:
@@ -759,15 +777,15 @@ def f_value(u: Circuit, zbits) -> float:
 # on with one mask and compare of the row index, and every move of bits
 # between index layouts goes through ``_pack`` and ``_deposit``, one shift
 # and mask per run of consecutive bits.  On a worst-case embedding its
-# peak traced memory is about 13.5 times 8 bytes per row.
+# peak traced memory is about 10.5 times 8 bytes per row.
 #
-# Rows are stored under a qubit layout that the plan chooses: before an H
-# on a qubit whose stored halves would be short strided runs, a gather
-# moves it to a top bit.  A chunk of at most _MIN_RUN floats is one short
-# run whatever the layout, so there every stored bit counts as a top bit
-# and no gather only moves qubits.  Per column the arithmetic never depends
-# on the layout, the chunk width or the thread, which keeps output bytes
-# fixed.
+# The stored rows index the run qubits in order, the first most
+# significant, so every qubit keeps its stored bit and a gather only
+# applies gates.  An H on a low bit then works on short strided halves,
+# which are slow only because ufuncs copy runs shorter than their buffer
+# through it; the plan runs under a buffer of _PLAN_BUFFER entries (see
+# there).  Per column the arithmetic never depends on the chunk width or
+# the thread, which keeps output bytes fixed.
 #
 # Only the columns that the untouched qubits leave undetermined run.  The
 # leading run of non-H gates sends input |0 x> to one basis row with a
@@ -798,9 +816,13 @@ def f_value(u: Circuit, zbits) -> float:
 # with the same D-value runs exactly its A-values with unit phases (the
 # two sides of a worst-case embedding), uses that side's sums.
 
-# numpy buffers ufuncs over strided runs shorter than this many float64
-# entries, which makes them 2.5-3x slower per element.
-_MIN_RUN = 4096
+# The ufunc buffer of a plan run.  In a chunk of 2**20 entries at n = 12
+# (2**13 rows of 128 columns) a butterfly on stored bits 0-3 takes
+# 2.8-3.1 ms at numpy's default of 8192 entries and 1.3-1.6 ms at 512,
+# against 1.3 ms on a high bit either way; at n = 14 (32 columns) bit 0
+# takes 3.2 ms and 2.2 ms.  A buffer of 16 entries slows the other steps:
+# n = 14 ran about 9% slower than at 512.
+_PLAN_BUFFER = 512
 
 
 def _monomial(gates, rows, pos):
@@ -1000,100 +1022,42 @@ def _slots(ncols: np.ndarray, levels: np.ndarray, nd: int):
     return slot_of, slot_levels
 
 
-def _program(body, rows_of: list[int], cols: int):
-    """(start layout, steps, final rows, H count) of ``body`` on the qubits ``rows_of``.
+def _program(body, rows_of: list[int]):
+    """(steps, final rows, H count) of ``body`` on the qubits ``rows_of``.
 
-    The plan's logical rows index the qubits in ``rows_of``, the first most
-    significant.  The start layout is the stored row of each logical row.
+    Rows index the qubits in ``rows_of``, the first most significant, so
+    qubit rows_of[i] sits on stored bit nr-1-i throughout.
     """
     nr = len(rows_of)
-    local = {q: i for i, q in enumerate(rows_of)}
-    h_uses: dict[int, list[int]] = {}
-    for i, g in enumerate(body):
-        if g.kind == "H":
-            h_uses.setdefault(local[g.targets[0]], []).append(i)
-    # Top bits hold halves of at least _MIN_RUN floats.  With none, the
-    # whole chunk is one short run: every bit counts, and no move helps.
-    top = [b for b in range(nr) if 2 * cols << b >= _MIN_RUN] or list(range(nr))
-
-    def next_use(q: int, i: int) -> int:
-        later = h_uses.get(q, [])
-        k = bisect.bisect_right(later, i)
-        return later[k] if k < len(later) else len(body)
-
-    # A gather is [gates, slot]; its slot may still change for qubits no
-    # butterfly has touched since it, so an H that needs a top bit can be
-    # moved there for free by the gather before it (or by the placement of
-    # the start entries, for the first one).
-    place = [nr - 1 - q for q in range(nr)]
-    program: list = []
-    current = [[], place]
-    touched: set[int] = set()
+    rows = np.arange(1 << nr)
+    pos = {q: nr - 1 - i for i, q in enumerate(rows_of)}
+    steps = []
     run: list[Gate] = []
     n_h = 0
-    for i, g in enumerate(body):
+    for g in body:
         if g.kind != "H":
             run.append(g)
             continue
         if run:
-            current = [run, list(current[1])]
-            program.append(current)
-            touched = set()
-        run = []
-        slot = current[1]
-        q = local[g.targets[0]]
-        if slot[q] not in top:
-            free = [b for b in top if b not in touched]
-            if not free:
-                current = [[], list(slot)]
-                program.append(current)
-                touched = set()
-                slot = current[1]
-                free = top
-            owner = {slot[p]: p for p in range(nr)}
-            b = max(free, key=lambda b: next_use(owner[b], i))
-            slot[owner[b]], slot[q] = slot[q], b
-        touched.add(slot[q])
-        program.append(("h", slot[q]))
+            idx, phase = _monomial(run, rows, pos)
+            if np.array_equal(idx, rows):
+                idx = None
+            if idx is not None or phase is not None:
+                steps.append(("gather", idx, phase))
+            run = []
+        steps.append(("h", pos[g.targets[0]]))
         n_h += 1
         if n_h % _RESCALE_EVERY == 0:
-            program.append(("scale",))
-
-    rows = np.arange(1 << nr)
-    qpos = {q: nr - 1 - i for q, i in local.items()}
-
-    def stored(slot: list[int]) -> np.ndarray:
-        """Stored row of each logical row when qubit q sits on stored bit slot[q]."""
-        return _deposit(rows, [nr - 1 - b for b in slot], nr)
-
-    steps = []
-    start = prev = stored(place)
-    for item in program:
-        if isinstance(item, tuple):
-            steps.append(item)
-            continue
-        gates_run, slot = item
-        src, phase = _monomial(gates_run, rows, qpos)
-        new = stored(slot)
-        logical = np.empty_like(new)
-        logical[new] = rows
-        idx = prev[src[logical]]
-        if np.array_equal(idx, rows):
-            idx = None
-        if phase is not None:
-            phase = phase[logical]
-        if idx is not None or phase is not None:
-            steps.append(("gather", idx, phase))
-        prev = new
-    src, _ = _monomial(run, rows, qpos)  # trailing phases do not change |amplitude|**2
-    return start, tuple(steps), prev[src], n_h
+            steps.append(("scale",))
+    src, _ = _monomial(run, rows, pos)  # trailing phases do not change |amplitude|**2
+    return tuple(steps), src, n_h
 
 
 def _compile(u: Circuit, chunk_entries: int, *, split: bool = True) -> _Plan:
     """Plan for chunks of at most ``chunk_entries`` entries.
 
-    Layout choices depend on the chunk width only.  ``split=False`` takes
-    B empty: the full plan over all 2**n columns.
+    Only the chunk columns depend on ``chunk_entries``.  ``split=False``
+    takes B empty: the full plan over all 2**n columns.
     """
     width = u.width
     gates = u.gates
@@ -1155,7 +1119,7 @@ def _compile(u: Circuit, chunk_entries: int, *, split: bool = True) -> _Plan:
         chunks.extend((c0 + c, min(cols, total - c), level) for c in range(0, total, cols))
         c0 += total
 
-    start, steps, final_rows, n_h = _program(body, r_qubits, cols)
+    steps, final_rows, n_h = _program(body, r_qubits)
     rows = np.arange(1 << width)
     out = rows ^ flip_b
     out_blk = _pack(out, f_qubits + d_qubits, width)
@@ -1163,7 +1127,7 @@ def _compile(u: Circuit, chunk_entries: int, *, split: bool = True) -> _Plan:
         steps=steps,
         final_rows=final_rows,
         pending_h=n_h % _RESCALE_EVERY,
-        start_rows=start[e_row][by_col],
+        start_rows=e_row[by_col],
         start_cols=e_col[by_col],
         start_vals=vals,
         cols=cols,
@@ -1190,33 +1154,35 @@ def _run_plan(plan: _Plan, chunk: tuple, bufs) -> np.ndarray:
     amps.fill(0.0)
     vals = 1.0 if plan.start_vals is None else plan.start_vals[a:b]
     amps[plan.start_rows[a:b], plan.start_cols[a:b] - c0] = vals
-    for step in plan.steps:
-        if step[0] == "h":
-            bit = step[1]
-            # Float views: the layout keeps runs of _MIN_RUN floats, which as
-            # complex entries would be half as long and go through ufunc buffers.
-            view = amps.view(np.float64).reshape(dim >> (bit + 1), 2, (2 * cols) << bit)
-            _butterfly(view[:, 0], view[:, 1], 0)
-        elif step[0] == "gather":
-            _, idx, phase = step
-            if idx is not None:
-                np.take(amps, idx, axis=0, out=spare, mode="clip")
-                amps, spare = spare, amps
-            if phase is not None:
-                amps *= phase[:, None]
-        else:
-            flat = amps.view(np.float64)
-            flat *= _RESCALE
-    flat = amps.view(np.float64)
-    src = spare.view(np.float64)
-    np.multiply(flat, flat, out=src)
-    dst = flat
-    width = 2 * cols
-    while width > cols >> level:
-        width //= 2
-        np.add(src[:, 0 : 2 * width : 2], src[:, 1 : 2 * width : 2], out=dst[:, :width])
-        src, dst = dst, src
-    return src[:, :width].copy()
+    with _ufunc_buffer(_PLAN_BUFFER):
+        for step in plan.steps:
+            if step[0] == "h":
+                bit = step[1]
+                # Float views: halves on stored bit 0 are runs of 2 * cols
+                # floats; as runs of cols complex entries they took 2.4 ms
+                # against 1.6 ms at n = 12, even under the small buffer.
+                view = amps.view(np.float64).reshape(dim >> (bit + 1), 2, (2 * cols) << bit)
+                _butterfly(view[:, 0], view[:, 1], 0)
+            elif step[0] == "gather":
+                _, idx, phase = step
+                if idx is not None:
+                    np.take(amps, idx, axis=0, out=spare, mode="clip")
+                    amps, spare = spare, amps
+                if phase is not None:
+                    amps *= phase[:, None]
+            else:
+                flat = amps.view(np.float64)
+                flat *= _RESCALE
+        flat = amps.view(np.float64)
+        src = spare.view(np.float64)
+        np.multiply(flat, flat, out=src)
+        dst = flat
+        width = 2 * cols
+        while width > cols >> level:
+            width //= 2
+            np.add(src[:, 0 : 2 * width : 2], src[:, 1 : 2 * width : 2], out=dst[:, :width])
+            src, dst = dst, src
+        return src[:, :width].copy()
 
 
 def _tree_sum(parts) -> np.ndarray:
@@ -1271,7 +1237,12 @@ def dqc1_distribution(
     most (2 * gates + n) * ulp(1) * 2**-n from the full plan, and a few
     ulp(1) * 2**-n in practice (at most 2, 8 and 11 on random circuits of
     20, 100 and 400 gates).
+
+    ``max_n`` must be an integer >= 0 and ``threads`` one >= 1; other
+    values raise a one-line ValueError before any work.
     """
+    max_n = _nonnegative_int(max_n, "max_n")
+    threads = _thread_count(threads)
     n = u.width - 1
     if n < 0:
         msg = "need at least the clean qubit"

@@ -482,6 +482,23 @@ class TestVerifyChain:
         report = verify_chain(identity_ensemble(2), SamplerModel.exact(), ErrorBudget(), seed=np.int64(3))
         assert type(report.seed) is int and report.to_dict()["seed"] == 3
 
+    @pytest.mark.parametrize("threads", [0, -3, 2.5, "2", None, True])
+    def test_threads_must_be_a_positive_integer(self, monkeypatch, threads):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("threads must be checked before any circuit runs")
+
+        monkeypatch.setattr(hardness, "dqc1_distribution", forbidden)
+        ens, budget = identity_ensemble(2), ErrorBudget()
+        message = f"^{re.escape(f'threads must be an integer >= 1, got {threads!r}')}$"
+        calls = [
+            lambda: verify_chain(ens, SamplerModel.exact(), budget, threads=threads),
+            lambda: markov_outlier_fraction(ens, SamplerModel.exact(), budget, threads=threads),
+            lambda: heavy_set_fraction(ens, budget, threads=threads),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+
     def test_tv_violation_names_circuit(self):
         with pytest.raises(ValueError, match="circuit 0"):
             verify_chain(identity_ensemble(2), SamplerModel.mixture(0.5), ErrorBudget())

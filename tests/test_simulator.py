@@ -843,10 +843,33 @@ class TestDqc1Distribution:
         with pytest.raises(ValueError, match="mixed qubits"):
             dqc1_distribution(Circuit(6), max_n=4)
 
+    @pytest.mark.parametrize("threads", [0, -3, 2.5, "2", None, True])
+    def test_threads_must_be_a_positive_integer(self, monkeypatch, threads):
+        monkeypatch.setattr(sim, "_compile", _forbidden)  # checked before any work
+        message = f"threads must be an integer >= 1, got {threads!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dqc1_distribution(Circuit(3), threads=threads)
+
+    @pytest.mark.parametrize("max_n", [-3, 2.5, "2", None, True])
+    def test_max_n_must_be_a_nonnegative_integer(self, monkeypatch, max_n):
+        monkeypatch.setattr(sim, "_compile", _forbidden)
+        message = f"max_n must be a nonnegative integer, got {max_n!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dqc1_distribution(Circuit(3), max_n=max_n)
+
+    def test_numpy_integer_threads_and_max_n(self):
+        u = random_circuit(4, 20, np.random.default_rng(6))
+        d = dqc1_distribution(u, max_n=np.int64(3), threads=np.int64(2))
+        assert np.array_equal(d.probs, dqc1_distribution(u).probs)
+
     def test_degenerate_no_mixed_qubits(self):
         # Width 1 is just the clean qubit: n=0, two outcomes.
         d = dqc1_distribution(Circuit(1, (h(0),)))
         assert np.allclose(d.probs, [0.5, 0.5])
+
+
+def _forbidden(*args):
+    raise AssertionError("must not be called")
 
 
 def _nan_rz(q: int) -> Gate:
@@ -877,7 +900,7 @@ def _plan_cases():
         body = random_circuit(width, 20, rng, GATE_KINDS).gates
         ends = tuple(h(q) for q in rng.permutation(width))
         cases.append(Circuit(width, ends + body + ends))
-        # H runs over every qubit, longer than the number of top slots.
+        # H runs over every qubit, forward and back.
         layer = tuple(h(q) for q in range(width))
         mid = random_circuit(width, 10, rng, no_h).gates
         cases.append(Circuit(width, layer + layer[::-1] + mid + layer + mid + layer))
@@ -914,46 +937,23 @@ class TestFusedPlan:
             dqc1_distribution(u)
 
 
-def _layout_cases():
-    rng = np.random.default_rng(77)
-    embeddings = [
-        build_worst_case_embedding(compile_iqp_from_poly(random_poly(8, 24, rng))),
-        build_worst_case_embedding(random_circuit(7, 40, rng, GATE_KINDS)),
-    ]
-    return _plan_cases() + embeddings
-
-
-def _step_kinds(plan) -> list[str]:
-    return [step[0] for step in plan.steps]
-
-
 class TestPlanLayout:
-    def test_layout_does_not_change_bytes(self, monkeypatch):
-        cases = _layout_cases()
-        want = [dqc1_distribution(u).probs for u in cases]
-        steps = [len(sim._compile(u, sim._CHUNK_ENTRIES).steps) for u in cases]
-        for min_run in (1, 1 << 40):
-            monkeypatch.setattr(sim, "_MIN_RUN", min_run)
-            for u, probs in zip(cases, want):
-                assert np.array_equal(dqc1_distribution(u).probs, probs), (u, min_run)
-            # The cases do run under other layouts: some plans lose their moves.
-            assert [len(sim._compile(u, sim._CHUNK_ENTRIES).steps) for u in cases] != steps
-
-    def test_small_chunk_makes_no_layout_moves(self):
-        # Every stored bit of a chunk of at most _MIN_RUN floats is a top bit:
-        # 16 butterflies and the one gather of the phase layer.
+    def test_embedding_plan_is_its_butterflies_and_one_gather(self):
+        # Every qubit stays on its own stored bit, so no gather only moves
+        # qubits: 16 butterflies and the one gather of the phase layer.
         poly = random_poly(8, 24, np.random.default_rng(5))
         plan = sim._compile(build_worst_case_embedding(compile_iqp_from_poly(poly)), sim._CHUNK_ENTRIES)
-        kinds = _step_kinds(plan)
+        kinds = [step[0] for step in plan.steps]
         assert (kinds.count("h"), kinds.count("gather"), len(kinds)) == (16, 1, 17)
 
-    def test_large_chunk_still_moves_low_bits(self, monkeypatch):
+    def test_large_chunk_butterflies_on_every_bit(self, monkeypatch):
+        # Pure H layers at a 2**20 chunk: butterflies on the low stored bits
+        # of wide chunks, with no gather in between.
         monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 1 << 20)
         layer = tuple(h(q) for q in range(9))
         u = Circuit(9, layer + layer)
         plan = sim._compile(u, sim._CHUNK_ENTRIES, split=False)
-        # No gate but H: every gather only moves qubits to top bits.
-        assert "gather" in _step_kinds(plan)
+        assert plan.steps == tuple(("h", 8 - q) for q in range(9)) * 2
         assert np.abs(dqc1_distribution(u).probs - _columns_reference(u)).max() < 1e-13
 
     def test_compile_memory_stays_linear_in_rows(self):
@@ -968,6 +968,60 @@ class TestPlanLayout:
         finally:
             tracemalloc.stop()
         assert peak < 18 * 8 << u.width
+
+
+class TestUfuncBuffer:
+    @pytest.fixture
+    def bufsize(self):
+        old = np.setbufsize(4096)
+        yield 4096
+        np.setbufsize(old)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_distribution_restores_the_buffer(self, monkeypatch, bufsize, threads):
+        monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 1 << 12)  # several chunks
+        u = random_circuit(9, 60, np.random.default_rng(3), GATE_KINDS)
+        assert len(sim._compile(u, sim._CHUNK_ENTRIES).chunks) > 2
+        want = dqc1_distribution(u, threads=threads).probs
+        assert np.getbufsize() == bufsize
+        for size in (16, 8192):  # nor do the bytes depend on the caller's buffer
+            np.setbufsize(size)
+            assert np.array_equal(dqc1_distribution(u, threads=threads).probs, want)
+            assert np.getbufsize() == size
+
+    def test_plan_runs_under_the_small_buffer(self, bufsize, monkeypatch):
+        seen = set()
+        butterfly = sim._butterfly
+
+        def recording(lo, hi, flipped):
+            seen.add(np.getbufsize())
+            butterfly(lo, hi, flipped)
+
+        monkeypatch.setattr(sim, "_butterfly", recording)
+        dqc1_distribution(random_circuit(9, 60, np.random.default_rng(3), GATE_KINDS))
+        assert seen == {sim._PLAN_BUFFER}
+
+    def test_f_value_restores_the_buffer(self, bufsize, monkeypatch):
+        calls = []
+        low_h_run = sim._low_h_run
+
+        def counting(*args):
+            calls.append(np.getbufsize())
+            low_h_run(*args)
+
+        monkeypatch.setattr(sim, "_low_h_run", counting)
+        layer = tuple(h(q) for q in range(10))
+        u = Circuit(10, layer + tuple(cz(q, q + 1) for q in range(9)) + layer)
+        f_value(u, 0)
+        assert calls == [bufsize]  # the low-bit run starts under the caller's buffer
+        assert np.getbufsize() == bufsize
+
+    def test_restored_after_an_error(self, bufsize):
+        with pytest.raises(RuntimeError):
+            with sim._ufunc_buffer(512):
+                assert np.getbufsize() == 512
+                raise RuntimeError
+        assert np.getbufsize() == bufsize
 
 
 _QUARTER_KINDS = ("Z", "S", "SDG", "CZ", "CCZ")

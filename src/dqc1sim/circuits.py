@@ -357,10 +357,7 @@ class IsingInstance:
     fields: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if not _is_int(self.n_spins) or self.n_spins < 1:
-            msg = f"n_spins must be a positive integer, got {self.n_spins!r}"
-            raise ValueError(msg)
-        object.__setattr__(self, "n_spins", int(self.n_spins))
+        object.__setattr__(self, "n_spins", _positive_int(self.n_spins, "n_spins"))
 
         raw = self.couplings.items() if isinstance(self.couplings, dict) else self.couplings
         pairs = []

@@ -26,8 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, _checked_circuit, _is_int, adjoint, cx, mcx, shift_qubits, x
-from .simulator import Distribution, _nonnegative_int, _parallel_map, _thread_count, dqc1_distribution
+from .circuits import Circuit, _checked_circuit, adjoint, cx, mcx, shift_qubits, x
+from .simulator import (
+    DEFAULT_MAX_MIXED_QUBITS,
+    Distribution,
+    _nonnegative_int,
+    _parallel_map,
+    _thread_count,
+    dqc1_distribution,
+)
 
 __all__ = [
     "BoundViolationError",
@@ -106,8 +113,10 @@ class SamplerModel:
     exact:          q = p.
     mixture(lam):   q = (1-lam) p + lam * uniform; TV <= 2*lam.
     mass_shift(t):  moves t/2 of mass from the largest entries to the
-                    smallest, so TV is exactly t when capacity allows;
-                    receiving entries are capped at 2**-n + t/2.
+                    smallest entry that gives nothing, so TV is exactly t
+                    unless every entry gives (full support at t = 2).
+                    That entry is at most the mean 2**-(n+1), so it ends
+                    under 2**-n + t/2.
     """
 
     kind: str
@@ -166,10 +175,7 @@ class Ensemble:
     circuits: tuple[Circuit, ...]
 
     def __post_init__(self) -> None:
-        if not _is_int(self.n) or self.n < 0:
-            msg = f"n must be a nonnegative integer, got {self.n!r}"
-            raise ValueError(msg)
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _nonnegative_int(self.n, "n"))
         object.__setattr__(self, "circuits", tuple(self.circuits))
         if not self.circuits:
             msg = "ensemble must contain at least one circuit"
@@ -257,43 +263,34 @@ def make_noisy_distribution(p: Distribution, model: SamplerModel) -> Distributio
         uniform = 1.0 / len(probs)
         return Distribution(p.n, (1.0 - lam) * probs + lam * uniform)
 
-    # mass_shift: donate t/2 from the largest entries, deposit it on the
-    # smallest ones (stable index order on ties), donors never receive.
+    # mass_shift: donate t/2 from the largest entries (stable index order on
+    # ties) and deposit it all on the smallest entry that gave nothing (the
+    # lowest index on ties).
     half = model.param / 2.0
     q = probs.copy()
     if half == 0.0:
         return Distribution(p.n, q)
-    cap = 2.0 ** (-p.n) + half
 
-    donors = np.argsort(-probs, kind="stable")
-    donated = set()
+    gave = np.zeros(len(probs), dtype=bool)
     left = half
-    for i in donors:
+    for i in np.argsort(-probs, kind="stable"):
         if left <= 0.0:
             break
         take = min(left, q[i])
         if take > 0.0:
             q[i] -= take
             left -= take
-            donated.add(int(i))
+            gave[i] = True
     if left > 1e-15:
         msg = f"cannot move {half} of mass: only {half - left} available"
         raise ValueError(msg)
-
-    recipients = np.argsort(probs, kind="stable")
-    left = half
-    for i in recipients:
-        if left <= 0.0:
-            break
-        if int(i) in donated:
-            continue
-        give = min(left, cap - q[i])
-        if give > 0.0:
-            q[i] += give
-            left -= give
-    if left > 1e-15:
-        msg = f"cannot place {half} of mass under the cap {cap}"
+    if gave.all():
+        msg = f"cannot place {half} of mass: every entry gave"
         raise ValueError(msg)
+    # Donors are taken largest first, so the smallest entry that gave
+    # nothing is at most the mean 2**-(n+1) and ends at most 2**-n + t/2:
+    # no cap on the receiver can bind.
+    q[np.argmin(np.where(gave, np.inf, probs))] += half
     return Distribution(p.n, q)
 
 
@@ -376,10 +373,14 @@ def _pair_counts(
     (seed, i) for circuit i, so counts do not depend on scheduling.  A
     pair succeeds when |q~_z * 2**n - f| < f/2 with f = p_z * 2**n; pairs
     with f = 0 succeed only if q~_z = 0.  ``threads`` must be an integer
-    >= 1.
+    >= 1, and n at most the simulator's default cap: the chain takes no
+    ``max_n``, so a larger n fails here before any circuit runs.
     """
     threads = _thread_count(threads)
     n = ens.n
+    if n > DEFAULT_MAX_MIXED_QUBITS:
+        msg = f"n={n} mixed qubits exceeds the chain's cap of {DEFAULT_MAX_MIXED_QUBITS}"
+        raise ValueError(msg)
     thr = _markov_threshold(n, budget)
 
     def per_circuit(i: int) -> tuple[int, int, int]:

@@ -775,17 +775,20 @@ def f_value(u: Circuit, zbits) -> float:
 # The compiler holds only 1-D arrays over row indices, never a table of
 # every qubit's bit of every row: ``_monomial`` finds the rows a gate acts
 # on with one mask and compare of the row index, and every move of bits
-# between index layouts goes through ``_pack`` and ``_deposit``, one shift
-# and mask per run of consecutive bits.  On a worst-case embedding its
-# peak traced memory is about 10.5 times 8 bytes per row.
+# between index layouts goes through ``_pack``, one shift and mask per run
+# of consecutive bits.  On a worst-case embedding its peak traced memory is
+# about 10.5 times 8 bytes per row.
 #
-# The stored rows index the run qubits in order, the first most
-# significant, so every qubit keeps its stored bit and a gather only
-# applies gates.  An H on a low bit then works on short strided halves,
-# which are slow only because ufuncs copy runs shorter than their buffer
-# through it; the plan runs under a buffer of _PLAN_BUFFER entries (see
-# there).  Per column the arithmetic never depends on the chunk width or
-# the thread, which keeps output bytes fixed.
+# The stored rows index the run qubits A then D (see below), each in qubit
+# order, the first most significant, so every qubit keeps its stored bit
+# and a gather only applies gates.  The D-values are the low bits of every
+# row and the A qubits, the only ones a butterfly touches, the high ones.
+# Output bytes do not depend on which stored bit a qubit holds.  An H on a
+# low bit works on short strided halves, which are slow only because
+# ufuncs copy runs shorter than their buffer through it; the plan runs
+# under a buffer of _PLAN_BUFFER entries (see there).  Per column the
+# arithmetic never depends on the chunk width or the thread, which keeps
+# output bytes fixed.
 #
 # Only the columns that the untouched qubits leave undetermined run.  The
 # leading run of non-H gates sends input |0 x> to one basis row with a
@@ -896,15 +899,6 @@ def _pack(rows: np.ndarray, qubits, width: int) -> np.ndarray:
     for i, k in _runs(qubits):
         # Consecutive qubits own consecutive bits, first qubit highest.
         out = (out << k) | ((rows >> (width - qubits[i] - k)) & ((1 << k) - 1))
-    return out
-
-
-def _deposit(values: np.ndarray, slots, nbits: int) -> np.ndarray:
-    """The bits of ``values``, first most significant, put on index bits nbits-1-slots[i]."""
-    out = np.zeros_like(values)
-    for i, k in _runs(slots):
-        field = (values >> (len(slots) - i - k)) & ((1 << k) - 1)
-        out |= field << (nbits - slots[i] - k)
     return out
 
 
@@ -1076,7 +1070,7 @@ def _compile(u: Circuit, chunk_entries: int, *, split: bool = True) -> _Plan:
     a_qubits = [q for q in range(width) if q in mixed]
     d_qubits = [q for q in range(width) if q not in mixed and q in read]
     f_qubits = [q for q in range(width) if q not in mixed and q not in read]
-    r_qubits = [q for q in range(width) if q in mixed or q in read]
+    r_qubits = a_qubits + d_qubits
     nd, nr = len(d_qubits), len(r_qubits)
     # Later X gates on B; on F they are all there is, so they leave the plan.
     flip_b = 0
@@ -1102,8 +1096,7 @@ def _compile(u: Circuit, chunk_entries: int, *, split: bool = True) -> _Plan:
     sizes = np.left_shift(1, slot_levels)
     e_col = (np.cumsum(sizes) - sizes)[slot_of[e_blk]] + e_pos
     by_col = np.argsort(e_col, kind="stable")
-    e_da = ((e_blk & ((1 << nd) - 1)) << len(a_qubits)) | e_a
-    e_row = _deposit(e_da, [r_qubits.index(q) for q in d_qubits + a_qubits], nr)
+    e_row = (e_a << nd) | (e_blk & ((1 << nd) - 1))
     vals = None
     if phase is not None:
         vals = phase[e_x]

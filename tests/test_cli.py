@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import dqc1sim.cli as cli
+import dqc1sim.hardness as hardness
 import dqc1sim.simulator as simulator
 from dqc1sim.circuits import (
     GATE_KINDS,
@@ -260,6 +261,15 @@ class TestExitCodes:
         code = cli.main(["verify-chain", "--ensemble", "random:iqp:2:2:4:0", "--eta", "0.5"])
         assert code == 1
         assert "1/6" in capsys.readouterr().err
+
+    def test_dir_ensemble_above_the_cap(self, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(hardness, "dqc1_distribution", lambda u: ran.append(u))
+        for i in range(2):
+            save_circuit(Circuit(16, (h(i),)), tmp_path / f"{i}.json")
+        assert cli.main(["verify-chain", "--ensemble", f"dir:{tmp_path}"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err, ran) == ("", "error: n=15 mixed qubits exceeds the chain's cap of 14\n", [])
 
     def test_bad_z_string(self, identity3, capsys):
         assert cli.main(["f-value", "--circuit", identity3, "--z", "012"]) == 1

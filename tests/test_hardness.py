@@ -295,6 +295,104 @@ class TestNoisySamplers:
             make_noisy_distribution(p, SamplerModel.mass_shift(2.0))
 
 
+def _two_loop_mass_shift(p: Distribution, t: float) -> Distribution:
+    """The mass shift with a recipient loop under the cap 2**-n + t/2: the oracle."""
+    probs = p.probs
+    half = t / 2.0
+    q = probs.copy()
+    if half == 0.0:
+        return Distribution(p.n, q)
+    cap = 2.0 ** (-p.n) + half
+
+    donated = set()
+    left = half
+    for i in np.argsort(-probs, kind="stable"):
+        if left <= 0.0:
+            break
+        take = min(left, q[i])
+        if take > 0.0:
+            q[i] -= take
+            left -= take
+            donated.add(int(i))
+    if left > 1e-15:
+        msg = f"cannot move {half} of mass: only {half - left} available"
+        raise ValueError(msg)
+
+    left = half
+    for i in np.argsort(probs, kind="stable"):
+        if left <= 0.0:
+            break
+        if int(i) in donated:
+            continue
+        give = min(left, cap - q[i])
+        if give > 0.0:
+            q[i] += give
+            left -= give
+    if left > 1e-15:
+        msg = f"cannot place {half} of mass under the cap {cap}"
+        raise ValueError(msg)
+    return Distribution(p.n, q)
+
+
+def _mass_shift(p: Distribution, t: float) -> Distribution:
+    return make_noisy_distribution(p, SamplerModel.mass_shift(t))
+
+
+def _shift_outcome(shift, p: Distribution, t: float):
+    """q's bytes, or the error's leading words ('cannot move 0.5', 'cannot place 1.0')."""
+    try:
+        return shift(p, t).probs.tobytes()
+    except ValueError as e:
+        return str(e).partition(" of mass")[0]
+
+
+_SHIFTS = (0.0, 1e-9, 1 / 36, 0.0277, 0.5, 1.0, 2.0)
+
+
+@pytest.fixture(scope="module")
+def shift_corpus():
+    """The 220 distributions of six chain ensembles and one n = 12 embedding."""
+    specs = (
+        "random:iqp:4:50:24:1",
+        "random:iqp:4:50:12:20260107",
+        "random:htcx:3:50:20:20260108",
+        "random:iqp:3:20:15:7",
+        "random:htcx:6:20:40:3",
+        "random:iqp:8:30:24:5",
+    )
+    dists = [dqc1_distribution(u) for spec in specs for u in parse_ensemble_spec(spec).circuits]
+    poly = random_poly(12, 36, np.random.default_rng(12))
+    dists.append(dqc1_distribution(build_worst_case_embedding(compile_iqp_from_poly(poly))))
+    return dists
+
+
+class TestMassShift:
+    def test_matches_two_loop_reference(self, shift_corpus):
+        assert len(shift_corpus) == 221
+        for p in shift_corpus:
+            for t in _SHIFTS:
+                want = _shift_outcome(_two_loop_mass_shift, p, t)
+                assert _shift_outcome(_mass_shift, p, t) == want, (p.n, t)
+
+    def test_receiver_gains_exactly_half(self, shift_corpus):
+        for p in shift_corpus:
+            for t in (1e-9, 1 / 36, 0.5, 1.0):
+                q = _mass_shift(p, t).probs
+                gave = q < p.probs
+                (receiver,) = np.flatnonzero(q > p.probs)
+                smallest = np.flatnonzero(~gave & (p.probs == p.probs[~gave].min()))
+                assert receiver == smallest[0]
+                assert q[receiver] == p.probs[receiver] + t / 2.0
+
+    def test_no_entry_exceeds_the_ceiling_plus_half(self, shift_corpus):
+        uniform = [Distribution(n, np.full(2 << n, 0.5**(n + 1))) for n in (0, 1, 3)]
+        # t = 0 leaves q = p, which the simulator lets exceed 2**-n by rounding.
+        for p in shift_corpus + uniform:
+            for t in _SHIFTS[1:-1]:
+                q = _mass_shift(p, t).probs
+                assert q.max() <= 2.0**-p.n + t / 2.0, (p.n, t)
+
+
 class TestApproximateCount:
     def test_deterministic(self):
         assert approximate_count(0.5, 0.1, seed=3) == approximate_count(0.5, 0.1, seed=3)
@@ -498,6 +596,20 @@ class TestVerifyChain:
         for call in calls:
             with pytest.raises(ValueError, match=message):
                 call()
+
+    def test_n_above_the_cap_fails_before_any_circuit(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(hardness, "dqc1_distribution", lambda u: ran.append(u))
+        ens, budget = Ensemble(15, (Circuit(16),)), ErrorBudget()
+        calls = [
+            lambda: verify_chain(ens, SamplerModel.exact(), budget),
+            lambda: markov_outlier_fraction(ens, SamplerModel.exact(), budget),
+            lambda: heavy_set_fraction(ens, budget),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^n=15 mixed qubits exceeds the chain's cap of 14$"):
+                call()
+        assert ran == []
 
     def test_tv_violation_names_circuit(self):
         with pytest.raises(ValueError, match="circuit 0"):

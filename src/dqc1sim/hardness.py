@@ -238,6 +238,9 @@ def total_variation_distance(p, q) -> float:
     if a.shape != b.shape:
         msg = f"length mismatch: {a.shape} vs {b.shape}"
         raise ValueError(msg)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        msg = "probabilities must be finite, got NaN or infinity"
+        raise ValueError(msg)
     return float(np.abs(a - b).sum())
 
 

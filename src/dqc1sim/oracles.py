@@ -30,7 +30,7 @@ def gap(f: PolyF2, *, max_vars: int = 24) -> int:
     """
     n = f.n_vars
     if n > max_vars:
-        msg = f"n_vars={n} exceeds the cap of {max_vars}; raise max_vars to override"
+        msg = f"n_vars={n} exceeds the cap of {max_vars}"
         raise ValueError(msg)
     xs = np.arange(1 << n, dtype=np.uint32)
     values = np.zeros(1 << n, dtype=np.uint32)
@@ -51,7 +51,7 @@ def ising_partition_function(m: IsingInstance, *, max_spins: int = 20) -> comple
     """
     n = m.n_spins
     if n > max_spins:
-        msg = f"n_spins={n} exceeds the cap of {max_spins}; raise max_spins to override"
+        msg = f"n_spins={n} exceeds the cap of {max_spins}"
         raise ValueError(msg)
     xs = np.arange(1 << n, dtype=np.uint32)
 

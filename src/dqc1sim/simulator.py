@@ -17,10 +17,10 @@ Two paths apply gates, with one gate arithmetic:
   buffer, with X gates kept as bit flips instead of data moves.  A pass
   from a basis state keeps each qubit settled at a known bit until a gate
   first mixes it, and works only where the settled qubits sit at that bit,
-  so gates on unmixed qubits cost little or nothing.  Two run kernels
-  apply a run of diagonal gates as one multiply by a table of eighth turns,
-  and a run of H gates on the lowest index bits in cache-sized transposed
-  blocks; neither needs more than a block of temporary memory.
+  so gates on unmixed qubits cost little or nothing.  One run kernel
+  applies a run of diagonal gates as one multiply by a table of eighth
+  turns, with no more than a block of temporary memory; an H on a live
+  qubit is one butterfly on the state.
   ``amplitude_zero`` and ``f_value`` pass a read-out, the logical bits they
   read: the circuit's trailing X, CX and MCX gates fold into it, and the
   last H gates on read qubits compute only the half that is read, so the
@@ -258,33 +258,22 @@ class Distribution:
 # fewer qubits, and a control on a settled qubit either always fires or
 # never does.
 #
-# Two run kernels turn many strided sweeps into one:
-#
-# * Diagonal runs.  Z, S, SDG, T, TDG, CZ and CCZ gates on live qubits are
-#   held back until a gate that moves data (H, or a CX/MCX with a live
-#   control) or the end of the pass.  They are recorded by stored bit, so a
-#   free flip does not end the run, and RZ, which commutes with them, is
-#   still applied at once.  A run of two or more gates is summed, one
-#   block of the live view at a time, into a uint8 count of eighth turns
-#   (``_EIGHTHS``) and applied as ``v *= _EIGHTH_TURN[count]``: one sweep
-#   in all.  A run of one gate is applied directly.
-# * Low-bit H runs.  The halves of a qubit on one of the lowest stored bits
-#   are runs of a few amplitudes, which numpy walks slowly.  Consecutive H
-#   gates on live qubits among the lowest k = log2(_TEMP_ENTRIES) // 2 bits
-#   (7) of a contiguous live view, up to the next rescale, are applied
-#   together, one block of rows at a time, in a transposed copy of at most
-#   _TEMP_ENTRIES entries where each half is a run of whole rows.  Each amplitude sees the same
-#   butterflies in the same order, so the bytes do not change.  Otherwise
-#   (a higher bit, or a settled qubit below a live one) an H is one
-#   butterfly on the state.
+# One run kernel turns many strided sweeps into one.  Z, S, SDG, T, TDG,
+# CZ and CCZ gates on live qubits are held back until a gate that moves
+# data (H, or a CX/MCX with a live control) or the end of the pass.  They
+# are recorded by stored bit, so a free flip does not end the run, and RZ,
+# which commutes with them, is still applied at once.  A run of two or
+# more gates is summed, one block of the live view at a time, into a uint8
+# count of eighth turns (``_EIGHTHS``) and applied as
+# ``v *= _EIGHTH_TURN[count]``: one sweep in all.  A run of one gate is
+# applied directly.  An H on a live qubit is one butterfly on the state.
 #
 # Every H, activation included, is an unnormalised butterfly, and the pass
 # counts them.  Before each gate, once _RESCALE_EVERY of them are not undone
-# yet, it scales the live view by _RESCALE, as the plan does; a low-bit run
-# ends there, so the count never exceeds _RESCALE_EVERY.  It returns
-# the count left, and the caller undoes it once: 2**(-count/2) on an
-# amplitude, which rounds only for an odd count, or 2**-count on a squared
-# norm, which is exact.
+# yet, it scales the live view by _RESCALE, as the plan does, so the count
+# never exceeds _RESCALE_EVERY.  It returns the count left, and the caller
+# undoes it once: 2**(-count/2) on an amplitude, which rounds only for an
+# odd count, or 2**-count on a squared norm, which is exact.
 #
 # A read-out ({qubit: logical bit}, from a basis start) asks for the
 # amplitudes at those bits alone; ``amplitude_zero`` reads every qubit at 0
@@ -432,28 +421,6 @@ def _ufunc_buffer(entries: int):
         np.setbufsize(old)
 
 
-def _low_h_run(live: np.ndarray, k: int, axes: list[tuple[int, int]]) -> None:
-    """Butterflies (axis, flipped) on the last k axes of the contiguous view ``live``.
-
-    Each block of rows of the (rows, 2**k) view is copied into a transposed
-    temporary of at most _TEMP_ENTRIES entries, so each half is a run of at
-    least one whole row, and copied back.
-    """
-    mat = live.reshape(-1, 1 << k)
-    step = min(len(mat), _TEMP_ENTRIES >> k)
-    tmp = np.empty((1 << k, step), dtype=live.dtype)
-    cube = tmp.reshape((2,) * k + (step,))
-    halves = [(cube[(_LIVE,) * a + (0,)], cube[(_LIVE,) * a + (1,)], f) for a, f in axes]
-    # A buffer of one row lets the ufuncs walk the halves in place.
-    with _ufunc_buffer(max(16, step)):
-        for r0 in range(0, len(mat), step):
-            blk = mat[r0 : r0 + step]
-            np.copyto(tmp, blk.T)
-            for lo, hi, flipped in halves:
-                _butterfly(lo, hi, flipped)
-            np.copyto(blk, tmp.T)
-
-
 def _diagonal_run(full: np.ndarray, index: list, run: list) -> None:
     """Apply the pending diagonal run [(fixed, eighths)], if any, to the live view and clear it.
 
@@ -589,46 +556,22 @@ def _single_pass(width: int, gates, start, read=None, dtype=np.complex128):
     phase = complex(1.0)
     pending = 0
     run: list = []  # the pending diagonal run on live qubits
-    i = 0
-    while i < len(gates):
+    for g in gates:
         pending = _rescaled(full, index, pending)
-        g = gates[i]
-        i += 1
         kind = g.kind
         if kind == "H":
             _diagonal_run(full, index, run)
             pending += 1
             q = g.targets[0]
-            if index[q] is not _LIVE:
-                lo, hi = _part(full, index, {q: 0}), _part(full, index, {q: 1})
-                if flip[q]:
-                    _negate(lo, hi)
-                else:
-                    np.positive(lo, out=hi)
-                index[q] = _LIVE
-                flip[q] = 0
-                continue
-            live = _part(full, index, {})
-            # Square blocks: k low bits by _TEMP_ENTRIES >> k rows.
-            k = min((_TEMP_ENTRIES.bit_length() - 1) // 2, live.ndim)
-            low = width - k
-            if q < low or not live.flags.c_contiguous:
-                _butterfly(_part(full, index, {q: 0}), _part(full, index, {q: 1}), flip[q])
-                flip[q] = 0
-                continue
-            # This H and each H right after it on a live low qubit, in order,
-            # up to the next rescale.
-            axes = [(q - low, flip[q])]
+            lo, hi = _part(full, index, {q: 0}), _part(full, index, {q: 1})
+            if index[q] is _LIVE:
+                _butterfly(lo, hi, flip[q])
+            elif flip[q]:
+                _negate(lo, hi)
+            else:
+                np.positive(lo, out=hi)
+            index[q] = _LIVE
             flip[q] = 0
-            while i < len(gates) and gates[i].kind == "H" and pending < _RESCALE_EVERY:
-                q = gates[i].targets[0]
-                if q < low or index[q] is not _LIVE:
-                    break
-                axes.append((q - low, flip[q]))
-                flip[q] = 0
-                pending += 1
-                i += 1
-            _low_h_run(live, k, axes)
         elif kind in _PERMUTATION_KINDS:
             pols = g.polarities if kind == "MCX" else (1,) * len(g.controls)
             fixed = {}

@@ -315,6 +315,23 @@ class TestExitCodes:
         assert (r.returncode, r.stdout) == (1, "")
         assert r.stderr == "error: ising: coupling 0: theta must be a finite number, got nan\n"
 
+    @pytest.mark.parametrize(
+        ("command", "flag", "text", "cap"),
+        [
+            ("gap", "--poly", '{"n":25,"monomials":[[0,1]]}', "n_vars=25 exceeds the cap of 24"),
+            ("ising-z", "--model", '{"n":21,"couplings":[[0,1,0.5]]}', "n_spins=21 exceeds the cap of 20"),
+        ],
+        ids=["gap", "ising-z"],
+    )
+    def test_oracle_cap_names_no_flag(self, tmp_path, capsys, command, flag, text, cap):
+        # Neither command has a flag that raises its cap.
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        assert cli.main([command, flag, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and cap in err and "raise" not in err
+
     def test_simulator_defect_is_one_line(self, identity3, capsys, monkeypatch):
         def defect(*a, **k):
             raise RuntimeError("distribution sums to nan")
@@ -430,6 +447,13 @@ _FVALUE_DIGESTS = {
 }
 # Gates with real matrices, in the order random_circuit draws them.
 _REAL_KINDS = ("H", "X", "Z", "CZ", "CCZ", "CX", "MCX")
+# iqp-amp and f-value --z 0000000101 on the circuits of _layered_circuit.
+_LAYERED_DIGESTS = {
+    ("all", "f-value"): "c792f5d4ea6fe7833041f951aad871e3adbaa968ed3c134dde5549fd16c79578",
+    ("all", "iqp-amp"): "b2d20da6ab99125db53847528ad2c530b9eed45a7abe266267b378bc6e6330e1",
+    ("real", "f-value"): "8d5c1b5a87c51f970807fc0c2057b3ab3aaf11638ab667dc5956edc8f5bcf138",
+    ("real", "iqp-amp"): "65728f36ff4e811ffe0a03ccbede02a104fe42291d454e5f3d78db9a332c2e1f",
+}
 
 
 def _amp_circuit(kind: str, seed: int) -> Circuit:
@@ -462,6 +486,21 @@ def _real_circuit(width: int, seed: int) -> tuple[Circuit, str]:
     body = random_circuit(width, 4 * width, rng, _REAL_KINDS).gates
     z = format(int(rng.integers(1 << width)), f"0{width}b")
     return Circuit(width, layer + body + layer), z
+
+
+def _layered_circuit(kinds: str) -> Circuit:
+    """H layers around two draws of 30 random gates on 10 qubits, seed 1.
+
+    "all" draws from GATE_KINDS, "real" from _REAL_KINDS, which f-value
+    runs in float64.  The H layers before the last act on live qubits,
+    the lowest index bits included, and the last one is read out.
+    """
+    rng = np.random.default_rng(1)
+    pool = GATE_KINDS if kinds == "all" else _REAL_KINDS
+    layer = tuple(h(q) for q in range(10))
+    first = random_circuit(10, 30, rng, pool).gates
+    second = random_circuit(10, 30, rng, pool).gates
+    return Circuit(10, layer + first + layer + second + layer)
 
 
 def _split_circuit(case: str) -> Circuit:
@@ -531,3 +570,11 @@ class TestPinnedBytes:
         path = tmp_path / "circuit.json"
         save_circuit(circuit, path)
         assert _digest(capsys, "f-value", "--circuit", str(path), "--z", z) == (0, _FVALUE_DIGESTS[case])
+
+    @pytest.mark.parametrize(("kinds", "command"), sorted(_LAYERED_DIGESTS))
+    def test_layered(self, tmp_path, capsys, kinds, command):
+        path = tmp_path / "circuit.json"
+        save_circuit(_layered_circuit(kinds), path)
+        z = ("--z", "0000000101") if command == "f-value" else ()
+        got = _digest(capsys, command, "--circuit", str(path), *z)
+        assert got == (0, _LAYERED_DIGESTS[kinds, command])

@@ -219,6 +219,13 @@ class TestTotalVariation:
         with pytest.raises(ValueError, match="mismatch"):
             total_variation_distance([1.0], [0.5, 0.5])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, bad):
+        for p, q in (([0.5, bad], [0.5, 0.5]), ([0.5, 0.5], [bad, 0.5])):
+            with pytest.raises(ValueError, match="finite") as err:
+                total_variation_distance(p, q)
+            assert "\n" not in str(err.value)
+
 
 class TestMultiplicativeError:
     def test_boundary(self):

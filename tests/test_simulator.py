@@ -647,34 +647,16 @@ class TestExactDyadic:
                 assert amplitude_zero(compile_iqp_from_poly(poly)) == gap(poly) / 2**n, poly
 
     @pytest.mark.parametrize("w, layers", [(9, 116), (7, 150), (7, 300)])
-    def test_rescale_inside_low_h_run(self, monkeypatch, w, layers):
+    def test_rescale_inside_low_h_run(self, w, layers):
         # Layers of H on w qubits: the identity.  The first layer activates
-        # every qubit.  Qubits below the 7 lowest bits take plain
-        # butterflies; the rest go into low runs, which end at a plain
-        # butterfly and at every multiple of _RESCALE_EVERY butterflies, so
-        # the rescale comes before the next gate.  On 9 qubits H number 512
-        # and 1024 fall inside a layer's run; on 7 qubits every H after the
-        # first layer is on a low bit, and 150 layers (1050 H) would
-        # overflow the squared norm, 300 (2100 H) the amplitudes, if a run
-        # went on past the rescale.
-        low = w - (sim._TEMP_ENTRIES.bit_length() - 1) // 2
+        # every qubit, and every later H is one butterfly on a live qubit.
+        # The rescale comes before the gate after every multiple of
+        # _RESCALE_EVERY butterflies: on 9 qubits H number 512 and 1024 fall
+        # inside a layer, and on 7 qubits 150 layers (1050 H) would overflow
+        # the squared norm, 300 (2100 H) the amplitudes, without it.
         assert layers * w > 2 * sim._RESCALE_EVERY
-        want, cur = [], []  # the expected low runs
-        for n in range(w + 1, layers * w + 1):  # H number n acts on qubit (n - 1) % w
-            q = (n - 1) % w
-            if q >= low:
-                cur.append((q - low, 0))
-            if cur and (q < low or n % sim._RESCALE_EVERY == 0):
-                want.append(cur)
-                cur = []
-        if cur:
-            want.append(cur)
         c = Circuit(w, tuple(h(q) for _ in range(layers) for q in range(w)))
-        runs = []
-        real_run = sim._low_h_run
-        monkeypatch.setattr(sim, "_low_h_run", lambda *a: runs.append(list(a[2])) or real_run(*a))
         assert sim._single_pass(w, c.gates, 0)[4] <= sim._RESCALE_EVERY
-        assert runs == want
         assert amplitude_zero(c) == 1.0
         for z in (0, 5, (1 << w) - 1):
             assert f_value(c, z) == float(z < 1 << (w - 1))
@@ -794,10 +776,6 @@ class TestReadOut:
 
             monkeypatch.setattr(sim, name, spy)
 
-        def no_low_run(*a):
-            raise AssertionError("_low_h_run called")
-
-        monkeypatch.setattr(sim, "_low_h_run", no_low_run)
         assert f_value(u, 0) == (gap(poly) / 2**n) ** 2
         assert len(touched) == n
         assert sum(touched) < 1 << (n + 1)
@@ -1003,17 +981,17 @@ class TestUfuncBuffer:
 
     def test_f_value_restores_the_buffer(self, bufsize, monkeypatch):
         calls = []
-        low_h_run = sim._low_h_run
+        butterfly = sim._butterfly
 
-        def counting(*args):
+        def counting(lo, hi, flipped):
             calls.append(np.getbufsize())
-            low_h_run(*args)
+            butterfly(lo, hi, flipped)
 
-        monkeypatch.setattr(sim, "_low_h_run", counting)
+        monkeypatch.setattr(sim, "_butterfly", counting)
         layer = tuple(h(q) for q in range(10))
         u = Circuit(10, layer + tuple(cz(q, q + 1) for q in range(9)) + layer)
         f_value(u, 0)
-        assert calls == [bufsize]  # the low-bit run starts under the caller's buffer
+        assert calls and set(calls) == {bufsize}  # the pass runs under the caller's buffer
         assert np.getbufsize() == bufsize
 
     def test_restored_after_an_error(self, bufsize):

@@ -36,11 +36,9 @@ from .hardness import (
     approximate_count,
     build_postselection_pair,
     build_worst_case_embedding,
-    check_multiplicative_error,
     heavy_set_fraction,
     make_noisy_distribution,
     markov_outlier_fraction,
-    ratio_bounds_check,
     success_fraction_bound,
     total_variation_distance,
     verify_chain,
@@ -77,7 +75,6 @@ __all__ = [
     "approximate_count",
     "build_postselection_pair",
     "build_worst_case_embedding",
-    "check_multiplicative_error",
     "circuit_unitary",
     "compile_iqp_from_ising",
     "compile_iqp_from_poly",
@@ -95,7 +92,6 @@ __all__ = [
     "parse_ensemble_spec",
     "random_htcx_ensemble",
     "random_iqp_ensemble",
-    "ratio_bounds_check",
     "sample",
     "save_circuit",
     "serialize_circuit",

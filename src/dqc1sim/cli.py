@@ -2,9 +2,10 @@
 
 Exit codes: 0 all checks pass, 1 validation or input error, or a failed
 simulator self-check (printed as ``error: simulator defect: ...``), 2 a
-verified bound failed.  Every failure prints one line on stderr.  All
-randomized commands take explicit seeds; identical command lines give
-byte-identical output regardless of --threads.
+verified bound failed or a malformed command line.  Every failure prints
+one line on stderr.  All randomized commands take explicit seeds;
+identical command lines give byte-identical output regardless of
+--threads.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import sys
 
 from .circuits import (
     CircuitFormatError,
-    compile_iqp_from_poly,
     load_circuit,
     load_ising,
     load_poly,
@@ -26,10 +26,8 @@ from .hardness import (
     BoundViolationError,
     ErrorBudget,
     SamplerModel,
-    _heavy_bound,
     build_postselection_pair,
     build_worst_case_embedding,
-    heavy_set_fraction,
     verify_chain,
 )
 from .oracles import gap, ising_partition_function
@@ -91,8 +89,15 @@ def _add_max_n(p: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors print one line and exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dqc1sim",
         description="Exact one-clean-qubit simulation and hardness-chain verification.",
     )
@@ -210,13 +215,11 @@ def _cmd_sample(args) -> int:
 def _cmd_anticoncentration(args) -> int:
     ens = parse_ensemble_spec(args.ensemble)
     budget = ErrorBudget(eps=args.eps, delta=args.delta, eta=0.0)
-    fraction = heavy_set_fraction(ens, budget, threads=args.threads, check=False)
-    bound = _heavy_bound(budget)
-    passed = fraction > bound
-    print(f"heavy_fraction={_scalar(fraction)}")
-    print(f"heavy_bound={_scalar(bound)}")
-    print(f"pass={'true' if passed else 'false'}")
-    return 0 if passed else 2
+    report = verify_chain(ens, SamplerModel.exact(), budget, threads=args.threads)
+    print(f"heavy_fraction={_scalar(report.heavy_fraction)}")
+    print(f"heavy_bound={_scalar(report.heavy_bound)}")
+    print(f"pass={'true' if report.heavy_pass else 'false'}")
+    return 0 if report.heavy_pass else 2
 
 
 def _cmd_verify_chain(args) -> int:

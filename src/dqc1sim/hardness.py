@@ -22,7 +22,7 @@ directly against the Markov threshold above.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -45,10 +45,8 @@ __all__ = [
     "build_worst_case_embedding",
     "build_postselection_pair",
     "total_variation_distance",
-    "check_multiplicative_error",
     "make_noisy_distribution",
     "approximate_count",
-    "ratio_bounds_check",
     "markov_outlier_fraction",
     "heavy_set_fraction",
     "success_fraction_bound",
@@ -244,18 +242,6 @@ def total_variation_distance(p, q) -> float:
     return float(np.abs(a - b).sum())
 
 
-def check_multiplicative_error(
-    estimate: float, truth: float, eps_mult: float, *, strict: bool = False
-) -> bool:
-    """Whether |estimate - truth| <= eps_mult * truth (or < with strict=True)."""
-    if not (truth >= 0.0 and eps_mult >= 0.0):
-        msg = f"truth and eps_mult must be nonnegative, got {truth}, {eps_mult}"
-        raise ValueError(msg)
-    diff = abs(estimate - truth)
-    allowed = eps_mult * truth
-    return diff < allowed if strict else diff <= allowed
-
-
 def make_noisy_distribution(p: Distribution, model: SamplerModel) -> Distribution:
     """Apply a sampler model to an exact distribution, returning the sampler's q."""
     probs = p.probs
@@ -316,33 +302,6 @@ def approximate_count(
     u = np.random.default_rng(seed).uniform(-eta, eta, size=counts.shape)
     out = counts * (1.0 + u)
     return float(out) if out.ndim == 0 else out
-
-
-def ratio_bounds_check(f1: float, f2: float, eps_mult: float) -> bool:
-    """Check the two-sided bound on a ratio of multiplicatively-estimated values.
-
-    For every a in [f1(1-e), f1(1+e)] and b in [f2(1-e), f2(1+e)]:
-        (1-e)/(1+e) * f2/f1  <=  b/a  <=  (1+e)/(1-e) * f2/f1.
-    b/a is monotone in a and in b, and so is its float rounding, so the
-    four corners are its extremes; comparisons carry a 1e-12 relative
-    float cushion.
-    """
-    if not (f1 > 0.0 and f2 >= 0.0):
-        msg = f"need f1 > 0 and f2 >= 0, got {f1}, {f2}"
-        raise ValueError(msg)
-    if not 0.0 <= eps_mult < 1.0:
-        msg = f"eps_mult must lie in [0, 1), got {eps_mult}"
-        raise ValueError(msg)
-    ratio = f2 / f1
-    lo = (1.0 - eps_mult) / (1.0 + eps_mult) * ratio
-    hi = (1.0 + eps_mult) / (1.0 - eps_mult) * ratio
-    slack = 1e-12 * max(1.0, hi)
-    ends = (-eps_mult, eps_mult)
-    return all(
-        lo - slack <= f2 * (1.0 + v) / (f1 * (1.0 + u)) <= hi + slack
-        for u in ends
-        for v in ends
-    )
 
 
 def _markov_threshold(n: int, budget: ErrorBudget) -> float:
@@ -414,41 +373,34 @@ def _pair_counts(
 
 
 def markov_outlier_fraction(
-    ens: Ensemble,
-    sampler: SamplerModel,
-    budget: ErrorBudget,
-    *,
-    threads: int = 1,
-    check: bool = True,
+    ens: Ensemble, sampler: SamplerModel, budget: ErrorBudget, *, threads: int = 1
 ) -> float:
     """Fraction of pairs (z, U) with |p_z - q_z| >= eps / (2**(n+1) delta), p_z != q_z.
 
     Requires the sampler to honor the TV budget on every circuit; Markov's
     inequality then promises the fraction is at most delta, and a larger
-    value raises BoundViolationError (pass check=False to just measure).
+    value raises BoundViolationError.
     """
     outliers, _, _ = _pair_counts(ens, sampler, budget, 0, threads)
     fraction = outliers / (len(ens) * (1 << (ens.n + 1)))
-    if check and fraction > budget.delta:
+    if fraction > budget.delta:
         msg = f"Markov outlier fraction {fraction} exceeds delta={budget.delta}"
         raise BoundViolationError(msg)
     return fraction
 
 
-def heavy_set_fraction(
-    ens: Ensemble, budget: ErrorBudget, *, threads: int = 1, check: bool = True
-) -> float:
+def heavy_set_fraction(ens: Ensemble, budget: ErrorBudget, *, threads: int = 1) -> float:
     """Fraction of pairs (z, U) with eps/(2**(n+1) delta) <= p_z / 3.
 
     Anti-concentration plus normalization force this fraction strictly
     above (1 - 3 eps/delta)/(2 - 3 eps/delta) for every ensemble; at the
     default budget the threshold is exactly 1/3.  Falling at or below it
-    raises BoundViolationError (pass check=False to just measure).
+    raises BoundViolationError.
     """
     _, heavy, _ = _pair_counts(ens, SamplerModel.exact(), budget, 0, threads)
     fraction = heavy / (len(ens) * (1 << (ens.n + 1)))
     bound = _heavy_bound(budget)
-    if check and not fraction > bound:
+    if not fraction > bound:
         msg = f"heavy-set fraction {fraction} not above {bound}"
         raise BoundViolationError(msg)
     return fraction
@@ -478,25 +430,16 @@ class ChainReport:
         return self.markov_pass and self.heavy_pass and self.success_pass
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "ensemble_size": self.ensemble_size,
-            "eps": self.budget.eps,
-            "delta": self.budget.delta,
-            "eta": self.budget.eta,
-            "sampler": self.sampler,
-            "seed": self.seed,
-            "markov_fraction": self.markov_fraction,
-            "markov_bound": self.markov_bound,
-            "markov_pass": self.markov_pass,
-            "heavy_fraction": self.heavy_fraction,
-            "heavy_bound": self.heavy_bound,
-            "heavy_pass": self.heavy_pass,
-            "success_fraction": self.success_fraction,
-            "success_bound": self.success_bound,
-            "success_pass": self.success_pass,
-            "all_pass": self.all_pass,
-        }
+        """Every field in order, the budget as eps, delta and eta, then all_pass."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "budget":
+                out.update(asdict(value))
+            else:
+                out[f.name] = value
+        out["all_pass"] = self.all_pass
+        return out
 
     def to_text(self) -> str:
         lines = []

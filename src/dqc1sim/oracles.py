@@ -21,16 +21,23 @@ __all__ = [
     "density_matrix_dqc1",
 ]
 
+# Caps on each brute-force route: 2**n entries per enumeration, and a
+# dense 2**w x 2**w matrix per gate.
+_MAX_VARS = 24
+_MAX_SPINS = 20
+_MAX_WIDTH = 10
+_MAX_N = 6
 
-def gap(f: PolyF2, *, max_vars: int = 24) -> int:
+
+def gap(f: PolyF2) -> int:
     """#(f=0) - #(f=1) over all 2**n assignments, as an exact integer.
 
     Bit-parallel: variable v lives in bit (n-1-v) of the assignment index,
     matching the qubit convention, though the sum is order-blind anyway.
     """
     n = f.n_vars
-    if n > max_vars:
-        msg = f"n_vars={n} exceeds the cap of {max_vars}"
+    if n > _MAX_VARS:
+        msg = f"n_vars={n} exceeds the cap of {_MAX_VARS}"
         raise ValueError(msg)
     xs = np.arange(1 << n, dtype=np.uint32)
     values = np.zeros(1 << n, dtype=np.uint32)
@@ -43,15 +50,15 @@ def gap(f: PolyF2, *, max_vars: int = 24) -> int:
     return (1 << n) - 2 * ones
 
 
-def ising_partition_function(m: IsingInstance, *, max_spins: int = 20) -> complex:
+def ising_partition_function(m: IsingInstance) -> complex:
     """Sum of exp(i * energy(s)) over all spin strings s in {+1, -1}**n.
 
     energy(s) = sum_{j<k} theta_jk s_j s_k + sum_j theta_j s_j.  Spin j
     reads bit (n-1-j) of the enumeration index, with bit 0 -> s = +1.
     """
     n = m.n_spins
-    if n > max_spins:
-        msg = f"n_spins={n} exceeds the cap of {max_spins}"
+    if n > _MAX_SPINS:
+        msg = f"n_spins={n} exceeds the cap of {_MAX_SPINS}"
         raise ValueError(msg)
     xs = np.arange(1 << n, dtype=np.uint32)
 
@@ -112,15 +119,15 @@ def _gate_matrix(g: Gate, width: int) -> np.ndarray:
     return mat
 
 
-def circuit_unitary(c: Circuit, *, max_width: int = 10) -> np.ndarray:
+def circuit_unitary(c: Circuit) -> np.ndarray:
     """The circuit's full 2**w x 2**w matrix, one explicit matmul per gate.
 
-    The default cap, width 10, is what this route can serve: each matrix
+    The cap, width 10, is what this route can serve: each matrix
     takes 16 MiB and each gate is a 1024**3 matmul.  At width 12 each
     matrix would take 256 MiB and each gate a 4096**3 matmul.
     """
-    if c.width > max_width:
-        msg = f"width {c.width} exceeds the dense-matrix cap of {max_width}"
+    if c.width > _MAX_WIDTH:
+        msg = f"width {c.width} exceeds the dense-matrix cap of {_MAX_WIDTH}"
         raise ValueError(msg)
     u = np.eye(1 << c.width, dtype=np.complex128)
     for g in c.gates:
@@ -128,7 +135,7 @@ def circuit_unitary(c: Circuit, *, max_width: int = 10) -> np.ndarray:
     return u
 
 
-def density_matrix_dqc1(u: Circuit, *, max_n: int = 6) -> Distribution:
+def density_matrix_dqc1(u: Circuit) -> Distribution:
     """Literal route to the one-clean-qubit distribution.
 
     Builds the full unitary, conjugates rho = |0><0| (x) I/2**n as an
@@ -138,13 +145,13 @@ def density_matrix_dqc1(u: Circuit, *, max_n: int = 6) -> Distribution:
     if n < 0:
         msg = "need at least the clean qubit"
         raise ValueError(msg)
-    if n > max_n:
-        msg = f"n={n} exceeds the density-matrix cap of {max_n}; raise max_n to override"
+    if n > _MAX_N:
+        msg = f"n={n} exceeds the density-matrix cap of {_MAX_N}"
         raise ValueError(msg)
     half = 1 << n
     rho = np.zeros((2 * half, 2 * half), dtype=np.complex128)
     rho[:half, :half] = np.eye(half) / half
-    mat = circuit_unitary(u, max_width=n + 1)
+    mat = circuit_unitary(u)
     out = mat @ rho @ mat.conj().T
     diag = np.real(np.diagonal(out)).copy()
     if diag.min(initial=0.0) < -1e-12:

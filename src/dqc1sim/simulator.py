@@ -194,9 +194,6 @@ class StateVector:
         amps[_basis_index(index_or_bits, width)] = 1.0
         return cls(width, amps)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
@@ -226,9 +223,6 @@ class Distribution:
             raise ValueError(msg)
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
-
-    def outcome_bits(self, index: int) -> str:
-        return index_to_bits(index, self.n + 1)
 
 
 # --- the single-column pass --------------------------------------------------

@@ -25,11 +25,9 @@ from dqc1sim.hardness import (
     approximate_count,
     build_postselection_pair,
     build_worst_case_embedding,
-    check_multiplicative_error,
     heavy_set_fraction,
     make_noisy_distribution,
     markov_outlier_fraction,
-    ratio_bounds_check,
     success_fraction_bound,
     total_variation_distance,
     verify_chain,
@@ -227,28 +225,6 @@ class TestTotalVariation:
             assert "\n" not in str(err.value)
 
 
-class TestMultiplicativeError:
-    def test_boundary(self):
-        assert check_multiplicative_error(0.5, 1.0, 0.5) is True
-        assert check_multiplicative_error(0.5, 1.0, 0.5, strict=True) is False
-        assert check_multiplicative_error(1.49, 1.0, 0.5, strict=True) is True
-        assert check_multiplicative_error(1.51, 1.0, 0.5) is False
-
-    def test_zero_truth(self):
-        assert check_multiplicative_error(0.0, 0.0, 0.3) is True
-        assert check_multiplicative_error(0.01, 0.0, 0.3) is False
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            check_multiplicative_error(0.5, -1.0, 0.5)
-        with pytest.raises(ValueError):
-            check_multiplicative_error(0.5, 1.0, -0.5)
-        with pytest.raises(ValueError):
-            check_multiplicative_error(1.0, float("nan"), 0.1)
-        with pytest.raises(ValueError):
-            check_multiplicative_error(1.0, 1.0, float("nan"))
-
-
 class TestNoisySamplers:
     def test_exact_is_copy(self):
         p = dqc1_distribution(Circuit(3))
@@ -438,39 +414,6 @@ class TestApproximateCount:
             approximate_count(1.0, float("nan"), seed=0)
 
 
-class TestRatioBounds:
-    def test_example(self):
-        assert ratio_bounds_check(1.0, 0.5, 1 / 3) is True
-
-    def test_randomized_triples(self):
-        rng = np.random.default_rng(93)
-        for _ in range(300):
-            f1 = float(rng.uniform(1e-3, 2.0))
-            f2 = float(rng.uniform(0.0, 2.0))
-            e = float(rng.uniform(0.0, 0.9))
-            assert ratio_bounds_check(f1, f2, e)
-
-    def test_corner_tightness(self):
-        # The extreme ratios are attained exactly at the interval corners.
-        f1, f2, e = 0.8, 0.3, 0.25
-        lo = (1 - e) / (1 + e) * f2 / f1
-        hi = (1 + e) / (1 - e) * f2 / f1
-        assert f2 * (1 - e) / (f1 * (1 + e)) == pytest.approx(lo, rel=1e-12)
-        assert f2 * (1 + e) / (f1 * (1 - e)) == pytest.approx(hi, rel=1e-12)
-
-    def test_rejects(self):
-        with pytest.raises(ValueError):
-            ratio_bounds_check(0.0, 0.5, 0.1)
-        with pytest.raises(ValueError):
-            ratio_bounds_check(1.0, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            ratio_bounds_check(float("nan"), 1.0, 0.1)
-        with pytest.raises(ValueError):
-            ratio_bounds_check(1.0, float("nan"), 0.1)
-        with pytest.raises(ValueError):
-            ratio_bounds_check(1.0, 0.5, float("nan"))
-
-
 class TestSuccessBound:
     def test_default_is_one_sixth(self):
         assert success_fraction_bound(ErrorBudget()) == pytest.approx(1 / 6, abs=1e-12)
@@ -514,10 +457,8 @@ class TestMarkovStep:
         monkeypatch.setattr(hardness, "_markov_threshold", lambda n, budget: 1e-6)
         with pytest.raises(BoundViolationError, match="Markov"):
             markov_outlier_fraction(ens, SamplerModel.mass_shift(1 / 36), ErrorBudget())
-        frac = markov_outlier_fraction(
-            ens, SamplerModel.mass_shift(1 / 36), ErrorBudget(), check=False
-        )
-        assert frac == 0.25
+        report = verify_chain(ens, SamplerModel.mass_shift(1 / 36), ErrorBudget())
+        assert report.markov_fraction == 0.25 and not report.markov_pass
 
 
 class TestHeavySetStep:
@@ -536,8 +477,8 @@ class TestHeavySetStep:
         monkeypatch.setattr(hardness, "dqc1_distribution", lambda c: fake)
         with pytest.raises(BoundViolationError, match="heavy"):
             heavy_set_fraction(identity_ensemble(1), ErrorBudget())
-        frac = heavy_set_fraction(identity_ensemble(1), ErrorBudget(), check=False)
-        assert frac == 0.25
+        report = verify_chain(identity_ensemble(1), SamplerModel.exact(), ErrorBudget())
+        assert report.heavy_fraction == 0.25 and not report.heavy_pass
 
     def test_threads_match(self):
         ens = random_iqp_ensemble(3, 8, 15, seed=9)

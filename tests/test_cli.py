@@ -20,13 +20,14 @@ from dqc1sim.circuits import (
     save_circuit,
     shift_qubits,
 )
-from dqc1sim.ensembles import random_circuit, random_poly
+from dqc1sim.ensembles import parse_ensemble_spec, random_circuit, random_poly
 from dqc1sim.hardness import (
     BoundViolationError,
     ChainReport,
     ErrorBudget,
     build_postselection_pair,
     build_worst_case_embedding,
+    heavy_set_fraction,
 )
 from dqc1sim.oracles import gap
 from dqc1sim.simulator import Distribution
@@ -178,6 +179,24 @@ class TestAnticoncentration:
         code, out = run_main(capsys, "anticoncentration", "--ensemble", "random:iqp:2:2:4:0")
         assert code == 2
         assert "pass=false" in out
+
+
+    @pytest.mark.parametrize(
+        ("spec", "eps", "delta"),
+        [("random:iqp:3:6:10:7", "0.02", "0.2"), ("random:htcx:2:5:15:8", "0.01", "0.15")],
+    )
+    def test_matches_heavy_set_fraction(self, capsys, spec, eps, delta):
+        code, out = run_main(
+            capsys, "anticoncentration", "--ensemble", spec, "--eps", eps, "--delta", delta
+        )
+        budget = ErrorBudget(eps=float(eps), delta=float(delta), eta=0.0)
+        fraction = heavy_set_fraction(parse_ensemble_spec(spec), budget)
+        bound = (1 - 3 * budget.eps / budget.delta) / (2 - 3 * budget.eps / budget.delta)
+        lines = dict(line.split("=") for line in out.strip().splitlines())
+        assert code == 0
+        assert lines["heavy_fraction"] == cli._scalar(fraction)
+        assert float(lines["heavy_bound"]) == pytest.approx(bound, rel=1e-12)
+        assert lines["pass"] == "true"
 
 
 class TestVerifyChain:
@@ -387,6 +406,24 @@ class TestExitCodes:
         assert err == (
             "error: need n >= 1, count >= 1, depth >= 0, seed >= 0 in 'random:iqp:2:2:3:-1'\n"
         )
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["simulate"], "dqc1sim: error: argument command: invalid choice: 'simulate'"),
+            (["gap"], "dqc1sim gap: error: the following arguments are required: --poly"),
+            (["verify-chain", "--bogus"], "dqc1sim: error: unrecognized arguments: --bogus"),
+        ],
+        ids=["unknown_command", "missing_required", "unknown_option"],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.endswith("\n")
+        assert err.startswith(message)
 
     def test_no_command_is_usage_error(self):
         r = run_cli()

@@ -569,6 +569,28 @@ class TestVerifyChain:
         b = verify_chain(ens, SamplerModel.mass_shift(1 / 72), ErrorBudget(), seed=4, threads=4)
         assert a == b
 
+    @pytest.mark.parametrize("spec", ["random:iqp:3:6:10:5", "random:htcx:3:6:20:6"])
+    def test_step_functions_match_the_report(self, spec):
+        # All three read one pass of the pair counts with seed 0.
+        ens, budget = parse_ensemble_spec(spec), ErrorBudget(eps=1 / 48, delta=1 / 6, eta=0.0)
+        sampler = SamplerModel.mass_shift(1 / 60)
+        report = verify_chain(ens, sampler, budget)
+        assert markov_outlier_fraction(ens, sampler, budget) == report.markov_fraction
+        assert heavy_set_fraction(ens, budget) == report.heavy_fraction
+        assert report.markov_pass and report.heavy_pass
+
+    def test_report_dict_keys_in_order(self):
+        report = verify_chain(identity_ensemble(2), SamplerModel.exact(), ErrorBudget(), seed=7)
+        d = report.to_dict()
+        assert list(d) == [
+            "n", "ensemble_size", "eps", "delta", "eta", "sampler", "seed",
+            "markov_fraction", "markov_bound", "markov_pass",
+            "heavy_fraction", "heavy_bound", "heavy_pass",
+            "success_fraction", "success_bound", "success_pass", "all_pass",
+        ]
+        assert (d["n"], d["ensemble_size"], d["seed"], d["sampler"]) == (2, len(identity_ensemble(2)), 7, report.sampler)
+        assert (d["eps"], d["delta"], d["eta"]) == (1 / 36, 1 / 6, 1 / 100)
+
     def test_report_serialization(self):
         report = verify_chain(identity_ensemble(2), SamplerModel.exact(), ErrorBudget(), seed=0)
         d = report.to_dict()

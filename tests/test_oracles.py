@@ -1,6 +1,7 @@
 """Slow reference oracles, cross-checked against brute force and the fast kernels."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -170,3 +171,37 @@ class TestDensityMatrixRoute:
     def test_cap(self):
         with pytest.raises(ValueError, match="cap"):
             density_matrix_dqc1(Circuit(8))
+
+
+class TestCaps:
+    """Each brute-force route has one fixed cap: it runs at it and refuses one above."""
+
+    @pytest.mark.parametrize(
+        ("call", "message"),
+        [
+            (lambda: gap(PolyF2(25)), "n_vars=25 exceeds the cap of 24"),
+            (lambda: ising_partition_function(IsingInstance(21)), "n_spins=21 exceeds the cap of 20"),
+            (lambda: circuit_unitary(Circuit(11)), "width 11 exceeds the dense-matrix cap of 10"),
+            (lambda: density_matrix_dqc1(Circuit(8)), "n=7 exceeds the density-matrix cap of 6"),
+        ],
+        ids=["gap", "ising", "unitary", "density"],
+    )
+    def test_one_above_the_cap(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_ising_at_the_cap(self):
+        # One field on spin 0: the other 19 spins each contribute a factor 2.
+        m = IsingInstance(20, (), ((0, 0.5),))
+        assert ising_partition_function(m) == pytest.approx(2**20 * np.cos(0.5), rel=1e-12)
+
+    def test_unitary_at_the_cap(self):
+        mat = circuit_unitary(Circuit(10, (x(9),)))
+        want = np.kron(np.eye(512), np.array([[0, 1], [1, 0]]))
+        assert np.array_equal(mat, want)
+
+    def test_density_matrix_at_the_cap(self):
+        # n = 6 makes a width-7 circuit, which the dense-matrix cap admits.
+        u = Circuit(7, (h(0), cx(0, 6), s(3), h(3)))
+        slow = density_matrix_dqc1(u)
+        assert np.abs(slow.probs - dqc1_distribution(u).probs).max() < 1e-12

@@ -28,7 +28,6 @@ from .ensembles import (
     random_iqp_ensemble,
 )
 from .hardness import (
-    BoundViolationError,
     ChainReport,
     Ensemble,
     ErrorBudget,
@@ -36,9 +35,7 @@ from .hardness import (
     approximate_count,
     build_postselection_pair,
     build_worst_case_embedding,
-    heavy_set_fraction,
     make_noisy_distribution,
-    markov_outlier_fraction,
     success_fraction_bound,
     total_variation_distance,
     verify_chain,
@@ -57,7 +54,6 @@ from .simulator import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundViolationError",
     "ChainReport",
     "Circuit",
     "CircuitFormatError",
@@ -82,12 +78,10 @@ __all__ = [
     "dqc1_distribution",
     "f_value",
     "gap",
-    "heavy_set_fraction",
     "ising_partition_function",
     "load_circuit",
     "load_ensemble_dir",
     "make_noisy_distribution",
-    "markov_outlier_fraction",
     "parse_circuit",
     "parse_ensemble_spec",
     "random_htcx_ensemble",

@@ -23,7 +23,6 @@ from .circuits import (
 )
 from .ensembles import ENSEMBLE_SPEC_HELP, parse_ensemble_spec
 from .hardness import (
-    BoundViolationError,
     ErrorBudget,
     SamplerModel,
     build_postselection_pair,
@@ -253,9 +252,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except BoundViolationError as e:
-        print(f"bound violation: {e}", file=sys.stderr)
-        return 2
     except RuntimeError as e:  # a failed self-check in the simulator
         print(f"error: simulator defect: {e}", file=sys.stderr)
         return 1

@@ -37,7 +37,6 @@ from .simulator import (
 )
 
 __all__ = [
-    "BoundViolationError",
     "ErrorBudget",
     "SamplerModel",
     "Ensemble",
@@ -47,15 +46,9 @@ __all__ = [
     "total_variation_distance",
     "make_noisy_distribution",
     "approximate_count",
-    "markov_outlier_fraction",
-    "heavy_set_fraction",
     "success_fraction_bound",
     "verify_chain",
 ]
-
-
-class BoundViolationError(RuntimeError):
-    """An inequality that should hold unconditionally came out false."""
 
 
 def _real(value, field: str) -> float:
@@ -370,40 +363,6 @@ def _pair_counts(
 
     counts = _parallel_map(per_circuit, range(len(ens)), threads)
     return tuple(map(sum, zip(*counts)))
-
-
-def markov_outlier_fraction(
-    ens: Ensemble, sampler: SamplerModel, budget: ErrorBudget, *, threads: int = 1
-) -> float:
-    """Fraction of pairs (z, U) with |p_z - q_z| >= eps / (2**(n+1) delta), p_z != q_z.
-
-    Requires the sampler to honor the TV budget on every circuit; Markov's
-    inequality then promises the fraction is at most delta, and a larger
-    value raises BoundViolationError.
-    """
-    outliers, _, _ = _pair_counts(ens, sampler, budget, 0, threads)
-    fraction = outliers / (len(ens) * (1 << (ens.n + 1)))
-    if fraction > budget.delta:
-        msg = f"Markov outlier fraction {fraction} exceeds delta={budget.delta}"
-        raise BoundViolationError(msg)
-    return fraction
-
-
-def heavy_set_fraction(ens: Ensemble, budget: ErrorBudget, *, threads: int = 1) -> float:
-    """Fraction of pairs (z, U) with eps/(2**(n+1) delta) <= p_z / 3.
-
-    Anti-concentration plus normalization force this fraction strictly
-    above (1 - 3 eps/delta)/(2 - 3 eps/delta) for every ensemble; at the
-    default budget the threshold is exactly 1/3.  Falling at or below it
-    raises BoundViolationError.
-    """
-    _, heavy, _ = _pair_counts(ens, SamplerModel.exact(), budget, 0, threads)
-    fraction = heavy / (len(ens) * (1 << (ens.n + 1)))
-    bound = _heavy_bound(budget)
-    if not fraction > bound:
-        msg = f"heavy-set fraction {fraction} not above {bound}"
-        raise BoundViolationError(msg)
-    return fraction
 
 
 @dataclass(frozen=True)

@@ -1166,7 +1166,9 @@ def dqc1_distribution(
     sum_a |<y|W_b|a>|**2 = 1 in place of that of s: to first order at
     most (2 * gates + n) * ulp(1) * 2**-n from the full plan, and a few
     ulp(1) * 2**-n in practice (at most 2, 8 and 11 on random circuits of
-    20, 100 and 400 gates).
+    20, 100 and 400 gates).  A complement row that this rounding takes
+    below 0 (s a few ulp above 1) is clamped to 0; a NaN passes through to
+    the unitarity self-check.
 
     ``max_n`` must be an integer >= 0 and ``threads`` one >= 1; other
     values raise a one-line ValueError before any work.
@@ -1196,6 +1198,7 @@ def dqc1_distribution(
     next(parts, None)  # ends the worker pool
     probs = sums[plan.out_slot, plan.out_row]
     np.subtract(2.0**plan.pending_h, probs, out=probs, where=plan.out_comp)
+    np.maximum(probs, 0.0, out=probs, where=plan.out_comp)
     probs *= math.ldexp(1.0, -(plan.pending_h + n))
 
     total = float(probs.sum())

@@ -10,7 +10,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from dqc1sim.circuits import (
     Circuit,
@@ -32,8 +31,6 @@ from dqc1sim.hardness import (
     SamplerModel,
     build_postselection_pair,
     build_worst_case_embedding,
-    heavy_set_fraction,
-    markov_outlier_fraction,
     verify_chain,
 )
 from dqc1sim.oracles import density_matrix_dqc1, gap, ising_partition_function
@@ -176,7 +173,7 @@ def test_05_anticoncentration_ceiling(tmp_path):
     )
 
 
-def test_06_heavy_set_fraction_exceeds_one_third(tmp_path):
+def test_06_heavy_set_exceeds_one_third(tmp_path):
     budget = ErrorBudget()
     rng = np.random.default_rng(20260106)
     results = []
@@ -191,11 +188,12 @@ def test_06_heavy_set_fraction_exceeds_one_third(tmp_path):
             "dir": parse_ensemble_spec(f"dir:{subdir}"),
         }
         for kind, ens in ensembles.items():
-            frac = heavy_set_fraction(ens, budget)  # raises if not above the bound
-            results.append((kind, n, frac))
-    identity_frac = heavy_set_fraction(Ensemble(2, (Circuit(3),)), budget)
+            report = verify_chain(ens, SamplerModel.exact(), budget)
+            results.append((kind, n, report.heavy_fraction, report.heavy_pass))
+    identity = verify_chain(Ensemble(2, (Circuit(3),)), SamplerModel.exact(), budget)
+    identity_frac = identity.heavy_fraction
     lowest = min(r[2] for r in results)
-    ok = all(r[2] > 1 / 3 for r in results) and identity_frac == 0.5
+    ok = all(r[2] > 1 / 3 and r[3] for r in results) and identity_frac == 0.5 and identity.heavy_pass
     _verdict(
         "06 heavy-set fraction stays above 1/3 at the default budget",
         ok,
@@ -215,14 +213,15 @@ def test_07_markov_outliers_within_delta():
         random_iqp_ensemble(4, 50, 12, seed=20260107),
         random_htcx_ensemble(3, 50, 20, seed=20260108),
     )
-    worst = 0.0
+    worst, passed = 0.0, True
     for ens in ensembles:
         for sampler in samplers:
-            frac = markov_outlier_fraction(ens, sampler, budget)  # raises above delta
-            worst = max(worst, frac)
+            report = verify_chain(ens, sampler, budget)
+            worst = max(worst, report.markov_fraction)
+            passed = passed and report.markov_pass
     _verdict(
         "07 Markov outlier fraction stays within delta for budgeted samplers",
-        worst <= budget.delta,
+        passed and worst <= budget.delta,
         f"2 ensembles x 3 samplers with TV <= 1/36, worst fraction = {worst:.4f} "
         f"(bound delta = {budget.delta:.4f})",
     )

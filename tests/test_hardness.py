@@ -17,17 +17,13 @@ from dqc1sim.ensembles import (
     random_poly,
 )
 from dqc1sim.hardness import (
-    BoundViolationError,
-    ChainReport,
     Ensemble,
     ErrorBudget,
     SamplerModel,
     approximate_count,
     build_postselection_pair,
     build_worst_case_embedding,
-    heavy_set_fraction,
     make_noisy_distribution,
-    markov_outlier_fraction,
     success_fraction_bound,
     total_variation_distance,
     verify_chain,
@@ -428,63 +424,61 @@ class TestSuccessBound:
 class TestMarkovStep:
     def test_exact_sampler_no_outliers(self):
         ens = random_iqp_ensemble(3, 10, 12, seed=5)
-        assert markov_outlier_fraction(ens, SamplerModel.exact(), ErrorBudget()) == 0.0
+        report = verify_chain(ens, SamplerModel.exact(), ErrorBudget())
+        assert (report.markov_fraction, report.markov_pass) == (0.0, True)
 
     def test_budgeted_samplers_stay_under_delta(self):
         ens = random_htcx_ensemble(3, 10, 25, seed=6)
         budget = ErrorBudget()
         for m in (SamplerModel.mixture(1 / 72), SamplerModel.mass_shift(1 / 36)):
-            frac = markov_outlier_fraction(ens, m, budget)
-            assert frac <= budget.delta
+            report = verify_chain(ens, m, budget)
+            assert report.markov_pass and report.markov_fraction <= budget.delta
 
     def test_exact_sampler_at_zero_eps(self):
         # The threshold is 0 there; a pair with p_z = q_z is still no outlier.
         ens = random_iqp_ensemble(3, 5, 6, seed=1)
         budget = ErrorBudget(eps=0.0)
-        assert markov_outlier_fraction(ens, SamplerModel.exact(), budget) == 0.0
         report = verify_chain(ens, SamplerModel.exact(), budget)
         assert (report.markov_fraction, report.markov_pass, report.all_pass) == (0.0, True, True)
 
     def test_tv_budget_enforced(self):
         ens = identity_ensemble(2)
         with pytest.raises(ValueError, match="TV budget"):
-            markov_outlier_fraction(ens, SamplerModel.mixture(0.5), ErrorBudget())
+            verify_chain(ens, SamplerModel.mixture(0.5), ErrorBudget())
 
-    def test_violation_raises(self, monkeypatch):
+    def test_violation_clears_the_pass_flag(self, monkeypatch):
         # The bound is Markov's inequality, so real samplers cannot trip it;
-        # shrink the threshold to force the defensive path.
+        # shrink the threshold to force a failing report.
         ens = identity_ensemble(2)
         monkeypatch.setattr(hardness, "_markov_threshold", lambda n, budget: 1e-6)
-        with pytest.raises(BoundViolationError, match="Markov"):
-            markov_outlier_fraction(ens, SamplerModel.mass_shift(1 / 36), ErrorBudget())
         report = verify_chain(ens, SamplerModel.mass_shift(1 / 36), ErrorBudget())
         assert report.markov_fraction == 0.25 and not report.markov_pass
 
 
 class TestHeavySetStep:
     def test_identity_is_exactly_half(self):
-        assert heavy_set_fraction(identity_ensemble(2), ErrorBudget()) == 0.5
+        report = verify_chain(identity_ensemble(2), SamplerModel.exact(), ErrorBudget())
+        assert (report.heavy_fraction, report.heavy_pass) == (0.5, True)
 
     def test_random_ensembles_clear_the_bound(self):
         budget = ErrorBudget()
         for ens in (random_iqp_ensemble(4, 15, 20, seed=7), random_htcx_ensemble(3, 15, 30, seed=8)):
-            assert heavy_set_fraction(ens, budget) > 1 / 3
+            report = verify_chain(ens, SamplerModel.exact(), budget)
+            assert report.heavy_pass and report.heavy_fraction > 1 / 3
 
-    def test_violation_raises(self, monkeypatch):
+    def test_violation_clears_the_pass_flag(self, monkeypatch):
         # Anti-concentration makes the bound unreachable for simulator
-        # output; feed a concentrated fake to exercise the defensive path.
+        # output; feed a concentrated fake to force a failing report.
         fake = Distribution(1, np.array([1.0, 0.0, 0.0, 0.0]))
         monkeypatch.setattr(hardness, "dqc1_distribution", lambda c: fake)
-        with pytest.raises(BoundViolationError, match="heavy"):
-            heavy_set_fraction(identity_ensemble(1), ErrorBudget())
         report = verify_chain(identity_ensemble(1), SamplerModel.exact(), ErrorBudget())
         assert report.heavy_fraction == 0.25 and not report.heavy_pass
 
     def test_threads_match(self):
         ens = random_iqp_ensemble(3, 8, 15, seed=9)
-        a = heavy_set_fraction(ens, ErrorBudget(), threads=1)
-        b = heavy_set_fraction(ens, ErrorBudget(), threads=4)
-        assert a == b
+        a = verify_chain(ens, SamplerModel.exact(), ErrorBudget(), threads=1)
+        b = verify_chain(ens, SamplerModel.exact(), ErrorBudget(), threads=4)
+        assert (a.heavy_fraction, a.heavy_pass) == (b.heavy_fraction, b.heavy_pass)
 
 
 class TestVerifyChain:
@@ -534,29 +528,15 @@ class TestVerifyChain:
             raise AssertionError("threads must be checked before any circuit runs")
 
         monkeypatch.setattr(hardness, "dqc1_distribution", forbidden)
-        ens, budget = identity_ensemble(2), ErrorBudget()
         message = f"^{re.escape(f'threads must be an integer >= 1, got {threads!r}')}$"
-        calls = [
-            lambda: verify_chain(ens, SamplerModel.exact(), budget, threads=threads),
-            lambda: markov_outlier_fraction(ens, SamplerModel.exact(), budget, threads=threads),
-            lambda: heavy_set_fraction(ens, budget, threads=threads),
-        ]
-        for call in calls:
-            with pytest.raises(ValueError, match=message):
-                call()
+        with pytest.raises(ValueError, match=message):
+            verify_chain(identity_ensemble(2), SamplerModel.exact(), ErrorBudget(), threads=threads)
 
     def test_n_above_the_cap_fails_before_any_circuit(self, monkeypatch):
         ran = []
         monkeypatch.setattr(hardness, "dqc1_distribution", lambda u: ran.append(u))
-        ens, budget = Ensemble(15, (Circuit(16),)), ErrorBudget()
-        calls = [
-            lambda: verify_chain(ens, SamplerModel.exact(), budget),
-            lambda: markov_outlier_fraction(ens, SamplerModel.exact(), budget),
-            lambda: heavy_set_fraction(ens, budget),
-        ]
-        for call in calls:
-            with pytest.raises(ValueError, match=r"^n=15 mixed qubits exceeds the chain's cap of 14$"):
-                call()
+        with pytest.raises(ValueError, match=r"^n=15 mixed qubits exceeds the chain's cap of 14$"):
+            verify_chain(Ensemble(15, (Circuit(16),)), SamplerModel.exact(), ErrorBudget())
         assert ran == []
 
     def test_tv_violation_names_circuit(self):
@@ -568,16 +548,6 @@ class TestVerifyChain:
         a = verify_chain(ens, SamplerModel.mass_shift(1 / 72), ErrorBudget(), seed=4, threads=1)
         b = verify_chain(ens, SamplerModel.mass_shift(1 / 72), ErrorBudget(), seed=4, threads=4)
         assert a == b
-
-    @pytest.mark.parametrize("spec", ["random:iqp:3:6:10:5", "random:htcx:3:6:20:6"])
-    def test_step_functions_match_the_report(self, spec):
-        # All three read one pass of the pair counts with seed 0.
-        ens, budget = parse_ensemble_spec(spec), ErrorBudget(eps=1 / 48, delta=1 / 6, eta=0.0)
-        sampler = SamplerModel.mass_shift(1 / 60)
-        report = verify_chain(ens, sampler, budget)
-        assert markov_outlier_fraction(ens, sampler, budget) == report.markov_fraction
-        assert heavy_set_fraction(ens, budget) == report.heavy_fraction
-        assert report.markov_pass and report.heavy_pass
 
     def test_report_dict_keys_in_order(self):
         report = verify_chain(identity_ensemble(2), SamplerModel.exact(), ErrorBudget(), seed=7)

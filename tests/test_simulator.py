@@ -795,6 +795,19 @@ class TestDqc1Distribution:
             assert abs(d.probs.sum() - 1.0) < 1e-9
             assert d.probs.max() <= 2.0 ** (-n) + 1e-12
 
+    def test_complement_rows_are_never_negative(self):
+        # Unclamped, 8 complement rows of this U2 round to -3.47e-18.
+        _, u2 = build_postselection_pair(random_circuit(6, 40, np.random.default_rng(41), GATE_KINDS))
+        d = dqc1_distribution(u2)
+        assert d.probs.min() >= 0.0
+        assert np.abs(d.probs - density_matrix_dqc1(u2).probs).max() <= 1e-12
+
+    def test_postselection_pairs_have_no_negative_entry(self):
+        for s in range(200):
+            v = random_circuit(3 + s % 6, 60, np.random.default_rng(10_000 + s), GATE_KINDS)
+            _, u2 = build_postselection_pair(v)
+            assert dqc1_distribution(u2).probs.min() >= 0.0, s
+
     def test_threads_give_identical_bytes(self):
         u = random_circuit(6, 40, np.random.default_rng(5))
         d1 = dqc1_distribution(u, threads=1)

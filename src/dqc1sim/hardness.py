@@ -8,8 +8,9 @@ The chain being checked, per circuit ensemble and noise model:
     outliers (Markov's inequality): the fraction of pairs (z, U) with
     |p_z - q_z| >= eps / (2**(n+1) * delta), not counting p_z = q_z, is at
     most delta.
-3.  The heavy set, pairs with eps / (2**(n+1) * delta) <= p_z / 3, always
-    holds more than (1 - 3 eps/delta) / (2 - 3 eps/delta) of all pairs.
+3.  The heavy set, pairs with eps / (2**(n+1) * delta) <= p_z / 3 and
+    p_z > 0, always holds more than (1 - 3 eps/delta) / (2 - 3 eps/delta)
+    of all pairs (at eps = 0, at least half of them).
 4.  Feeding the sampler's q_z through a relative-error counter therefore
     estimates 2**n p_z within a factor of 1/2 on more than
     F = 1 - delta - 1/(2 - 3 eps/delta) of the pairs.
@@ -31,7 +32,6 @@ from .simulator import (
     DEFAULT_MAX_MIXED_QUBITS,
     Distribution,
     _nonnegative_int,
-    _parallel_map,
     _thread_count,
     dqc1_distribution,
 )
@@ -322,14 +322,15 @@ def _pair_counts(
 ) -> tuple[int, int, int]:
     """Markov-outlier, heavy and counter-success pairs (z, U) over the ensemble.
 
-    One pass per circuit, at most ``threads`` circuits at a time: p_z from
-    the exact simulator, q_z from the sampler model (which must honor the
-    TV budget), and q~_z from the eta-relative counter on stream
-    (seed, i) for circuit i, so counts do not depend on scheduling.  A
-    pair succeeds when |q~_z * 2**n - f| < f/2 with f = p_z * 2**n; pairs
-    with f = 0 succeed only if q~_z = 0.  ``threads`` must be an integer
-    >= 1, and n at most the simulator's default cap: the chain takes no
-    ``max_n``, so a larger n fails here before any circuit runs.
+    One pass per circuit, in order: p_z from the exact simulator, which
+    splits each circuit's column chunks over up to ``threads`` worker
+    threads, q_z from the sampler model (which must honor the TV budget),
+    and q~_z from the eta-relative counter on stream (seed, i) for circuit
+    i, so counts do not depend on ``threads``.  A pair succeeds when
+    |q~_z * 2**n - f| < f/2 with f = p_z * 2**n; pairs with f = 0 succeed
+    only if q~_z = 0.  ``threads`` must be an integer >= 1, and n at most
+    the simulator's default cap: the chain takes no ``max_n``, so a larger
+    n fails here before any circuit runs.
     """
     threads = _thread_count(threads)
     n = ens.n
@@ -339,7 +340,7 @@ def _pair_counts(
     thr = _markov_threshold(n, budget)
 
     def per_circuit(i: int) -> tuple[int, int, int]:
-        p = dqc1_distribution(ens.circuits[i])
+        p = dqc1_distribution(ens.circuits[i], threads=threads)
         q = make_noisy_distribution(p, sampler)
         tv = total_variation_distance(p, q)
         if tv > budget.eps + 1e-12:
@@ -354,14 +355,15 @@ def _pair_counts(
         zero = p.probs == 0.0
         good = np.where(zero, q_tilde == 0.0, np.abs(estimate - f) < f / 2.0)
 
-        # A pair with p_z = q_z is never an outlier, also at eps = 0 where
-        # the threshold is 0: the limit of Markov's inequality as t -> 0+.
+        # At eps = 0 the threshold is 0, and both steps take the limit
+        # t -> 0+: a pair with p_z = q_z is never an outlier, and a pair
+        # with p_z = 0 is never heavy.
         diff = np.abs(p.probs - q.probs)
         markov = int(np.count_nonzero((diff >= thr) & (diff > 0.0)))
-        heavy = int(np.count_nonzero(thr <= p.probs / 3.0))
+        heavy = int(np.count_nonzero((thr <= p.probs / 3.0) & (p.probs > 0.0)))
         return markov, heavy, int(np.count_nonzero(good))
 
-    counts = _parallel_map(per_circuit, range(len(ens)), threads)
+    counts = map(per_circuit, range(len(ens)))
     return tuple(map(sum, zip(*counts)))
 
 
@@ -425,7 +427,10 @@ def verify_chain(
 
     Bounds are recorded, not raised: the report carries observed fraction,
     threshold, and pass flag for the Markov, heavy-set, and success steps.
-    ``seed`` must be an integer >= 0.
+    At eps = 0 the heavy bound is 1/2, which a circuit whose every nonzero
+    p_z sits at the ceiling 2**-n meets exactly; the step then passes at
+    equality, the limit t -> 0+ of the strict bound.  ``seed`` must be an
+    integer >= 0.
     """
     seed = _nonnegative_int(seed, "seed")
     if not budget.eta < 1.0 / 6.0:
@@ -438,6 +443,9 @@ def verify_chain(
     success_fraction = success / pairs
     heavy_bound = _heavy_bound(budget)
     success_bound = success_fraction_bound(budget)
+    heavy_pass = heavy_fraction > heavy_bound or (
+        budget.eps == 0.0 and heavy_fraction == heavy_bound
+    )
     return ChainReport(
         n=ens.n,
         ensemble_size=len(ens),
@@ -449,7 +457,7 @@ def verify_chain(
         markov_pass=markov_fraction <= budget.delta,
         heavy_fraction=heavy_fraction,
         heavy_bound=heavy_bound,
-        heavy_pass=heavy_fraction > heavy_bound,
+        heavy_pass=heavy_pass,
         success_fraction=success_fraction,
         success_bound=success_bound,
         success_pass=success_bound <= 0.0 or success_fraction > success_bound,

@@ -105,6 +105,13 @@ _RESCALE = 2.0 ** -(_RESCALE_EVERY // 2)
 # Entries per batch chunk (16 MiB of complex128 per buffer): large enough
 # to amortize per-step dispatch.  Output bytes do not depend on it.
 _CHUNK_ENTRIES = 1 << 20
+# Fewest entries in a chunk that dqc1_distribution halves chunks down to
+# for more threads.  On a 2-core Xeon, with random 60-gate H, T and CX
+# circuits, two threads ran a plan of 2**17 entries as two chunks in 5.9
+# ms against 10.3 ms as one chunk on one thread; at 2**16 entries the two
+# chunks tied (6.8 against 7.0 ms), and at 2**15 they lost (4.1-4.4
+# against 3.6 ms).
+_MIN_CHUNK_ENTRIES = 1 << 15
 
 
 def bits_to_index(zbits, width: int) -> int:
@@ -984,11 +991,27 @@ def _program(body, rows_of: list[int]):
     return tuple(steps), src, n_h
 
 
-def _compile(u: Circuit, chunk_entries: int, *, split: bool = True) -> _Plan:
+def _chunk_list(slot_levels: np.ndarray, cols: int) -> tuple:
+    """(first column, columns, level) of each chunk, at most ``cols`` columns (a power of two) each."""
+    chunks = []
+    c0 = 0
+    for k, same in groupby(slot_levels.tolist()):
+        total = len(list(same)) << k
+        level = min(k, cols.bit_length() - 1)
+        chunks.extend((c0 + c, min(cols, total - c), level) for c in range(0, total, cols))
+        c0 += total
+    return tuple(chunks)
+
+
+def _compile(u: Circuit, chunk_entries: int, *, split: bool = True, threads: int = 1) -> _Plan:
     """Plan for chunks of at most ``chunk_entries`` entries.
 
-    Only the chunk columns depend on ``chunk_entries``.  ``split=False``
-    takes B empty: the full plan over all 2**n columns.
+    Only the chunk columns depend on ``chunk_entries`` and ``threads``.
+    With ``threads`` > 1 the chunks are halved until there are ``threads``
+    of them or a half would hold fewer than _MIN_CHUNK_ENTRIES entries, so
+    a plan of at least twice that many entries runs in two chunks or more
+    and a one-column plan stays one chunk.  ``split=False`` takes B empty:
+    the full plan over all 2**n columns.
     """
     width = u.width
     gates = u.gates
@@ -1041,13 +1064,11 @@ def _compile(u: Circuit, chunk_entries: int, *, split: bool = True) -> _Plan:
         vals = vals[by_col]
 
     cols = max(1, min(chunk_entries >> nr, int(sizes[0]) if len(sizes) else 1))
-    chunks = []
-    c0 = 0
-    for k, same in groupby(slot_levels.tolist()):
-        total = len(list(same)) << k
-        level = min(k, cols.bit_length() - 1)
-        chunks.extend((c0 + c, min(cols, total - c), level) for c in range(0, total, cols))
-        c0 += total
+    chunks = _chunk_list(slot_levels, cols)
+    # Halve the chunks for more threads while each keeps _MIN_CHUNK_ENTRIES.
+    while len(chunks) < threads and (cols >> 1) << nr >= _MIN_CHUNK_ENTRIES:
+        cols >>= 1
+        chunks = _chunk_list(slot_levels, cols)
 
     steps, final_rows, n_h = _program(body, r_qubits)
     rows = np.arange(1 << width)
@@ -1061,7 +1082,7 @@ def _compile(u: Circuit, chunk_entries: int, *, split: bool = True) -> _Plan:
         start_cols=e_col[by_col],
         start_vals=vals,
         cols=cols,
-        chunks=tuple(chunks),
+        chunks=chunks,
         slot_sizes=tuple(sizes.tolist()),
         out_slot=slot_of[out_blk],
         out_row=_pack(rows, r_qubits, width),
@@ -1155,9 +1176,13 @@ def dqc1_distribution(
     inputs |0 x>.  The circuit is compiled once into a plan of fused steps
     that runs only the columns the untouched qubits leave undetermined (at
     most 2**n, one for a worst-case embedding; see the plan section), in
-    fixed column chunks.  Each row is summed over columns by an
-    adjacent-pair tree, so output bits depend on neither ``threads`` nor
-    the chunk size.
+    column chunks on up to ``threads`` worker threads.  With ``threads`` >
+    1 the chunks are halved, down to _MIN_CHUNK_ENTRIES entries each,
+    until there is one per thread, so a plan of at least twice that many
+    entries runs in two chunks or more; a plan of one chunk, such as the
+    one column of a worst-case embedding, runs on the calling thread.
+    Each row is summed over columns by an adjacent-pair tree, so output
+    bits depend on neither ``threads`` nor the chunk size.
 
     Rows summed from their own inputs (direct sides) have the bytes of the
     full plan over all 2**n columns.  Rows found from the complement,
@@ -1182,7 +1207,7 @@ def dqc1_distribution(
     if n > max_n:
         msg = f"n={n} mixed qubits exceeds the cap of {max_n} (up to 2**n columns); raise max_n to override"
         raise ValueError(msg)
-    plan = _compile(u, _CHUNK_ENTRIES)
+    plan = _compile(u, _CHUNK_ENTRIES, threads=threads)
     rows = len(plan.final_rows)
     local = threading.local()  # two chunk buffers per worker thread
 

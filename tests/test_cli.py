@@ -173,9 +173,14 @@ class TestAnticoncentration:
         assert float(lines["heavy_bound"]) == pytest.approx(1 / 3, abs=1e-12)
         assert lines["pass"] == "true"
 
+    def test_zero_eps_counts_only_nonzero_pairs(self, capsys):
+        # 4 of the 80 pairs have p_z = 0, which the heavy step does not count.
+        got = run_main(capsys, "anticoncentration", "--ensemble", "random:iqp:3:5:6:1", "--eps", "0")
+        assert got == (0, "heavy_fraction=0.95\nheavy_bound=0.5\npass=true\n")
+
     def test_fail_maps_to_exit_2(self, capsys, monkeypatch):
         point_mass = Distribution(2, np.eye(8)[0])
-        monkeypatch.setattr(hardness, "dqc1_distribution", lambda c: point_mass)
+        monkeypatch.setattr(hardness, "dqc1_distribution", lambda c, **_: point_mass)
         code, out = run_main(capsys, "anticoncentration", "--ensemble", "random:iqp:2:2:4:0")
         assert code == 2
         assert "pass=false" in out
@@ -558,6 +563,36 @@ def _split_circuit(case: str) -> Circuit:
     lead = random_circuit(10, 16, rng, ("X", "CX", "MCX", "T")).gates
     body = Circuit(8, (h(0),) + random_circuit(8, 60, rng, GATE_KINDS).gates)
     return Circuit(10, lead + shift_qubits(body, 2, 10).gates)
+
+
+def _dist_n12_circuit(seed: int) -> Circuit:
+    """The shape of the dist-n12 benchmark: 12 random gates of each of ten kinds on 13 qubits."""
+    rng = np.random.default_rng(seed)
+    kinds = ("H", "X", "Z", "S", "T", "RZ", "CZ", "CCZ", "CX", "MCX")
+    gates = [g for kind in kinds for g in random_circuit(13, 12, rng, (kind,)).gates]
+    return Circuit(13, tuple(gates[i] for i in rng.permutation(len(gates))))
+
+
+class TestChunkLists:
+    """The plan chunks that one thread runs, as they were before --threads split chunks."""
+
+    @pytest.mark.parametrize(
+        ("case", "chunks"),
+        [("embedding", ((0, 1, 0),)),
+         ("pair", ((0, 32, 5),)),
+         ("spread", ((0, 256, 8), (256, 128, 7), (384, 64, 5)))],
+    )
+    def test_split_circuits(self, case, chunks):
+        u = _split_circuit(case)
+        assert simulator._compile(u, simulator._CHUNK_ENTRIES, threads=1).chunks == chunks
+
+    @pytest.mark.parametrize(("seed", "columns"), [(1, 2048), (3, 4096)])
+    def test_dist_n12_circuits(self, seed, columns):
+        # 2**13 rows of 128 columns fill a chunk, and two threads keep those chunks.
+        u = _dist_n12_circuit(seed)
+        chunks = tuple((c, 128, 7) for c in range(0, columns, 128))
+        for threads in (1, 2):
+            assert simulator._compile(u, simulator._CHUNK_ENTRIES, threads=threads).chunks == chunks
 
 
 class TestPinnedBytes:

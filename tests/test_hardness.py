@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dqc1sim.hardness as hardness
+import dqc1sim.simulator as simulator
 from dqc1sim.circuits import Circuit, PolyF2, compile_iqp_from_poly, h, save_circuit, x
 from dqc1sim.ensembles import (
     load_ensemble_dir,
@@ -466,11 +467,25 @@ class TestHeavySetStep:
             report = verify_chain(ens, SamplerModel.exact(), budget)
             assert report.heavy_pass and report.heavy_fraction > 1 / 3
 
+    def test_zero_eps_counts_only_nonzero_pairs(self):
+        # The threshold is 0 there; a pair with p_z = 0 is not heavy, the
+        # limit t -> 0+ that the Markov step takes too.
+        ens = random_iqp_ensemble(3, 5, 6, seed=1)
+        nonzero = sum(np.count_nonzero(dqc1_distribution(u).probs) for u in ens.circuits)
+        report = verify_chain(ens, SamplerModel.exact(), ErrorBudget(eps=0.0))
+        assert nonzero == 76
+        assert (report.heavy_fraction, report.heavy_pass) == (76 / 80, True)
+
+    def test_zero_eps_passes_at_exactly_half(self):
+        # Every nonzero p_z of the identity sits at the ceiling 2**-n.
+        report = verify_chain(identity_ensemble(2), SamplerModel.exact(), ErrorBudget(eps=0.0))
+        assert (report.heavy_fraction, report.heavy_bound, report.heavy_pass) == (0.5, 0.5, True)
+
     def test_violation_clears_the_pass_flag(self, monkeypatch):
         # Anti-concentration makes the bound unreachable for simulator
         # output; feed a concentrated fake to force a failing report.
         fake = Distribution(1, np.array([1.0, 0.0, 0.0, 0.0]))
-        monkeypatch.setattr(hardness, "dqc1_distribution", lambda c: fake)
+        monkeypatch.setattr(hardness, "dqc1_distribution", lambda c, **_: fake)
         report = verify_chain(identity_ensemble(1), SamplerModel.exact(), ErrorBudget())
         assert report.heavy_fraction == 0.25 and not report.heavy_pass
 
@@ -479,6 +494,36 @@ class TestHeavySetStep:
         a = verify_chain(ens, SamplerModel.exact(), ErrorBudget(), threads=1)
         b = verify_chain(ens, SamplerModel.exact(), ErrorBudget(), threads=4)
         assert (a.heavy_fraction, a.heavy_pass) == (b.heavy_fraction, b.heavy_pass)
+
+
+class TestChainThreads:
+    def test_embeddings_start_no_thread_pool(self, monkeypatch):
+        # Circuits run in order, and each worst-case embedding is a
+        # one-column plan: one chunk, run on the calling thread.
+        ens = parse_ensemble_spec("random:iqp:8:10:24:5")
+        want = verify_chain(ens, SamplerModel.mass_shift(1 / 72), ErrorBudget())
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-chunk plan started a thread pool")
+
+        monkeypatch.setattr(simulator, "ThreadPoolExecutor", no_pool)
+        got = verify_chain(ens, SamplerModel.mass_shift(1 / 72), ErrorBudget(), threads=2)
+        assert got == want
+
+    def test_large_plans_split_their_chunks(self, monkeypatch):
+        ens = parse_ensemble_spec("random:htcx:9:3:60:3")
+        want = verify_chain(ens, SamplerModel.mass_shift(1 / 36), ErrorBudget(), seed=4)
+        threads = []
+        real = simulator._parallel_map
+
+        def spy(fn, items, workers):
+            threads.append((workers, len(items)))
+            return real(fn, items, workers)
+
+        monkeypatch.setattr(simulator, "_parallel_map", spy)
+        got = verify_chain(ens, SamplerModel.mass_shift(1 / 36), ErrorBudget(), seed=4, threads=2)
+        assert got == want
+        assert threads == [(2, 2)] * 3
 
 
 class TestVerifyChain:

@@ -28,7 +28,7 @@ from dqc1sim.circuits import (
     x,
     z,
 )
-from dqc1sim.ensembles import random_circuit, random_poly
+from dqc1sim.ensembles import parse_ensemble_spec, random_circuit, random_poly
 from dqc1sim.hardness import build_postselection_pair, build_worst_case_embedding
 from dqc1sim.oracles import circuit_unitary, density_matrix_dqc1, gap
 from dqc1sim.simulator import (
@@ -1207,6 +1207,62 @@ class TestUntouchedQubits:
         want = np.zeros(32)
         want[:16] = 1 / 16
         assert np.array_equal(dqc1_distribution(u).probs, want)
+
+
+class TestThreadChunks:
+    """More threads halve a plan's chunks down to _MIN_CHUNK_ENTRIES; the bytes stay."""
+
+    def test_htcx_circuit_splits_for_two_threads(self, monkeypatch):
+        u = parse_ensemble_spec("random:htcx:9:1:60:3").circuits[0]
+        want = dqc1_distribution(u).probs
+        chunks = []
+        real = sim._run_plan
+
+        def spy(plan, chunk, bufs):
+            chunks.append(chunk)
+            return real(plan, chunk, bufs)
+
+        monkeypatch.setattr(sim, "_run_plan", spy)
+        assert np.array_equal(dqc1_distribution(u, threads=2).probs, want)
+        assert len(chunks) >= 2
+
+    @pytest.mark.parametrize("side", ["below", "at", "above"])
+    def test_bytes_around_twice_the_floor(self, monkeypatch, side):
+        # The floor is set per plan so that the plan's entries lie just
+        # below, at or above twice it.
+        runs = set()  # (threads, chunks)
+        halved = False
+        for u in _reduced_cases():
+            one = sim._compile(u, sim._CHUNK_ENTRIES)
+            rows = len(one.final_rows)
+            entries = rows * sum(one.slot_sizes)
+            if entries < 4:
+                continue
+            floor = {"below": entries // 2 + 1, "at": entries // 2, "above": entries // 4}[side]
+            monkeypatch.setattr(sim, "_MIN_CHUNK_ENTRIES", floor)
+            want = dqc1_distribution(u).probs
+            for threads in (2, 3, 4):
+                plan = sim._compile(u, sim._CHUNK_ENTRIES, threads=threads)
+                if side == "below" or one.cols == 1:
+                    assert plan.chunks == one.chunks, (u, threads)
+                else:
+                    # Halved only while a chunk keeps the floor, and until
+                    # there is one per thread.
+                    assert len(plan.chunks) >= 2, (u, threads)
+                    assert plan.cols == one.cols or plan.cols * rows >= floor, (u, threads)
+                    assert len(plan.chunks) >= threads or (plan.cols >> 1) * rows < floor
+                runs.add((threads, len(plan.chunks)))
+                halved |= plan.cols < one.cols
+                got = dqc1_distribution(u, threads=threads).probs
+                assert np.array_equal(got, want), (u, side, threads)
+        assert (3, 3) in runs  # three threads on a count of chunks that is no power of two
+        assert halved == (side != "below")
+
+    def test_one_column_plans_stay_one_chunk(self, monkeypatch):
+        monkeypatch.setattr(sim, "_MIN_CHUNK_ENTRIES", 1)
+        poly = random_poly(10, 30, np.random.default_rng(3))
+        u = build_worst_case_embedding(compile_iqp_from_poly(poly))
+        assert sim._compile(u, sim._CHUNK_ENTRIES, threads=4).chunks == ((0, 1, 0),)
 
 
 class TestDistributionType:

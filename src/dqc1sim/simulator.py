@@ -266,8 +266,10 @@ class Distribution:
 # which commutes with them, is still applied at once.  A run of two or
 # more gates is summed, one block of the live view at a time, into a uint8
 # count of eighth turns (``_EIGHTHS``) and applied as
-# ``v *= _EIGHTH_TURN[count]``: one sweep in all.  A run of one gate is
-# applied directly.  An H on a live qubit is one butterfly on the state.
+# ``v *= _EIGHTH_TURN[count]``: one sweep in all.  Every add to a count
+# walks whole rows of 2**_ROW_BITS contiguous entries: a gate's bits on
+# the row axes become a one-row pattern.  A run of one gate is applied
+# directly.  An H on a live qubit is one butterfly on the state.
 #
 # Every H, activation included, is an unnormalised butterfly, and the pass
 # counts them.  Before each gate, once _RESCALE_EVERY of them are not undone
@@ -330,6 +332,12 @@ class Distribution:
 
 # Largest temporary of a single-column kernel, in entries (256 KiB).
 _TEMP_ENTRIES = 1 << 14
+# Axes in one row of a diagonal-run count block.  On a 2-core Xeon the
+# runs of the three seeded fvalue-w23 inputs took 44 ms together, best of
+# 9, at 8 bits; 41 ms at 10 and 12, 57 ms at 6, 79 ms at 4 and 126 ms at
+# 2, where each add walks runs of a few bytes.  A gate's row pattern
+# takes 2**_ROW_BITS bytes, so the smallest size at the flat bottom wins.
+_ROW_BITS = 8
 # How a live qubit's axis is indexed; a settled qubit's axis is indexed by 0.
 _LIVE = slice(None)
 
@@ -425,13 +433,19 @@ def _ufunc_buffer(entries: int):
 def _diagonal_run(full: np.ndarray, index: list, run: list) -> None:
     """Apply the pending diagonal run [(fixed, eighths)], if any, to the live view and clear it.
 
-    A run of two or more gates is counted one block of the live view at a
-    time: a gate adds its eighth turns where its bits on the block's own
-    axes match, in the blocks whose index matches its bits on the leading
-    axes.  Gates on the block's axes alone make up the count every block
-    starts from.  That start and the count of a block are uint8 arrays that
-    together hold as many bytes as a complex temporary of _TEMP_ENTRIES
-    entries.  A float64 state reads the real table ``_EIGHTH_TURN_REAL``.
+    A run of two or more gates is counted in uint8 eighth turns one block
+    of the live view at a time; the leading axes pick the block.  The
+    block's count is rows of 2**_ROW_BITS contiguous entries, on its lowest
+    axes.  A gate adds to the rows its middle bits select: a scalar, or
+    the one-row pattern of its bits on the row axes, built once per run.
+    Gates with no bits on the leading axes make up the count every block
+    starts from; the others are added in the blocks whose number matches.
+    That start and the count of a block are uint8 arrays that together
+    hold as many bytes as a complex temporary of _TEMP_ENTRIES entries.
+    The count is applied as ``v *= turn[count]`` through one temporary of
+    _TEMP_ENTRIES entries; a float64 state reads the real table
+    ``_EIGHTH_TURN_REAL``.  Counts wrap mod 256 in any order, so the
+    bytes do not depend on the layout.
     """
     turn = _EIGHTH_TURN_REAL if full.dtype == np.float64 else _EIGHTH_TURN
     if len(run) <= 1:
@@ -444,7 +458,10 @@ def _diagonal_run(full: np.ndarray, index: list, run: list) -> None:
     lead = _lead_axes(live, 8 * _TEMP_ENTRIES)
     axis = {q: a for a, q in enumerate(q for q, i in enumerate(index) if i is _LIVE)}
     start = np.zeros(live.shape[lead:], dtype=np.uint8)
-    outer = []  # (mask, value) on the block number, selection in the block, eighths
+    low = min(_ROW_BITS, start.ndim)
+    row_shape = start.shape[: start.ndim - low] + (1 << low,)
+    start_rows = start.reshape(row_shape)
+    outer = []  # (mask, value) on the block number, rows in the block, eighths per row entry
     for fixed, e in run:
         mask = value = 0
         sel = [_LIVE] * start.ndim
@@ -455,18 +472,27 @@ def _diagonal_run(full: np.ndarray, index: list, run: list) -> None:
                 value |= bit << (lead - 1 - a)
             else:
                 sel[a - lead] = bit
+        eighths = np.uint8(e)
+        if any(s is not _LIVE for s in sel[-low:]):
+            pattern = np.zeros((2,) * low, dtype=np.uint8)
+            pattern[tuple(sel[-low:])] = e
+            eighths = pattern.reshape(-1)
+        rows = tuple(sel[:-low])
         if mask:
-            outer.append((mask, value, tuple(sel), e))
+            outer.append((mask, value, rows, eighths))
         else:
-            start[tuple(sel)] += e
+            start_rows[rows] += eighths
     count = np.empty_like(start)
+    count_rows = count.reshape(row_shape)
+    tmp = np.empty(start.shape[_lead_axes(start, _TEMP_ENTRIES):], dtype=full.dtype)
     for b, i in enumerate(np.ndindex(live.shape[:lead])):
         np.copyto(count, start)
-        for mask, value, sel, e in outer:
+        for mask, value, rows, eighths in outer:
             if b & mask == value:
-                count[sel] += e
+                count_rows[rows] += eighths
         for v, c in zip(_blocks(live[i + (...,)]), _blocks(count)):
-            v *= turn[c]
+            np.take(turn, c, out=tmp, mode="clip")  # 256 entries: a uint8 never clips
+            v *= tmp
     run.clear()
 
 

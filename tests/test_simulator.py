@@ -528,19 +528,125 @@ class TestSingleColumnPass:
         )
         _assert_single_column_memory(c)
 
-    @pytest.mark.parametrize("kinds", [_DIAGONAL_KINDS, ("Z", "CZ", "CCZ")])
-    def test_run_kernels_stay_within_temporaries(self, kinds):
-        # A 60-gate diagonal run between full H layers: one byte of count per
-        # live amplitude, and blocks of at most _TEMP_ENTRIES entries.  With
-        # real kinds alone f_value runs in float64, within half the bytes.
-        w = 18
+    @pytest.mark.parametrize(
+        ("w", "kinds", "edges"),
+        [
+            pytest.param(18, _DIAGONAL_KINDS, (), id="all-kinds"),
+            pytest.param(18, ("Z", "CZ", "CCZ"), (), id="real-kinds"),
+            # At width 20 the live view has leading axes that pick the count
+            # block; these gates also hit the lowest stored bits, so the run
+            # builds row patterns, and both at once.
+            pytest.param(
+                20,
+                _DIAGONAL_KINDS,
+                (ccz(0, 9, 19), cz(1, 18), ccz(2, 18, 19), t(19), s(0), cz(0, 1), tdg(18), z(10)),
+                id="width-20-edges",
+            ),
+        ],
+    )
+    def test_run_kernels_stay_within_temporaries(self, w, kinds, edges):
+        # A diagonal run of ``edges`` and 60 seeded gates between full H
+        # layers: a uint8 count per block, and blocks of at most
+        # _TEMP_ENTRIES entries.  With real kinds alone f_value runs in
+        # float64, within half the bytes.
         rng = np.random.default_rng(18)
         layer = tuple(h(q) for q in range(w))
-        run = tuple(
+        run = edges + tuple(
             Gate(k, tuple(int(q) for q in rng.choice(w, _ARITY.get(k, 1), replace=False)))
             for k in rng.choice(kinds, size=60)
         )
         _assert_single_column_memory(Circuit(w, layer + run + layer + (x(w - 1),) + layer))
+
+
+def _reference_run(live: np.ndarray, axes: dict[int, int], run: list) -> np.ndarray:
+    """The live view after ``run``, flat, from one count over the whole view.
+
+    One mask and compare per gate over every live index, then one table
+    multiply: no blocks, rows or patterns.
+    """
+    n = live.ndim
+    idx = np.arange(1 << n, dtype=np.uint32)
+    count = np.zeros(1 << n, dtype=np.uint8)
+    for fixed, e in run:
+        mask = value = 0
+        for q, bit in fixed.items():
+            mask |= 1 << (n - 1 - axes[q])
+            value |= bit << (n - 1 - axes[q])
+        count[(idx & mask) == value] += e
+    turn = sim._EIGHTH_TURN_REAL if live.dtype == np.float64 else sim._EIGHTH_TURN
+    v = np.array(live).reshape(-1)
+    v *= turn[count]
+    return v
+
+
+def _random_run(live: list[int], kinds, size: int, rng: np.random.Generator) -> list:
+    """``size`` run entries [(fixed, eighths)] of ``kinds`` on the ``live`` qubits.
+
+    Each target's stored bit is drawn: 1, or 0 as for a flipped qubit.
+    """
+    run = []
+    for k in rng.choice(kinds, size=size):
+        qs = rng.choice(live, min(_ARITY.get(str(k), 1), len(live)), replace=False)
+        run.append(({int(q): int(rng.integers(2)) for q in qs}, sim._EIGHTHS[str(k)]))
+    return run
+
+
+def _assert_run_bits(w: int, settled: dict[int, int], run: list, dtype, rng) -> None:
+    """``_diagonal_run`` matches ``_reference_run`` bit for bit on a random state.
+
+    Qubits in ``settled`` are indexed at their stored bit; the entries
+    outside the live view keep their bits.
+    """
+    buf = rng.standard_normal(1 << w)
+    if dtype == np.complex128:
+        buf = buf + 1j * rng.standard_normal(1 << w)
+    full = buf.reshape((2,) * w)
+    index = [settled.get(q, sim._LIVE) for q in range(w)]
+    axes = {q: a for a, q in enumerate(q for q in range(w) if q not in settled)}
+    want = _reference_run(sim._part(full, index, {}), axes, run)
+    outside = np.ones(full.shape, dtype=bool)
+    outside[tuple(index)] = False
+    before = full[outside]
+    pending = list(run)
+    sim._diagonal_run(full, index, pending)
+    assert pending == []
+    got = np.array(sim._part(full, index, {})).reshape(-1)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(full[outside].view(np.uint64), before.view(np.uint64))
+
+
+class TestDiagonalRun:
+    """The blocked, row-patterned run kernel against a whole-view count, bit for bit."""
+
+    @pytest.mark.parametrize("row_bits", [2, sim._ROW_BITS])
+    @pytest.mark.parametrize("temp_entries", _RUN_TEMP_SIZES)
+    @pytest.mark.parametrize(
+        ("dtype", "kinds"), [(np.float64, ("Z", "CZ", "CCZ")), (np.complex128, _DIAGONAL_KINDS)]
+    )
+    def test_matches_whole_view_count(self, monkeypatch, row_bits, temp_entries, dtype, kinds):
+        # Enough live qubits for two leading axes above each count block, so
+        # gates fall on the leading, middle and row axes and straddle them.
+        monkeypatch.setattr(sim, "_TEMP_ENTRIES", temp_entries)
+        monkeypatch.setattr(sim, "_ROW_BITS", row_bits)
+        rng = np.random.default_rng(temp_entries + row_bits)
+        top = (8 * temp_entries).bit_length() + 1
+        for n_live in (1, 2, 3, top // 2, top):
+            w = n_live + 2
+            settled = {int(q): int(rng.integers(2)) for q in rng.choice(w, 2, replace=False)}
+            live = [q for q in range(w) if q not in settled]
+            straddle = ({live[0]: 1, live[len(live) // 2]: 0, live[-1]: 1}, 4)
+            for size in (1, 2, 40):
+                run = _random_run(live, kinds, size, rng)
+                _assert_run_bits(w, settled, run, dtype, rng)
+                _assert_run_bits(w, settled, run + [straddle], dtype, rng)
+
+    def test_fvalue_w23_shape(self):
+        # 66 cubic and quadratic terms on 22 live qubits in float64, as the
+        # run of a width-23 worst-case embedding: qubit 0 stays settled.
+        rng = np.random.default_rng(23)
+        terms = [rng.choice(np.arange(1, 23), int(rng.integers(2, 4)), replace=False) for _ in range(66)]
+        run = [({int(q): 1 for q in term}, 4) for term in terms]
+        _assert_run_bits(23, {0: 0}, run, np.float64, rng)
 
 
 def _assert_real_f_values(monkeypatch, parts: list[Circuit], rng: np.random.Generator) -> None:

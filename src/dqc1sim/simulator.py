@@ -20,7 +20,11 @@ Two paths apply gates, with one gate arithmetic:
   so gates on unmixed qubits cost little or nothing.  One run kernel
   applies a run of diagonal gates as one multiply by a table of eighth
   turns, with no more than a block of temporary memory; an H on a live
-  qubit is one butterfly on the state.
+  qubit is one butterfly on the state.  The copies that the first H on
+  each qubit makes wait for the first step that needs the data, and when
+  that step is a diagonal run, the run writes its table entries straight
+  into the state: the leading H layer of a worst-case embedding sweeps
+  nothing of its own.
   ``amplitude_zero`` and ``f_value`` pass a read-out, the logical bits they
   read: the circuit's trailing X, CX and MCX gates fold into it, and the
   last H gates on read qubits compute only the half that is read, so the
@@ -252,8 +256,23 @@ class Distribution:
 #   makes q live by copying its stored-0 half, negated if q is flipped, into
 #   its stored-1 half: the unnormalised butterfly of a half that is zero.  A
 #   CX/MCX with a control on a live qubit makes its target live with no
-#   write at all.  A pass from a basis state starts with every qubit
-#   settled, so a leading H layer costs about one sweep in all.
+#   write at all.
+# * ``deferred``: the qubits whose first H has not made its copy yet.  A
+#   pass from a basis state starts with every qubit settled and the start
+#   entry alone.  While every live qubit is deferred and no diagonal run
+#   is pending, the live view is that entry copied, so an H on a settled,
+#   unflipped qubit only marks it live and counts its butterfly.  The
+#   first step that needs the data ends the deferral.  A diagonal run of
+#   two or more gates writes ``turn[count]`` straight into the live view,
+#   times the start entry where that is not exact (always in complex128:
+#   (1+0j) * (-1j) has a real part of +0.0), so the copies and the
+#   multiply become one write.  Every other step (a run of one gate, RZ,
+#   an H or CX/MCX that moves data, the end of the pass) first makes the
+#   copies, in gate order (``_activate``).  An H on a flipped settled
+#   qubit copies at once: its negated copy cannot fold into the count,
+#   since _EIGHTH_TURN[e + 4] is not -_EIGHTH_TURN[e] bit for bit (entry
+#   7 against entry 3 in the last bit, and the sign of a zero imaginary
+#   part at entries 0 and 4).
 #
 # A diagonal gate on settled qubits becomes a scalar ``phase`` or a gate on
 # fewer qubits, and a control on a settled qubit either always fires or
@@ -266,10 +285,11 @@ class Distribution:
 # which commutes with them, is still applied at once.  A run of two or
 # more gates is summed, one block of the live view at a time, into a uint8
 # count of eighth turns (``_EIGHTHS``) and applied as
-# ``v *= _EIGHTH_TURN[count]``: one sweep in all.  Every add to a count
-# walks whole rows of 2**_ROW_BITS contiguous entries: a gate's bits on
-# the row axes become a one-row pattern.  A run of one gate is applied
-# directly.  An H on a live qubit is one butterfly on the state.
+# ``v *= _EIGHTH_TURN[count]``: one sweep in all, or one write where the
+# run ends a deferral.  Every add to a count walks whole rows of
+# 2**_ROW_BITS contiguous entries: a gate's bits on the row axes become a
+# one-row pattern.  A run of one gate is applied directly.  An H on a live
+# qubit is one butterfly on the state.
 #
 # Every H, activation included, is an unnormalised butterfly, and the pass
 # counts them.  Before each gate, once _RESCALE_EVERY of them are not undone
@@ -430,7 +450,27 @@ def _ufunc_buffer(entries: int):
         np.setbufsize(old)
 
 
-def _diagonal_run(full: np.ndarray, index: list, run: list) -> None:
+def _activate(full: np.ndarray, index: list, qubits: list, flipped: int) -> None:
+    """Make ``qubits`` live in order, each by the copy its first H makes, and clear the list.
+
+    The copy puts the stored-0 half, negated if ``flipped``, into the
+    stored-1 half, which is zero: the unnormalised butterfly of the two.
+    A deferred qubit is live in ``index`` already; it is settled again
+    first, so each copy reads the view its H saw.
+    """
+    for q in qubits:
+        index[q] = 0
+    for q in qubits:
+        lo, hi = _part(full, index, {q: 0}), _part(full, index, {q: 1})
+        if flipped:
+            _negate(lo, hi)
+        else:
+            np.positive(lo, out=hi)
+        index[q] = _LIVE
+    qubits.clear()
+
+
+def _diagonal_run(full: np.ndarray, index: list, run: list, deferred: list) -> None:
     """Apply the pending diagonal run [(fixed, eighths)], if any, to the live view and clear it.
 
     A run of two or more gates is counted in uint8 eighth turns one block
@@ -446,9 +486,16 @@ def _diagonal_run(full: np.ndarray, index: list, run: list) -> None:
     _TEMP_ENTRIES entries; a float64 state reads the real table
     ``_EIGHTH_TURN_REAL``.  Counts wrap mod 256 in any order, so the
     bytes do not depend on the layout.
+
+    ``deferred`` lists the qubits whose activation copies are not done yet
+    (see the single-pass section); the run ends that deferral and clears
+    the list.  A run of two or more gates then writes ``turn[count]``
+    straight into the live view, with no temporary, and a shorter one
+    does the copies first.
     """
     turn = _EIGHTH_TURN_REAL if full.dtype == np.float64 else _EIGHTH_TURN
     if len(run) <= 1:
+        _activate(full, index, deferred, 0)
         for fixed, e in run:
             blk = _part(full, index, fixed)
             blk *= turn[e]
@@ -484,15 +531,29 @@ def _diagonal_run(full: np.ndarray, index: list, run: list) -> None:
             start_rows[rows] += eighths
     count = np.empty_like(start)
     count_rows = count.reshape(row_shape)
-    tmp = np.empty(start.shape[_lead_axes(start, _TEMP_ENTRIES):], dtype=full.dtype)
+    if deferred:
+        # The live view is the start entry copied: turn[count] times it.
+        # 1.0 * x is x to the bit, but (1+0j) * x makes the -0.0 real part
+        # of -1j (entry 6) +0.0, so complex128 keeps the multiply.
+        one = live[(0,) * live.ndim]
+        scale = full.dtype != np.float64 or one != 1.0
+    else:
+        tmp = np.empty(start.shape[_lead_axes(start, _TEMP_ENTRIES):], dtype=full.dtype)
     for b, i in enumerate(np.ndindex(live.shape[:lead])):
         np.copyto(count, start)
         for mask, value, rows, eighths in outer:
             if b & mask == value:
                 count_rows[rows] += eighths
         for v, c in zip(_blocks(live[i + (...,)]), _blocks(count)):
-            np.take(turn, c, out=tmp, mode="clip")  # 256 entries: a uint8 never clips
-            v *= tmp
+            # 256 entries: a uint8 never clips.
+            if deferred:
+                np.take(turn, c, out=v, mode="clip")
+                if scale:
+                    v *= one
+            else:
+                np.take(turn, c, out=tmp, mode="clip")
+                v *= tmp
+    deferred.clear()
     run.clear()
 
 
@@ -583,20 +644,26 @@ def _single_pass(width: int, gates, start, read=None, dtype=np.complex128):
     phase = complex(1.0)
     pending = 0
     run: list = []  # the pending diagonal run on live qubits
+    deferred: list = []  # H targets whose activation copies are not done yet
     for g in gates:
+        # A deferral holds at most ``width`` H, far below _RESCALE_EVERY, so
+        # no rescale is due while one is open.
         pending = _rescaled(full, index, pending)
         kind = g.kind
         if kind == "H":
-            _diagonal_run(full, index, run)
             pending += 1
             q = g.targets[0]
-            lo, hi = _part(full, index, {q: 0}), _part(full, index, {q: 1})
-            if index[q] is _LIVE:
-                _butterfly(lo, hi, flip[q])
-            elif flip[q]:
-                _negate(lo, hi)
+            if (
+                index[q] is not _LIVE and not flip[q] and not run
+                and index.count(_LIVE) == len(deferred)
+            ):
+                deferred.append(q)  # the live view is still the start entry copied
             else:
-                np.positive(lo, out=hi)
+                _diagonal_run(full, index, run, deferred)
+                if index[q] is _LIVE:
+                    _butterfly(_part(full, index, {q: 0}), _part(full, index, {q: 1}), flip[q])
+                else:
+                    _activate(full, index, [q], flip[q])
             index[q] = _LIVE
             flip[q] = 0
         elif kind in _PERMUTATION_KINDS:
@@ -612,7 +679,7 @@ def _single_pass(width: int, gates, start, read=None, dtype=np.complex128):
                 if not fixed:
                     flip[t] ^= 1
                     continue
-                _diagonal_run(full, index, run)
+                _diagonal_run(full, index, run, deferred)
                 index[t] = _LIVE  # its stored-1 half is still zero
                 a = _part(full, index, {**fixed, t: 0})
                 b = _part(full, index, {**fixed, t: 1})
@@ -635,11 +702,12 @@ def _single_pass(width: int, gates, start, read=None, dtype=np.complex128):
                 if not fixed:
                     phase *= factor
                 elif kind == "RZ":
+                    _activate(full, index, deferred, 0)
                     blk = _part(full, index, fixed)
                     blk *= factor
                 else:
                     run.append((fixed, _EIGHTHS[kind]))
-    _diagonal_run(full, index, run)
+    _diagonal_run(full, index, run, deferred)
     for q, bit in (read or {}).items():
         index[q] = bit ^ flip[q]
     for q, bit in contractions:

@@ -1,5 +1,6 @@
 """State-vector kernels, the clean-qubit output distribution, and sampling."""
 
+import hashlib
 import math
 import re
 import tracemalloc
@@ -608,7 +609,7 @@ def _assert_run_bits(w: int, settled: dict[int, int], run: list, dtype, rng) -> 
     outside[tuple(index)] = False
     before = full[outside]
     pending = list(run)
-    sim._diagonal_run(full, index, pending)
+    sim._diagonal_run(full, index, pending, [])
     assert pending == []
     got = np.array(sim._part(full, index, {})).reshape(-1)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -862,8 +863,9 @@ class TestReadOut:
         assert sim._fold_tail(2, tail, 0, {0: 0}) == (tail, [], {0: 0})
 
     def test_embedding_never_sweeps_the_last_layer(self, monkeypatch):
-        # n = 14: qubit 0 is never mixed, the first H layer only copies, and
-        # the last layer keeps one half per H: under 2**(n+1) entries in all.
+        # n = 14: qubit 0 is never mixed, the first H layer waits for the
+        # run to write over it, and the last layer keeps one half per H:
+        # under 2**(n+1) entries in all.
         n = 14
         poly = random_poly(n, 3 * n, np.random.default_rng(14))
         u = build_worst_case_embedding(compile_iqp_from_poly(poly))
@@ -1433,3 +1435,179 @@ class TestSample:
     def test_numpy_integer_arguments(self):
         d = dqc1_distribution(Circuit(2, (h(0),)))
         assert sample(d, np.int64(5), np.int64(3)) == sample(d, 5, 3)
+
+
+# Ways out of the deferral of a leading H layer, as (name, real): a real
+# case has only real gates, so f_value runs it in float64.  RZ is never real.
+_DEFERRAL_CASES = [
+    (name, real)
+    for name in (
+        "run_of_one", "run_of_many", "rz_on_deferred", "h_on_deferred", "cx_deferred_control",
+        "x_on_deferred", "h_after_run", "flipped_settled_h", "pure_h_layer", "run_at_the_end",
+    )
+    for real in (True, False)
+    if not (real and name == "rz_on_deferred")
+]
+
+
+def _deferral_case(name: str, real: bool, w: int, rng: np.random.Generator) -> Circuit:
+    """H on all but two qubits, then the gates that end the deferral by ``name``, then a tail.
+
+    The diagonal gates fall mostly on the H targets; one on a settled qubit
+    is a phase or nothing.  The tail is 3w random gates, except after a
+    pure H layer and a run at the end.
+    """
+    diag_kinds = ("Z", "CZ", "CCZ") if real else _DIAGONAL_KINDS
+    qs = [int(q) for q in rng.permutation(w)]
+    lead, rest = qs[:-2], qs[-2:]
+
+    def diag(count: int) -> tuple:
+        gates = []
+        for kind in rng.choice(diag_kinds, size=count):
+            pool = lead if rng.random() < 0.8 else qs
+            qubits = rng.choice(pool, _ARITY.get(str(kind), 1), replace=False)
+            gates.append(Gate(str(kind), tuple(int(q) for q in qubits)))
+        return tuple(gates)
+
+    if name == "pure_h_layer":  # H on qubit 0 last: f_value's read-out contracts it
+        return Circuit(w, tuple(h(q) for q in qs if q) + (h(0),))
+    if name == "run_at_the_end":  # the pass's buffer holds the table entries the run wrote
+        return Circuit(w, tuple(h(q) for q in lead) + diag(12))
+    body = {
+        "run_of_one": lambda: diag(1) + (h(lead[0]),),
+        "run_of_many": lambda: diag(12) + (h(lead[0]),),
+        "rz_on_deferred": lambda: diag(3) + (rz(0.7, lead[1]),) + diag(3),
+        "h_on_deferred": lambda: (h(lead[0]),) + diag(4),
+        "cx_deferred_control": lambda: (
+            cx(lead[0], rest[0]), mcx(rest[1], (lead[1], lead[2]), (0, 1))
+        ) + diag(4),
+        "x_on_deferred": lambda: (x(lead[0]), x(lead[1])) + diag(8),
+        "h_after_run": lambda: diag(6) + (h(rest[0]),),
+        "flipped_settled_h": lambda: (x(rest[0]), h(rest[0])) + diag(6),
+    }[name]()
+    tail = random_circuit(w, 3 * w, rng, tuple(sorted(_REAL_GATES)) if real else GATE_KINDS).gates
+    return Circuit(w, tuple(h(q) for q in lead) + body + tail)
+
+
+def _deferral_starts(w: int, rng: np.random.Generator) -> tuple:
+    """Basis starts: zero, one flipped qubit, all flipped, and a drawn one."""
+    return (0, 1, (1 << w) - 1, int(rng.integers(1 << w)))
+
+
+def _deferral_outputs(c: Circuit, starts: tuple) -> list:
+    """What the single pass gives for ``c`` from each start, as bytes and hex strings.
+
+    f_value of the adjoint runs c's gates; amplitude_zero of c after the
+    start's X gates; apply_circuit from the basis state; and the pass's own
+    buffer, flips, phase and butterfly count from the basis index, in the
+    dtype f_value would use.
+    """
+    w = c.width
+    dtype = np.float64 if {g.kind for g in c.gates} <= _REAL_GATES else np.complex128
+    out = []
+    for z in starts:
+        flips = tuple(x(q) for q in range(w) if z >> (w - 1 - q) & 1)
+        a = amplitude_zero(Circuit(w, flips + c.gates))
+        full, flip, _, phase, pending = sim._single_pass(w, c.gates, z, dtype=dtype)
+        out += [
+            f_value(adjoint(c), z).hex(),
+            a.real.hex() + a.imag.hex(),
+            apply_circuit(StateVector.basis(w, z), c).amplitudes.tobytes(),
+            full.tobytes(),
+            repr((flip, phase.real.hex(), phase.imag.hex(), pending)).encode(),
+        ]
+    return out
+
+
+def _deferral_digest(monkeypatch, name: str, real: bool) -> str:
+    """sha256 of ``_deferral_outputs`` on the seeded case at widths 5, 8 and 11.
+
+    Each width runs at 16 temporary entries, so every kernel splits into
+    blocks, and at _TEMP_ENTRIES; complex norms sum in block order, so
+    their bits may differ between the two.
+    """
+    digest = hashlib.sha256()
+    for temp_entries in (16, sim._TEMP_ENTRIES):
+        monkeypatch.setattr(sim, "_TEMP_ENTRIES", temp_entries)
+        rng = np.random.default_rng(_DEFERRAL_CASES.index((name, real)) + 1900)
+        for w in (5, 8, 11):
+            c = _deferral_case(name, real, w, rng)
+            for item in _deferral_outputs(c, _deferral_starts(w, rng)):
+                digest.update(item.encode() if isinstance(item, str) else item)
+    return digest.hexdigest()
+
+
+# sha256 of _deferral_digest, computed before the copies were deferred.
+_DEFERRAL_DIGESTS = {
+    ('run_of_one', True): '5c7313856027ed49b71aab2b6b2b6a2c3f9d928161c8bb0fde49d3942041610d',
+    ('run_of_one', False): '02246e2ea34e22e5fc0795abe4acc9c07569777c008ce6ff7c0c11aea9402e95',
+    ('run_of_many', True): '0d0ba043327410066eba3a08a297c37a54c00f4f034bdbc3e65ac561929649f2',
+    ('run_of_many', False): '37b8060022b49f899baf1423ef4ab3cfdea5ec01748f58748f67400f71d7400c',
+    ('rz_on_deferred', False): 'b96af6dea68713e3002899216483beee4a798f7f522b2313eceff51c2e29d846',
+    ('h_on_deferred', True): '5b6b0536f0b77182b8eba18a4061723d09187cb029c14a676e55e585362b7c5e',
+    ('h_on_deferred', False): '0d6c18124c25e580599b54046d721668b8a25ca24864bbc09e0fceb4789afeae',
+    ('cx_deferred_control', True): '4bab0aefdc1050e9a080004fce992bfa1ce33f5d62eed693a3483826f48f62af',
+    ('cx_deferred_control', False): '468de1d2edc73264b665643c20691f1d4bdfe0d2f31161c844c1019880ca9ee8',
+    ('x_on_deferred', True): '13841735dd65940a01271a80dc7951cab27f403760a2dd42f4c92e0b39027990',
+    ('x_on_deferred', False): 'b6f7d77343e02925c0cfbeddc8380286b93af4cbc9959649bd79a92c33e7d3dc',
+    ('h_after_run', True): '410ee02d9cc50929d73d4a9657de474761cdd6014f6807a1a881af159f083b6a',
+    ('h_after_run', False): '33529597d728e65681d3606802988adc1f07e6c89e725f096e886c7b9408ce9a',
+    ('flipped_settled_h', True): 'c94752679ff6bdb52995baf01982799c65f42f37bddab8592a30e7935b898cb1',
+    ('flipped_settled_h', False): '275ccd1e97e670f68b5c126b9ca44ec3d337bc6bae0da95717eccbeadde6a919',
+    ('pure_h_layer', True): '006f0561a94ba00766265ff7825c71f09a3de1437da73a47998778b4dc902f25',
+    ('pure_h_layer', False): '88cd71810276027b0d61605961bd4a80670da1ae69dd03ff81f5b7d7bec47fd6',
+    ('run_at_the_end', True): 'f83de00e705a81c90a111d43fd8a0c0af7d2c187a724e6c9f52c756f20161907',
+    ('run_at_the_end', False): 'a971093868904ca6598a7f2dbf26d4a32295be5b09e626e4208b4705008068f7',
+}
+
+
+class TestDeferredActivation:
+    """The leading H layer's copies wait for the first step that needs the data."""
+
+    @pytest.mark.parametrize(("name", "real"), _DEFERRAL_CASES)
+    def test_pinned_bytes(self, monkeypatch, name, real):
+        assert _deferral_digest(monkeypatch, name, real) == _DEFERRAL_DIGESTS[name, real]
+
+    @pytest.mark.parametrize(("name", "real"), _DEFERRAL_CASES)
+    def test_against_oracle(self, name, real):
+        rng = np.random.default_rng(_DEFERRAL_CASES.index((name, real)) + 1950)
+        for w in (5, 7, 8):
+            c = _deferral_case(name, real, w, rng)
+            u = circuit_unitary(c)
+            for z in _deferral_starts(w, rng):
+                flips = tuple(x(q) for q in range(w) if z >> (w - 1 - q) & 1)
+                assert abs(amplitude_zero(Circuit(w, flips + c.gates)) - u[0, z]) <= 1e-12, (w, z)
+                want_f = np.sum(np.abs(u[: 1 << (w - 1), z]) ** 2)
+                assert abs(f_value(adjoint(c), z) - want_f) <= 1e-12, (w, z)
+                out = apply_circuit(StateVector.basis(w, z), c).amplitudes
+                assert np.abs(out - u[:, z]).max() <= 1e-12, (w, z)
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_iqp_embeddings_are_exact(self, n):
+        # The fused write of the first run: f = (gap/2**n)**2 in float64,
+        # and the complex amplitude gap/2**n, to the bit.
+        poly = random_poly(n, 3 * n, np.random.default_rng(n))
+        c = compile_iqp_from_poly(poly)
+        assert f_value(build_worst_case_embedding(c), 0) == (gap(poly) / 2**n) ** 2
+        assert amplitude_zero(c) == gap(poly) / 2**n
+
+    def test_embedding_copies_no_leading_qubit(self, monkeypatch):
+        # From z = 0 every H of the leading layer is deferred and the run
+        # writes over the copies; with every variable flipped, each H is
+        # on a flipped qubit and copies.
+        n = 14
+        poly = random_poly(n, 3 * n, np.random.default_rng(14))
+        u = build_worst_case_embedding(compile_iqp_from_poly(poly))
+        copied = []
+        real = sim._activate
+
+        def spy(full, index, qubits, flipped):
+            copied.extend(qubits)
+            return real(full, index, qubits, flipped)
+
+        monkeypatch.setattr(sim, "_activate", spy)
+        assert f_value(u, 0) == (gap(poly) / 2**n) ** 2
+        assert amplitude_zero(compile_iqp_from_poly(poly)) == gap(poly) / 2**n
+        assert copied == []
+        f_value(u, (1 << n) - 1)
+        assert sorted(copied) == list(range(1, n + 1))

@@ -856,13 +856,35 @@ def f_value(u: Circuit, zbits) -> float:
 # complement side puts its columns in order of a, or, when a direct side
 # with the same D-value runs exactly its A-values with unit phases (the
 # two sides of a worst-case embedding), uses that side's sums.
+#
+# A chunk runs only on its block, the rows its start entries can reach:
+# the plan's version of the single pass's settled qubits.  The block is
+# the set of stored rows whose bits outside a mask ``live`` equal
+# ``fixed``, kept packed in row order at the front of the chunk buffer.
+# It starts as the smallest such set that holds the chunk's start rows.
+# An ``h`` on a live bit is the butterfly on the packed view; an ``h`` on
+# a settled bit doubles the block to (x, x), or to (x, -x) when its fixed
+# bit is 1, the unnormalised butterfly of (x, 0) or (0, x).  A gather
+# writes the smallest block that holds every row whose source lies in
+# the block, and its other rows read an exact zero.  So every nonzero
+# amplitude gets the operations of a sweep over every row, in the same
+# order, and every row the block leaves out is an exact zero, whose
+# square adds +0 to its sums: output bytes do not depend on the block.
+# Once the block holds every row it costs no bookkeeping, and a chunk
+# with no start entries runs no step.
+#
+# Each level of a chunk's trees, the first one re**2 + im**2, adds the
+# adjacent pairs of one contiguous array into the next, whose entries
+# stay in row and column order.  One add thus runs over the whole block,
+# however few columns a sum has.
 
-# The ufunc buffer of a plan run.  In a chunk of 2**20 entries at n = 12
-# (2**13 rows of 128 columns) a butterfly on stored bits 0-3 takes
-# 2.8-3.1 ms at numpy's default of 8192 entries and 1.3-1.6 ms at 512,
-# against 1.3 ms on a high bit either way; at n = 14 (32 columns) bit 0
-# takes 3.2 ms and 2.2 ms.  A buffer of 16 entries slows the other steps:
-# n = 14 ran about 9% slower than at 512.
+# The ufunc buffer of a plan run.  On a 2-core Xeon, in a chunk of 2**20
+# entries at n = 12 (2**13 rows of 128 columns, its block holding every
+# row) a butterfly on stored bits 0-3 takes 4.3-5.4 ms at numpy's default
+# of 8192 entries and 1.9-2.4 ms at 512, against 1.7-1.9 ms on a high bit
+# either way; at n = 14 (32 columns) bit 0 takes 5.2-5.8 ms and 3.1-4.0
+# ms.  A buffer of 16 entries slows the other steps: n = 14 chunks ran
+# 30.5-33.6 ms against 27.5-29.4 ms at 512.
 _PLAN_BUFFER = 512
 
 
@@ -1184,6 +1206,16 @@ def _compile(u: Circuit, chunk_entries: int, *, split: bool = True, threads: int
     )
 
 
+def _block_rows(dim: int, live: int, fixed: int) -> np.ndarray:
+    """The stored rows of the block (live, fixed) in order: those r < dim with r & ~live == fixed."""
+    return np.flatnonzero((np.arange(dim) & ~live) == fixed)
+
+
+def _compress(rows: np.ndarray, live: int, nbits: int) -> np.ndarray:
+    """The bits of nbits-bit ``rows`` on the set bits of ``live``, in order: their places in the block."""
+    return _pack(rows, [q for q in range(nbits) if live >> (nbits - 1 - q) & 1], nbits)
+
+
 def _run_plan(plan: _Plan, chunk: tuple, bufs) -> np.ndarray:
     """Sums of |amplitude|**2 over each group of 2**level columns of a chunk, per stored row.
 
@@ -1191,43 +1223,102 @@ def _run_plan(plan: _Plan, chunk: tuple, bufs) -> np.ndarray:
     buffers of at least rows * columns entries.  Columns are summed by an
     adjacent-pair tree, so each sum is a subtree of the tree over its slot,
     whatever the chunk width.
+
+    The steps run on the chunk's block of rows (see the plan section):
+    the stored rows r with ``r & ~live == fixed``, packed in order, and
+    the rows outside it come back as exact zeros.
     """
     c0, cols, level = chunk
     dim = len(plan.final_rows)
-    amps, spare = (buf[: dim * cols].reshape(dim, cols) for buf in bufs)
+    nbits = dim.bit_length() - 1
     a, b = np.searchsorted(plan.start_cols, (c0, c0 + cols))
+    if a == b:
+        return np.zeros((dim, cols >> level))
+    start = plan.start_rows[a:b]
+    live = int(np.bitwise_or.reduce(start ^ start[0]))
+    fixed = int(start[0]) & ~live
+    size = 1 << live.bit_count()
+    buf, spare = bufs
+    amps = buf[: size * cols].reshape(size, cols)
     amps.fill(0.0)
     vals = 1.0 if plan.start_vals is None else plan.start_vals[a:b]
-    amps[plan.start_rows[a:b], plan.start_cols[a:b] - c0] = vals
+    amps[_compress(start, live, nbits), plan.start_cols[a:b] - c0] = vals
     with _ufunc_buffer(_PLAN_BUFFER):
         for step in plan.steps:
             if step[0] == "h":
                 bit = step[1]
-                # Float views: halves on stored bit 0 are runs of 2 * cols
-                # floats; as runs of cols complex entries they took 2.4 ms
-                # against 1.6 ms at n = 12, even under the small buffer.
-                view = amps.view(np.float64).reshape(dim >> (bit + 1), 2, (2 * cols) << bit)
-                _butterfly(view[:, 0], view[:, 1], 0)
+                low = (live & ((1 << bit) - 1)).bit_count()  # the bit's place in the block
+                # Float views: halves on the block's bit 0 are runs of
+                # 2 * cols floats; as runs of cols complex entries they took
+                # 2.4 ms against 1.6 ms at n = 12, even under the small buffer.
+                flat = amps.view(np.float64)
+                if live >> bit & 1:
+                    view = flat.reshape(size >> (low + 1), 2, (2 * cols) << low)
+                    _butterfly(view[:, 0], view[:, 1], 0)
+                    continue
+                # A settled bit doubles the block: the butterfly of (x, 0) is
+                # (x, x) and that of (0, x) is (x, -x).  Above every live bit
+                # x already lies in the first half, so only the second is written.
+                x = flat.reshape(size >> low, (2 * cols) << low)
+                top = size >> low == 1
+                grown = (buf if top else spare)[: 2 * size * cols].view(np.float64)
+                grown = grown.reshape(size >> low, 2, (2 * cols) << low)
+                if not top:
+                    np.positive(x, out=grown[:, 0])
+                    buf, spare = spare, buf
+                if fixed >> bit & 1:
+                    _negate(x, grown[:, 1])
+                else:
+                    np.positive(x, out=grown[:, 1])
+                live |= 1 << bit
+                fixed &= ~live
+                size *= 2
+                amps = buf[: size * cols].reshape(size, cols)
             elif step[0] == "gather":
                 _, idx, phase = step
+                rows = slice(None)  # the block's rows, for the phase
                 if idx is not None:
-                    np.take(amps, idx, axis=0, out=spare, mode="clip")
-                    amps, spare = spare, amps
+                    block = amps
+                    if size < dim:
+                        # The new block is the smallest that holds every row
+                        # whose source lies in the block; the other rows read
+                        # the zero row just past it.
+                        inside = (idx & ~live) == fixed
+                        hit = np.flatnonzero(inside)
+                        reach = int(np.bitwise_or.reduce(hit ^ hit[0]))
+                        base = int(hit[0]) & ~reach
+                        rows = hit if len(hit) == 1 << reach.bit_count() else _block_rows(dim, reach, base)
+                        idx = _compress(idx[rows], live, nbits)
+                        idx[~inside[rows]] = size
+                        buf[size * cols : (size + 1) * cols] = 0.0
+                        block = buf[: (size + 1) * cols].reshape(size + 1, cols)
+                        live, fixed, size = reach, base, len(rows)
+                    np.take(block, idx, axis=0, out=spare[: size * cols].reshape(size, cols), mode="clip")
+                    buf, spare = spare, buf
+                    amps = buf[: size * cols].reshape(size, cols)
+                elif size < dim and phase is not None:
+                    rows = _block_rows(dim, live, fixed)
                 if phase is not None:
-                    amps *= phase[:, None]
+                    amps *= phase[rows, None]
             else:
                 flat = amps.view(np.float64)
                 flat *= _RESCALE
-        flat = amps.view(np.float64)
-        src = spare.view(np.float64)
+        # re**2 + im**2, then the tree: every level adds the adjacent
+        # pairs of one contiguous array into the next.
+        flat = amps.view(np.float64).reshape(-1)
+        src, dst = spare[: size * cols].view(np.float64), flat
         np.multiply(flat, flat, out=src)
-        dst = flat
-        width = 2 * cols
-        while width > cols >> level:
-            width //= 2
-            np.add(src[:, 0 : 2 * width : 2], src[:, 1 : 2 * width : 2], out=dst[:, :width])
+        count = 2 * size * cols
+        while count > size * (cols >> level):
+            count //= 2
+            np.add(src[0 : 2 * count : 2], src[1 : 2 * count : 2], out=dst[:count])
             src, dst = dst, src
-        return src[:, :width].copy()
+        sums = src[:count].reshape(size, cols >> level)
+    if size == dim:
+        return sums.copy()
+    out = np.zeros((dim, cols >> level))
+    out[_block_rows(dim, live, fixed)] = sums
+    return out
 
 
 def _tree_sum(parts) -> np.ndarray:
@@ -1276,7 +1367,10 @@ def dqc1_distribution(
     entries runs in two chunks or more; a plan of one chunk, such as the
     one column of a worst-case embedding, runs on the calling thread.
     Each row is summed over columns by an adjacent-pair tree, so output
-    bits depend on neither ``threads`` nor the chunk size.
+    bits depend on neither ``threads`` nor the chunk size.  A chunk runs
+    its steps only on the rows its inputs can reach, a block that the H
+    gates on settled qubits and the gathers grow, and each level of its
+    trees is one add over a contiguous array; neither changes a byte.
 
     Rows summed from their own inputs (direct sides) have the bytes of the
     full plan over all 2**n columns.  Rows found from the complement,

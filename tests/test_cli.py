@@ -573,6 +573,10 @@ def _dist_n12_circuit(seed: int) -> Circuit:
     return Circuit(13, tuple(gates[i] for i in rng.permutation(len(gates))))
 
 
+class _Stop(Exception):
+    """Ends a plan run early."""
+
+
 class TestChunkLists:
     """The plan chunks that one thread runs, as they were before --threads split chunks."""
 
@@ -593,6 +597,24 @@ class TestChunkLists:
         chunks = tuple((c, 128, 7) for c in range(0, columns, 128))
         for threads in (1, 2):
             assert simulator._compile(u, simulator._CHUNK_ENTRIES, threads=threads).chunks == chunks
+
+    def test_first_butterfly_skips_unreached_rows(self, monkeypatch):
+        # A chunk's 128 columns start on few of its 2**13 rows, so its first
+        # butterflies run on a block of them, not on the whole chunk.
+        plan = simulator._compile(_dist_n12_circuit(1), simulator._CHUNK_ENTRIES)
+        entries = len(plan.final_rows) * plan.cols
+        bufs = [np.empty(entries, dtype=np.complex128) for _ in range(2)]
+        sizes = []
+
+        def spy(lo, hi, flipped):
+            sizes.append(lo.size + hi.size)
+            if len(sizes) == 2:
+                raise _Stop
+
+        monkeypatch.setattr(simulator, "_butterfly", spy)
+        with pytest.raises(_Stop):
+            simulator._run_plan(plan, plan.chunks[0], bufs)
+        assert max(sizes) <= entries // 4  # floats, of the chunk's 2 * entries
 
 
 class TestPinnedBytes:

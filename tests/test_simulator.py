@@ -1373,6 +1373,110 @@ class TestThreadChunks:
         assert sim._compile(u, sim._CHUNK_ENTRIES, threads=4).chunks == ((0, 1, 0),)
 
 
+_BLOCK_CASES = (
+    "h_on_settled_0",
+    "h_on_settled_1",
+    "x_moves_block",
+    "cx_onto_settled",
+    "mcx_onto_settled",
+    "sums_and_empty_chunks",
+    "embedding",
+    "pair_u2",
+)
+
+
+def _block_case(name: str) -> Circuit:
+    """A circuit whose plan chunks grow, move or split their blocks of reached rows.
+
+    In the first five, qubit 0 (the clean qubit, on the top stored bit)
+    starts settled at 0 in every input, or at 1 after a leading X, until
+    the named gates act on it.  ``sums_and_empty_chunks`` spreads the
+    inputs over sides of 32 and 8 columns: a full chunk holds four sums,
+    and small chunks hold no start entry.  The last two run complement
+    sides.
+    """
+    rng = np.random.default_rng(_BLOCK_CASES.index(name) + 2200)
+    tail = random_circuit(6, 40, rng, GATE_KINDS).gates
+    heads = {
+        "h_on_settled_0": (h(1), t(1), h(0)),
+        "h_on_settled_1": (x(0), h(1), h(0)),
+        "x_moves_block": (h(1), x(0), t(1), h(0)),
+        "cx_onto_settled": (h(1), cx(1, 0), t(0), h(2)),
+        "mcx_onto_settled": (h(1), h(2), mcx(0, (1, 2), (1, 0)), s(0), h(3)),
+    }
+    if name in heads:
+        return Circuit(6, heads[name] + tail)
+    if name == "sums_and_empty_chunks":
+        lead = (mcx(0, (4,)), mcx(1, (4, 3, 6)), mcx(2, (4, 6, 5)))
+        body = Circuit(4, tuple(h(q) for q in range(4)) + random_circuit(4, 30, rng, GATE_KINDS).gates)
+        return Circuit(7, lead + shift_qubits(body, 3, 7).gates)
+    v = Circuit(6, tail)
+    return build_worst_case_embedding(v) if name == "embedding" else build_postselection_pair(v)[1]
+
+
+# sha256 of dqc1_distribution(_block_case(name)).probs, computed with the
+# dense runner that swept every row of a chunk at every step.
+_BLOCK_DIGESTS = {
+    'h_on_settled_0': 'fe04e66a091807246bf1846c3d06e8ae40617757fe4f108ec2f65b3393c35e0c',
+    'h_on_settled_1': '25493ecc62734a68fad443881a595d122cb7a93ddf9d07e5ec2060baf84f03fd',
+    'x_moves_block': 'e8f0b94a01f08de509857d0ab7922edbf677aa2550815780883cee80c5960752',
+    'cx_onto_settled': '22f0506c722a43dd9681b4d40329323e0d556b83093bfc26575abb36276cc044',
+    'mcx_onto_settled': '4cdc09605e2288096419b9149648cad52c49a54e8104843436016291a2fe3fc6',
+    'sums_and_empty_chunks': 'c91348d38056c049f0ee3d72653bf9e8b0dded480de13f4c605fb2cfe29b839f',
+    'embedding': 'd445dbe29001bd650901dc2d3321bdf7adcd8026a5150b0aaa56e67b77d2e047',
+    'pair_u2': 'c2251f4ea6024a3b3c394c866fe5dc5a76489faaf7b2521fec3e0992356171a6',
+}
+
+
+class TestPlanBlocks:
+    """Each chunk runs on the rows its start entries reach; the bytes stay."""
+
+    @pytest.mark.parametrize("name", _BLOCK_CASES)
+    def test_pinned_bytes(self, monkeypatch, name):
+        u = _block_case(name)
+        want = _columns_reference(u)
+        for log_chunk in (20, 6, 3):
+            monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 1 << log_chunk)
+            for threads in (1, 2, 3):
+                probs = dqc1_distribution(u, threads=threads).probs
+                digest = hashlib.sha256(probs.tobytes()).hexdigest()
+                assert digest == _BLOCK_DIGESTS[name], (log_chunk, threads)
+        assert np.abs(probs - want).max() < 1e-13
+
+    def test_cases_reach_their_edges(self):
+        for name, bit in (("h_on_settled_0", 0), ("h_on_settled_1", 1), ("x_moves_block", 0),
+                          ("cx_onto_settled", 0), ("mcx_onto_settled", 0)):
+            plan = sim._compile(_block_case(name), 1 << 20)
+            top = len(plan.final_rows) >> 1
+            assert np.all(plan.start_rows & top == bit * top), name
+        u = _block_case("sums_and_empty_chunks")
+        plan = sim._compile(u, 1 << 20)
+        assert max(cols >> level for _, cols, level in plan.chunks) == 4
+        plan = sim._compile(u, 1 << 6)
+        starts = set(plan.start_cols.tolist())
+        assert any(starts.isdisjoint(range(c0, c0 + cols)) for c0, cols, _ in plan.chunks)
+        for name in ("embedding", "pair_u2"):
+            assert sim._compile(_block_case(name), 1 << 20).out_comp.any(), name
+
+    def test_unreached_rows_stay_out_of_the_steps(self, monkeypatch):
+        # A one-column chunk of an n = 8 embedding starts from one row: the
+        # leading H layer doubles it to all 256 rows, and only the butterflies
+        # after the phase layer run on every row.
+        poly = random_poly(8, 24, np.random.default_rng(5))
+        u = build_worst_case_embedding(compile_iqp_from_poly(poly))
+        sizes = []
+        butterfly = sim._butterfly
+
+        def spy(lo, hi, flipped):
+            sizes.append(lo.size + hi.size)
+            butterfly(lo, hi, flipped)
+
+        monkeypatch.setattr(sim, "_butterfly", spy)
+        probs = dqc1_distribution(u).probs
+        assert sizes == [2 * 256] * 8
+        assert np.array_equal(probs, _full_plan(u))
+
+
 class TestDistributionType:
     def test_validation(self):
         with pytest.raises(ValueError):

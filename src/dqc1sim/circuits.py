@@ -258,9 +258,6 @@ class Circuit:
                 msg = f"gate {i} ({g.kind}) uses qubit {bad} on a {width}-qubit circuit"
                 raise ValueError(msg)
 
-    def __len__(self) -> int:
-        return len(self.gates)
-
 
 def _checked_circuit(width: int, gates: tuple) -> Circuit:
     """The Circuit of fields that already passed Circuit's checks, without checking them again."""

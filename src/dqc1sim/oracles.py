@@ -142,9 +142,6 @@ def density_matrix_dqc1(u: Circuit) -> Distribution:
     explicit matrix product, and reads off the diagonal.
     """
     n = u.width - 1
-    if n < 0:
-        msg = "need at least the clean qubit"
-        raise ValueError(msg)
     if n > _MAX_N:
         msg = f"n={n} exceeds the density-matrix cap of {_MAX_N}"
         raise ValueError(msg)

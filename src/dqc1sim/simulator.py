@@ -118,24 +118,12 @@ _CHUNK_ENTRIES = 1 << 20
 _MIN_CHUNK_ENTRIES = 1 << 15
 
 
-def bits_to_index(zbits, width: int) -> int:
-    """Index of |z> for a bit string ('010') or bit sequence, qubit 0 first."""
-    if isinstance(zbits, str):
-        if len(zbits) != width or any(ch not in "01" for ch in zbits):
-            msg = f"need a {width}-bit string of 0/1, got {zbits!r}"
-            raise ValueError(msg)
-        return int(zbits, 2)
-    try:
-        bits = list(zbits)
-    except TypeError:
-        bits = None
-    if bits is None or len(bits) != width or not all(_is_int(b) and b in (0, 1) for b in bits):
-        msg = f"need {width} bits of 0/1, got {zbits!r}"
+def bits_to_index(zbits: str, width: int) -> int:
+    """Index of |z> for a bit string such as '010', qubit 0 first."""
+    if not isinstance(zbits, str) or len(zbits) != width or any(ch not in "01" for ch in zbits):
+        msg = f"need a {width}-bit string of 0/1, got {zbits!r}"
         raise ValueError(msg)
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | b
-    return idx
+    return int(zbits, 2)
 
 
 def _nonnegative_int(value, field: str) -> int:
@@ -166,7 +154,7 @@ def _index(index, width: int) -> int:
 
 
 def _basis_index(z, width: int) -> int:
-    """Index of the basis state z: an integer in [0, 2**width), or bits for bits_to_index."""
+    """Index of the basis state z: an integer in [0, 2**width) or a bit string."""
     return _index(z, width) if _is_int(z) else bits_to_index(z, width)
 
 
@@ -849,7 +837,11 @@ def f_value(u: Circuit, zbits) -> float:
 #
 # Columns are grouped into slots of a power-of-two width, one side of one
 # b per D-value, and each slot's rows are summed over its columns by an
-# adjacent-pair tree.  The full plan sums over x by such a tree in which
+# adjacent-pair tree.  A chunk is a whole slot or a power-of-two part of
+# one, so its sum is a subtree of its slot's tree, and the chunk sums of
+# a slot are added by the rest of that tree.  The trailing permutation of
+# the run qubits is composed into ``out_row``, the stored row each outcome
+# reads.  The full plan sums over x by such a tree in which
 # the inputs of other b's are exact zeros, so a direct side puts input x
 # at x with the bits at which no two of its inputs first differ deleted:
 # the tree keeps its shape and the rows keep the full plan's bytes.  A
@@ -873,10 +865,10 @@ def f_value(u: Circuit, zbits) -> float:
 # Once the block holds every row it costs no bookkeeping, and a chunk
 # with no start entries runs no step.
 #
-# Each level of a chunk's trees, the first one re**2 + im**2, adds the
+# Each level of a chunk's tree, the first one re**2 + im**2, adds the
 # adjacent pairs of one contiguous array into the next, whose entries
 # stay in row and column order.  One add thus runs over the whole block,
-# however few columns a sum has.
+# however few columns the chunk has.
 
 # The ufunc buffer of a plan run.  On a 2-core Xeon, in a chunk of 2**20
 # entries at n = 12 (2**13 rows of 128 columns, its block holding every
@@ -980,23 +972,23 @@ def _tree_positions(keys: np.ndarray, groups: np.ndarray, ngroups: int, nbits: i
     for m in set(mask.tolist()) - {0}:
         levels[mask == m] = bin(m).count("1")
         at = keep == m
-        pos[at] = _pack(keys[at], [q for q in range(nbits) if m >> (nbits - 1 - q) & 1], nbits)
+        pos[at] = _compress(keys[at], m, nbits)
     return pos, levels
 
 
 @dataclass(frozen=True)
 class _Plan:
     steps: tuple
-    final_rows: np.ndarray  # stored row of each logical row of the run qubits
+    rows: int  # stored rows of a chunk
     pending_h: int  # butterflies not undone by a scale step
     start_rows: np.ndarray  # stored row of each start entry, in column order
     start_cols: np.ndarray  # and its column
     start_vals: np.ndarray | None  # and its phase (None: all 1)
     cols: int  # columns of a full chunk
-    chunks: tuple  # (first column, columns, level): one sum per 2**level columns
+    chunks: tuple  # (first column, columns), each inside one slot
     slot_sizes: tuple  # columns of each slot, in column order
     out_slot: np.ndarray  # slot summed into outcome o (len(slot_sizes): none)
-    out_row: np.ndarray  # logical row of outcome o
+    out_row: np.ndarray  # stored row of outcome o
     out_comp: np.ndarray  # outcome o comes from a complement side
 
 
@@ -1108,21 +1100,20 @@ def _program(body, rows_of: list[int]):
 
 
 def _chunk_list(slot_levels: np.ndarray, cols: int) -> tuple:
-    """(first column, columns, level) of each chunk, at most ``cols`` columns (a power of two) each."""
+    """(first column, columns) of each chunk: each slot cut into chunks of min(cols, its width) columns."""
     chunks = []
     c0 = 0
-    for k, same in groupby(slot_levels.tolist()):
-        total = len(list(same)) << k
-        level = min(k, cols.bit_length() - 1)
-        chunks.extend((c0 + c, min(cols, total - c), level) for c in range(0, total, cols))
-        c0 += total
+    for k in slot_levels.tolist():
+        size = min(cols, 1 << k)
+        chunks.extend((c, size) for c in range(c0, c0 + (1 << k), size))
+        c0 += 1 << k
     return tuple(chunks)
 
 
-def _compile(u: Circuit, chunk_entries: int, *, split: bool = True, threads: int = 1) -> _Plan:
-    """Plan for chunks of at most ``chunk_entries`` entries.
+def _compile(u: Circuit, *, split: bool = True, threads: int = 1) -> _Plan:
+    """Plan for chunks of at most _CHUNK_ENTRIES entries, each inside one slot.
 
-    Only the chunk columns depend on ``chunk_entries`` and ``threads``.
+    Only the chunk columns depend on _CHUNK_ENTRIES and ``threads``.
     With ``threads`` > 1 the chunks are halved until there are ``threads``
     of them or a half would hold fewer than _MIN_CHUNK_ENTRIES entries, so
     a plan of at least twice that many entries runs in two chunks or more
@@ -1179,7 +1170,7 @@ def _compile(u: Circuit, chunk_entries: int, *, split: bool = True, threads: int
         vals[e_x < 0] = 1.0
         vals = vals[by_col]
 
-    cols = max(1, min(chunk_entries >> nr, int(sizes[0]) if len(sizes) else 1))
+    cols = max(1, min(_CHUNK_ENTRIES >> nr, int(sizes[0]) if len(sizes) else 1))
     chunks = _chunk_list(slot_levels, cols)
     # Halve the chunks for more threads while each keeps _MIN_CHUNK_ENTRIES.
     while len(chunks) < threads and (cols >> 1) << nr >= _MIN_CHUNK_ENTRIES:
@@ -1192,7 +1183,7 @@ def _compile(u: Circuit, chunk_entries: int, *, split: bool = True, threads: int
     out_blk = _pack(out, f_qubits + d_qubits, width)
     return _Plan(
         steps=steps,
-        final_rows=final_rows,
+        rows=len(final_rows),
         pending_h=n_h % _RESCALE_EVERY,
         start_rows=e_row[by_col],
         start_cols=e_col[by_col],
@@ -1201,7 +1192,7 @@ def _compile(u: Circuit, chunk_entries: int, *, split: bool = True, threads: int
         chunks=chunks,
         slot_sizes=tuple(sizes.tolist()),
         out_slot=slot_of[out_blk],
-        out_row=_pack(rows, r_qubits, width),
+        out_row=final_rows[_pack(rows, r_qubits, width)],
         out_comp=comp[out_blk],
     )
 
@@ -1217,23 +1208,23 @@ def _compress(rows: np.ndarray, live: int, nbits: int) -> np.ndarray:
 
 
 def _run_plan(plan: _Plan, chunk: tuple, bufs) -> np.ndarray:
-    """Sums of |amplitude|**2 over each group of 2**level columns of a chunk, per stored row.
+    """Sum of |amplitude|**2 over the columns of a chunk, per stored row.
 
-    ``chunk`` is (first column, columns, level) and ``bufs`` holds two
-    buffers of at least rows * columns entries.  Columns are summed by an
-    adjacent-pair tree, so each sum is a subtree of the tree over its slot,
-    whatever the chunk width.
+    ``chunk`` is (first column, columns) and ``bufs`` holds two buffers of
+    at least rows * columns entries.  Columns are summed by an
+    adjacent-pair tree, so the sum is a subtree of the tree over the
+    chunk's slot, whatever the chunk width.
 
     The steps run on the chunk's block of rows (see the plan section):
     the stored rows r with ``r & ~live == fixed``, packed in order, and
     the rows outside it come back as exact zeros.
     """
-    c0, cols, level = chunk
-    dim = len(plan.final_rows)
+    c0, cols = chunk
+    dim = plan.rows
     nbits = dim.bit_length() - 1
     a, b = np.searchsorted(plan.start_cols, (c0, c0 + cols))
     if a == b:
-        return np.zeros((dim, cols >> level))
+        return np.zeros(dim)
     start = plan.start_rows[a:b]
     live = int(np.bitwise_or.reduce(start ^ start[0]))
     fixed = int(start[0]) & ~live
@@ -1309,14 +1300,14 @@ def _run_plan(plan: _Plan, chunk: tuple, bufs) -> np.ndarray:
         src, dst = spare[: size * cols].view(np.float64), flat
         np.multiply(flat, flat, out=src)
         count = 2 * size * cols
-        while count > size * (cols >> level):
+        while count > size:
             count //= 2
             np.add(src[0 : 2 * count : 2], src[1 : 2 * count : 2], out=dst[:count])
             src, dst = dst, src
-        sums = src[:count].reshape(size, cols >> level)
+        sums = src[:size]
     if size == dim:
         return sums.copy()
-    out = np.zeros((dim, cols >> level))
+    out = np.zeros(dim)
     out[_block_rows(dim, live, fixed)] = sums
     return out
 
@@ -1366,11 +1357,12 @@ def dqc1_distribution(
     until there is one per thread, so a plan of at least twice that many
     entries runs in two chunks or more; a plan of one chunk, such as the
     one column of a worst-case embedding, runs on the calling thread.
-    Each row is summed over columns by an adjacent-pair tree, so output
-    bits depend on neither ``threads`` nor the chunk size.  A chunk runs
-    its steps only on the rows its inputs can reach, a block that the H
-    gates on settled qubits and the gathers grow, and each level of its
-    trees is one add over a contiguous array; neither changes a byte.
+    Each row is summed over columns by an adjacent-pair tree: a chunk lies
+    inside one slot and gives one sum per row, a subtree of its slot's, so
+    output bits depend on neither ``threads`` nor the chunk size.  A chunk
+    runs its steps only on the rows its inputs can reach, a block that the
+    H gates on settled qubits and the gathers grow, and each level of its
+    tree is one add over a contiguous array; neither changes a byte.
 
     Rows summed from their own inputs (direct sides) have the bytes of the
     full plan over all 2**n columns.  Rows found from the complement,
@@ -1389,25 +1381,21 @@ def dqc1_distribution(
     max_n = _nonnegative_int(max_n, "max_n")
     threads = _thread_count(threads)
     n = u.width - 1
-    if n < 0:
-        msg = "need at least the clean qubit"
-        raise ValueError(msg)
     if n > max_n:
         msg = f"n={n} mixed qubits exceeds the cap of {max_n} (up to 2**n columns); raise max_n to override"
         raise ValueError(msg)
-    plan = _compile(u, _CHUNK_ENTRIES, threads=threads)
-    rows = len(plan.final_rows)
+    plan = _compile(u, threads=threads)
     local = threading.local()  # two chunk buffers per worker thread
 
     def one_chunk(chunk: tuple) -> np.ndarray:
         if not hasattr(local, "bufs"):
-            local.bufs = [np.empty(rows * plan.cols, dtype=np.complex128) for _ in range(2)]
+            local.bufs = [np.empty(plan.rows * plan.cols, dtype=np.complex128) for _ in range(2)]
         return _run_plan(plan, chunk, local.bufs)
 
-    parts = (col for part in _parallel_map(one_chunk, plan.chunks, threads) for col in part.T)
-    sums = np.zeros((len(plan.slot_sizes) + 1, rows))  # the last row: no columns
+    parts = _parallel_map(one_chunk, plan.chunks, threads)
+    sums = np.zeros((len(plan.slot_sizes) + 1, plan.rows))  # the last row: no columns
     for i, size in enumerate(plan.slot_sizes):
-        sums[i] = _tree_sum(islice(parts, max(1, size // plan.cols)))[plan.final_rows]
+        sums[i] = _tree_sum(islice(parts, max(1, size // plan.cols)))
     next(parts, None)  # ends the worker pool
     probs = sums[plan.out_slot, plan.out_row]
     np.subtract(2.0**plan.pending_h, probs, out=probs, where=plan.out_comp)

@@ -582,27 +582,27 @@ class TestChunkLists:
 
     @pytest.mark.parametrize(
         ("case", "chunks"),
-        [("embedding", ((0, 1, 0),)),
-         ("pair", ((0, 32, 5),)),
-         ("spread", ((0, 256, 8), (256, 128, 7), (384, 64, 5)))],
+        [("embedding", ((0, 1),)),
+         ("pair", ((0, 32),)),
+         ("spread", ((0, 256), (256, 128), (384, 32), (416, 32)))],
     )
     def test_split_circuits(self, case, chunks):
         u = _split_circuit(case)
-        assert simulator._compile(u, simulator._CHUNK_ENTRIES, threads=1).chunks == chunks
+        assert simulator._compile(u, threads=1).chunks == chunks
 
     @pytest.mark.parametrize(("seed", "columns"), [(1, 2048), (3, 4096)])
     def test_dist_n12_circuits(self, seed, columns):
         # 2**13 rows of 128 columns fill a chunk, and two threads keep those chunks.
         u = _dist_n12_circuit(seed)
-        chunks = tuple((c, 128, 7) for c in range(0, columns, 128))
+        chunks = tuple((c, 128) for c in range(0, columns, 128))
         for threads in (1, 2):
-            assert simulator._compile(u, simulator._CHUNK_ENTRIES, threads=threads).chunks == chunks
+            assert simulator._compile(u, threads=threads).chunks == chunks
 
     def test_first_butterfly_skips_unreached_rows(self, monkeypatch):
         # A chunk's 128 columns start on few of its 2**13 rows, so its first
         # butterflies run on a block of them, not on the whole chunk.
-        plan = simulator._compile(_dist_n12_circuit(1), simulator._CHUNK_ENTRIES)
-        entries = len(plan.final_rows) * plan.cols
+        plan = simulator._compile(_dist_n12_circuit(1))
+        entries = plan.rows * plan.cols
         bufs = [np.empty(entries, dtype=np.complex128) for _ in range(2)]
         sizes = []
 

@@ -1,5 +1,6 @@
 """Worst-case embeddings, sampler models, and the anti-concentration chain."""
 
+import hashlib
 import re
 from fractions import Fraction
 
@@ -524,6 +525,21 @@ class TestChainThreads:
         got = verify_chain(ens, SamplerModel.mass_shift(1 / 36), ErrorBudget(), seed=4, threads=2)
         assert got == want
         assert threads == [(2, 2)] * 3
+
+
+class TestChainDistributions:
+    """The distributions under a chain, pinned where its report cannot see them."""
+
+    # sha256 of the 100 distributions of the ensemble, in circuit order.  Its
+    # verify-chain --json bytes equal those of other ensembles of this shape.
+    _DIGEST = "4ccaf1bc34b841d5f2debb68d5bb5a50216617d95b691bda0cc29fea2dbbeb0f"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_chain_iqp8_distributions(self, threads):
+        digest = hashlib.sha256()
+        for u in parse_ensemble_spec("random:iqp:8:100:24:1016164991").circuits:
+            digest.update(dqc1_distribution(u, threads=threads).probs.tobytes())
+        assert digest.hexdigest() == self._DIGEST
 
 
 class TestVerifyChain:

@@ -52,7 +52,6 @@ class TestIndexConvention:
         # '10' means qubit 0 = 1, qubit 1 = 0, i.e. basis index 2 on two qubits.
         assert bits_to_index("10", 2) == 2
         assert bits_to_index("01", 2) == 1
-        assert bits_to_index((1, 0, 1), 3) == 5
 
     def test_round_trip(self):
         for width in (1, 2, 5):
@@ -84,9 +83,9 @@ class TestIndexConvention:
 
     @pytest.mark.parametrize(
         ("z", "needle"),
-        [(True, "need 2 bits of 0/1, got True"), (-1, "index -1 out of range for width 2"),
-         (4, "index 4 out of range for width 2"), ((1, 2), "need 2 bits of 0/1"),
-         (2.0, "need 2 bits of 0/1, got 2.0")],
+        [(True, "need a 2-bit string of 0/1, got True"), (-1, "index -1 out of range for width 2"),
+         (4, "index 4 out of range for width 2"), ((1, 2), "need a 2-bit string of 0/1, got (1, 2)"),
+         (2.0, "need a 2-bit string of 0/1, got 2.0")],
     )
     def test_basis_rejects_bad_index(self, z, needle):
         with pytest.raises(ValueError) as exc:
@@ -96,11 +95,11 @@ class TestIndexConvention:
     def test_numpy_integer_index(self):
         psi = StateVector.basis(2, np.int64(1))
         assert np.array_equal(psi.amplitudes, StateVector.basis(2, 1).amplitudes)
-        assert bits_to_index(np.array([1, 0, 1]), 3) == 5
 
-    @pytest.mark.parametrize("bits", [[1.7, 0], [1.0, 0], [True, False], [0, 1, 0]])
+    @pytest.mark.parametrize("bits", [[1.7, 0], [1.0, 0], [True, False], [0, 1, 0], (1, 0), np.array([1, 0])])
     def test_bits_must_be_integers_zero_or_one(self, bits):
-        with pytest.raises(ValueError, match=r"^need 2 bits of 0/1, got "):
+        # Only a bit string gives an index: a sequence of bits is rejected in one line.
+        with pytest.raises(ValueError, match=r"^need a 2-bit string of 0/1, got [^\n]*$"):
             bits_to_index(bits, 2)
 
     @pytest.mark.parametrize("width", [True, 2.0, -1, float("nan")])
@@ -222,7 +221,8 @@ class TestFValue:
         u = random_circuit(4, 30, np.random.default_rng(3))
         want = f_value(u, "0110")
         assert f_value(u, 6) == pytest.approx(want, abs=1e-15)
-        assert f_value(u, (0, 1, 1, 0)) == pytest.approx(want, abs=1e-15)
+        with pytest.raises(ValueError, match=r"^need a 4-bit string of 0/1, got \(0, 1, 1, 0\)$"):
+            f_value(u, (0, 1, 1, 0))
 
     def test_z_out_of_range(self):
         with pytest.raises(ValueError):
@@ -1036,7 +1036,7 @@ class TestPlanLayout:
         # Every qubit stays on its own stored bit, so no gather only moves
         # qubits: 16 butterflies and the one gather of the phase layer.
         poly = random_poly(8, 24, np.random.default_rng(5))
-        plan = sim._compile(build_worst_case_embedding(compile_iqp_from_poly(poly)), sim._CHUNK_ENTRIES)
+        plan = sim._compile(build_worst_case_embedding(compile_iqp_from_poly(poly)))
         kinds = [step[0] for step in plan.steps]
         assert (kinds.count("h"), kinds.count("gather"), len(kinds)) == (16, 1, 17)
 
@@ -1046,7 +1046,7 @@ class TestPlanLayout:
         monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 1 << 20)
         layer = tuple(h(q) for q in range(9))
         u = Circuit(9, layer + layer)
-        plan = sim._compile(u, sim._CHUNK_ENTRIES, split=False)
+        plan = sim._compile(u, split=False)
         assert plan.steps == tuple(("h", 8 - q) for q in range(9)) * 2
         assert np.abs(dqc1_distribution(u).probs - _columns_reference(u)).max() < 1e-13
 
@@ -1057,7 +1057,7 @@ class TestPlanLayout:
         u = build_worst_case_embedding(compile_iqp_from_poly(poly))
         tracemalloc.start()
         try:
-            sim._compile(u, sim._CHUNK_ENTRIES)
+            sim._compile(u)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1075,7 +1075,7 @@ class TestUfuncBuffer:
     def test_distribution_restores_the_buffer(self, monkeypatch, bufsize, threads):
         monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 1 << 12)  # several chunks
         u = random_circuit(9, 60, np.random.default_rng(3), GATE_KINDS)
-        assert len(sim._compile(u, sim._CHUNK_ENTRIES).chunks) > 2
+        assert len(sim._compile(u).chunks) > 2
         want = dqc1_distribution(u, threads=threads).probs
         assert np.getbufsize() == bufsize
         for size in (16, 8192):  # nor do the bytes depend on the caller's buffer
@@ -1191,11 +1191,11 @@ class TestMonomial:
 def _full_plan(u: Circuit) -> np.ndarray:
     """The plan over all 2**n columns (B empty), run directly through _compile and _run_plan."""
     n = u.width - 1
-    plan = sim._compile(u, sim._CHUNK_ENTRIES, split=False)
+    plan = sim._compile(u, split=False)
     assert plan.slot_sizes == (1 << n,) and not plan.out_comp.any()
-    bufs = [np.empty(len(plan.final_rows) * plan.cols, dtype=np.complex128) for _ in range(2)]
-    parts = [sim._run_plan(plan, chunk, bufs)[:, 0] for chunk in plan.chunks]
-    return sim._tree_sum(parts)[plan.final_rows] * math.ldexp(1.0, -(plan.pending_h + n))
+    bufs = [np.empty(plan.rows * plan.cols, dtype=np.complex128) for _ in range(2)]
+    parts = [sim._run_plan(plan, chunk, bufs) for chunk in plan.chunks]
+    return sim._tree_sum(parts)[plan.out_row] * math.ldexp(1.0, -(plan.pending_h + n))
 
 
 def _untouched_case(width: int, rng: np.random.Generator) -> Circuit:
@@ -1259,7 +1259,7 @@ class TestUntouchedQubits:
         for u in _reduced_cases():
             got = dqc1_distribution(u).probs
             want = _full_plan(u)
-            comp = sim._compile(u, sim._CHUNK_ENTRIES).out_comp
+            comp = sim._compile(u).out_comp
             assert np.array_equal(got[~comp], want[~comp]), u
             assert np.abs(got - want)[comp].max(initial=0.0) <= _complement_bound(u), u
 
@@ -1269,7 +1269,7 @@ class TestUntouchedQubits:
         for n in range(2, 9):  # at n = 1 both sides tie and run directly
             poly = random_poly(n, int(rng.integers(1, 3 * n + 1)), rng)
             u = build_worst_case_embedding(compile_iqp_from_poly(poly))
-            assert sim._compile(u, sim._CHUNK_ENTRIES).out_comp.any()
+            assert sim._compile(u).out_comp.any()
             assert np.array_equal(dqc1_distribution(u).probs, _full_plan(u)), n
 
     def test_matches_density_matrix_oracle(self):
@@ -1281,7 +1281,8 @@ class TestUntouchedQubits:
     def test_bytes_independent_of_chunks_and_threads(self, monkeypatch):
         cases = _reduced_cases()
         whole = [dqc1_distribution(u).probs for u in cases]
-        assert any(len(set(sim._compile(u, 1 << 5).slot_sizes)) > 1 for u in cases)
+        monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 1 << 5)
+        assert any(len(set(sim._compile(u).slot_sizes)) > 1 for u in cases)
         for log_chunk in (2, 5, 9):
             monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 1 << log_chunk)
             for threads in (1, 2):
@@ -1294,7 +1295,7 @@ class TestUntouchedQubits:
         real = sim._run_plan
 
         def spy(plan, chunk, bufs):
-            runs.append((len(plan.final_rows), chunk[1]))
+            runs.append((plan.rows, chunk[1]))
             return real(plan, chunk, bufs)
 
         monkeypatch.setattr(sim, "_run_plan", spy)
@@ -1337,12 +1338,17 @@ class TestThreadChunks:
     @pytest.mark.parametrize("side", ["below", "at", "above"])
     def test_bytes_around_twice_the_floor(self, monkeypatch, side):
         # The floor is set per plan so that the plan's entries lie just
-        # below, at or above twice it.
+        # below, at or above twice it.  The last circuit leaves three sides
+        # with columns, of 8, 8 and 4: a plan of three slots.
+        rng = np.random.default_rng(3)
+        body = Circuit(4, tuple(h(q) for q in range(4)) + random_circuit(4, 20, rng, GATE_KINDS).gates)
+        lead = (mcx(0, (1, 2)), mcx(0, (1, 2, 3), (0, 1, 1)))
+        three = Circuit(6, lead + shift_qubits(body, 2, 6).gates)
         runs = set()  # (threads, chunks)
         halved = False
-        for u in _reduced_cases():
-            one = sim._compile(u, sim._CHUNK_ENTRIES)
-            rows = len(one.final_rows)
+        for u in _reduced_cases() + [three]:
+            one = sim._compile(u)
+            rows = one.rows
             entries = rows * sum(one.slot_sizes)
             if entries < 4:
                 continue
@@ -1350,7 +1356,7 @@ class TestThreadChunks:
             monkeypatch.setattr(sim, "_MIN_CHUNK_ENTRIES", floor)
             want = dqc1_distribution(u).probs
             for threads in (2, 3, 4):
-                plan = sim._compile(u, sim._CHUNK_ENTRIES, threads=threads)
+                plan = sim._compile(u, threads=threads)
                 if side == "below" or one.cols == 1:
                     assert plan.chunks == one.chunks, (u, threads)
                 else:
@@ -1370,7 +1376,7 @@ class TestThreadChunks:
         monkeypatch.setattr(sim, "_MIN_CHUNK_ENTRIES", 1)
         poly = random_poly(10, 30, np.random.default_rng(3))
         u = build_worst_case_embedding(compile_iqp_from_poly(poly))
-        assert sim._compile(u, sim._CHUNK_ENTRIES, threads=4).chunks == ((0, 1, 0),)
+        assert sim._compile(u, threads=4).chunks == ((0, 1),)
 
 
 _BLOCK_CASES = (
@@ -1443,20 +1449,25 @@ class TestPlanBlocks:
                 assert digest == _BLOCK_DIGESTS[name], (log_chunk, threads)
         assert np.abs(probs - want).max() < 1e-13
 
-    def test_cases_reach_their_edges(self):
+    def test_cases_reach_their_edges(self, monkeypatch):
+        monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 1 << 20)
         for name, bit in (("h_on_settled_0", 0), ("h_on_settled_1", 1), ("x_moves_block", 0),
                           ("cx_onto_settled", 0), ("mcx_onto_settled", 0)):
-            plan = sim._compile(_block_case(name), 1 << 20)
-            top = len(plan.final_rows) >> 1
+            plan = sim._compile(_block_case(name))
+            top = plan.rows >> 1
             assert np.all(plan.start_rows & top == bit * top), name
-        u = _block_case("sums_and_empty_chunks")
-        plan = sim._compile(u, 1 << 20)
-        assert max(cols >> level for _, cols, level in plan.chunks) == 4
-        plan = sim._compile(u, 1 << 6)
-        starts = set(plan.start_cols.tolist())
-        assert any(starts.isdisjoint(range(c0, c0 + cols)) for c0, cols, _ in plan.chunks)
         for name in ("embedding", "pair_u2"):
-            assert sim._compile(_block_case(name), 1 << 20).out_comp.any(), name
+            assert sim._compile(_block_case(name)).out_comp.any(), name
+        u = _block_case("sums_and_empty_chunks")
+        plan = sim._compile(u)
+        # Slots narrower than a full chunk run one chunk each.
+        sizes = np.array(plan.slot_sizes)
+        assert sizes.min() < plan.cols
+        assert plan.chunks == tuple(zip((np.cumsum(sizes) - sizes).tolist(), plan.slot_sizes))
+        monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 1 << 6)
+        plan = sim._compile(u)
+        starts = set(plan.start_cols.tolist())
+        assert any(starts.isdisjoint(range(c0, c0 + cols)) for c0, cols in plan.chunks)
 
     def test_unreached_rows_stay_out_of_the_steps(self, monkeypatch):
         # A one-column chunk of an n = 8 embedding starts from one row: the

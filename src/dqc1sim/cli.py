@@ -68,8 +68,8 @@ def _thread_count(text: str) -> int:
     return _int_at_least(text, 1)
 
 
-def _seed(text: str) -> int:
-    """A --seed value: an integer of at least 0."""
+def _nonnegative(text: str) -> int:
+    """A --seed, --count or --max-n value: an integer of at least 0."""
     return _int_at_least(text, 0)
 
 
@@ -82,7 +82,7 @@ def _add_threads(p: argparse.ArgumentParser) -> None:
 def _add_max_n(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--max-n",
-        type=int,
+        type=_nonnegative,
         default=DEFAULT_MAX_MIXED_QUBITS,
         help=f"cap on mixed qubits n for the distribution, which runs up to 2**n columns (default {DEFAULT_MAX_MIXED_QUBITS})",
     )
@@ -132,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw outcome bit strings from a circuit's distribution")
     p.add_argument("--circuit", required=True, help="circuit JSON file")
-    p.add_argument("--count", type=int, required=True, help="number of draws")
-    p.add_argument("--seed", type=_seed, required=True, help="RNG seed (an integer >= 0)")
+    p.add_argument("--count", type=_nonnegative, required=True, help="number of draws")
+    p.add_argument("--seed", type=_nonnegative, required=True, help="RNG seed (an integer >= 0)")
     _add_max_n(p)
 
     p = sub.add_parser("anticoncentration", help="heavy-set fraction of an ensemble vs its threshold")
@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=1.0 / 36.0, help="sampler TV budget")
     p.add_argument("--delta", type=float, default=1.0 / 6.0, help="Markov outlier budget")
     p.add_argument("--eta", type=float, default=1.0 / 100.0, help="relative error of the counter")
-    p.add_argument("--seed", type=_seed, default=0, help="master seed for the counter noise (an integer >= 0)")
+    p.add_argument("--seed", type=_nonnegative, default=0, help="master seed for the counter noise (an integer >= 0)")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     _add_threads(p)
 

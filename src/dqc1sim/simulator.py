@@ -54,7 +54,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import groupby, islice
+from itertools import islice
 
 import numpy as np
 
@@ -116,6 +116,16 @@ _CHUNK_ENTRIES = 1 << 20
 # chunks tied (6.8 against 7.0 ms), and at 2**15 they lost (4.1-4.4
 # against 3.6 ms).
 _MIN_CHUNK_ENTRIES = 1 << 15
+
+
+def _condition(g: Gate) -> tuple:
+    """(qubit, logical bit) pairs on which a non-H gate acts, in both gate paths.
+
+    A CX's or MCX's controls at their polarities (an X has none), or a
+    diagonal gate's targets at 1.
+    """
+    qubits = g.controls if g.kind in _PERMUTATION_KINDS else g.targets
+    return tuple(zip(qubits, g.polarities or (1,) * len(qubits)))
 
 
 def bits_to_index(zbits: str, width: int) -> int:
@@ -264,7 +274,7 @@ class Distribution:
 #
 # A diagonal gate on settled qubits becomes a scalar ``phase`` or a gate on
 # fewer qubits, and a control on a settled qubit either always fires or
-# never does.
+# never does: ``_where`` resolves a gate's ``_condition`` into both cases.
 #
 # One run kernel turns many strided sweeps into one.  Z, S, SDG, T, TDG,
 # CZ and CCZ gates on live qubits are held back until a gate that moves
@@ -563,9 +573,8 @@ def _fold_tail(width: int, gates: tuple, start: int, read: dict[int, int]):
     while k and gates[k - 1].kind in _PERMUTATION_KINDS and gates[k - 1].targets[0] in read:
         g = gates[k - 1]
         t = g.targets[0]
-        pols = g.polarities if g.kind == "MCX" else (1,) * len(g.controls)
-        free = [(c, pol) for c, pol in zip(g.controls, pols) if c not in read]
-        fires = all(read[c] == pol for c, pol in zip(g.controls, pols) if c in read)
+        free = [(c, pol) for c, pol in _condition(g) if c not in read]
+        fires = all(read[c] == pol for c, pol in _condition(g) if c in read)
         if not free:
             read[t] ^= fires
         elif not fires or mixed_at[t] < k - 1:
@@ -598,6 +607,17 @@ def _rescaled(full: np.ndarray, index: list, pending: int) -> int:
         live *= _RESCALE
         pending -= _RESCALE_EVERY
     return pending
+
+
+def _where(cond: tuple, index: list, flip: list) -> dict | None:
+    """The stored bits {live qubit: bit} where ``cond`` holds, or None when a settled qubit never meets it."""
+    fixed = {}
+    for q, bit in cond:
+        if index[q] is _LIVE:
+            fixed[q] = bit ^ flip[q]
+        elif flip[q] != bit:
+            return None
+    return fixed
 
 
 def _single_pass(width: int, gates, start, read=None, dtype=np.complex128):
@@ -654,47 +674,33 @@ def _single_pass(width: int, gates, start, read=None, dtype=np.complex128):
                     _activate(full, index, [q], flip[q])
             index[q] = _LIVE
             flip[q] = 0
-        elif kind in _PERMUTATION_KINDS:
-            pols = g.polarities if kind == "MCX" else (1,) * len(g.controls)
-            fixed = {}
-            for c, pol in zip(g.controls, pols):
-                if index[c] is _LIVE:
-                    fixed[c] = pol ^ flip[c]
-                elif flip[c] != pol:
-                    break  # a settled control that never fires
-            else:
-                t = g.targets[0]
-                if not fixed:
-                    flip[t] ^= 1
-                    continue
-                _diagonal_run(full, index, run, deferred)
-                index[t] = _LIVE  # its stored-1 half is still zero
-                a = _part(full, index, {**fixed, t: 0})
-                b = _part(full, index, {**fixed, t: 1})
-                _swap(a, b)
         else:
-            # A factor on the block where every target's logical bit is 1;
-            # RZ(theta) is exp(-i theta/2) times the factor exp(i theta).
+            fixed = _where(_condition(g), index, flip)
             if kind == "RZ":
+                # RZ(theta) is exp(-i theta/2) times exp(i theta) where its target is 1.
                 phase *= complex(math.cos(0.5 * g.theta), -math.sin(0.5 * g.theta))
+            if fixed is None:
+                continue  # a settled qubit off the condition: the gate never acts
+            if kind in _PERMUTATION_KINDS:
+                t = g.targets[0]
+                if fixed:
+                    _diagonal_run(full, index, run, deferred)
+                    index[t] = _LIVE  # its stored-1 half is still zero
+                    _swap(_part(full, index, {**fixed, t: 0}), _part(full, index, {**fixed, t: 1}))
+                else:
+                    flip[t] ^= 1
+            elif kind == "RZ":
                 factor = complex(math.cos(g.theta), math.sin(g.theta))
-            else:
-                factor = complex(_EIGHTH_TURN[_EIGHTHS[kind]])
-            fixed = {}
-            for q in g.targets:
-                if index[q] is _LIVE:
-                    fixed[q] = 1 ^ flip[q]
-                elif not flip[q]:
-                    break  # a settled target at 0: the factor never applies
-            else:
-                if not fixed:
-                    phase *= factor
-                elif kind == "RZ":
+                if fixed:
                     _activate(full, index, deferred, 0)
                     blk = _part(full, index, fixed)
                     blk *= factor
                 else:
-                    run.append((fixed, _EIGHTHS[kind]))
+                    phase *= factor
+            elif fixed:
+                run.append((fixed, _EIGHTHS[kind]))
+            else:
+                phase *= complex(_EIGHTH_TURN[_EIGHTHS[kind]])
     _diagonal_run(full, index, run, deferred)
     for q, bit in (read or {}).items():
         index[q] = bit ^ flip[q]
@@ -792,11 +798,7 @@ def f_value(u: Circuit, zbits) -> float:
 # * ("h", bit): ``_butterfly`` on a stored bit;
 # * ("scale",): the exact rescale by _RESCALE after every _RESCALE_EVERY H.
 #
-# A gather's phase table is built per gate, except that each maximal run of
-# Z, S, SDG, CZ and CCZ gates (an even count of eighth turns each) is
-# counted in uint8 eighth turns per row and applied as one multiply by
-# ``_EIGHTH_TURN[count]``, a power of i.  Powers of i multiply exactly, so
-# the table has the values of one multiply per gate.
+# A gather's phase table is built gate by gate, one multiply per phase gate.
 #
 # The compiler holds only 1-D arrays over row indices, never a table of
 # every qubit's bit of every row: ``_monomial`` finds the rows a gate acts
@@ -884,51 +886,32 @@ def _monomial(gates, rows, pos):
     """(src, phase) with out[r] = phase[r] * in[src[r]] for a run of non-H gates.
 
     ``rows`` is every row index in order and qubit q sits on index bit
-    ``pos[q]``.  ``phase`` is None when every factor is 1.
+    ``pos[q]``.  Each gate acts on the rows where its ``_condition``
+    holds, and each phase gate is one multiply into the table.  ``phase``
+    is None when every factor is 1.
     """
-
-    def matching(qubits, values) -> np.ndarray:
-        """Whether each row's bits on ``qubits`` are ``values``: one mask and compare."""
-        mask = value = 0
-        for q, v in zip(qubits, values):
-            mask |= 1 << pos[q]
-            value |= v << pos[q]
-        return (rows & mask) == value
-
     src = rows
     phase = None
-    for power_of_i, run in groupby(gates, key=lambda g: _EIGHTHS.get(g.kind, 1) % 2 == 0):
-        if power_of_i:
-            # Powers of i multiply exactly: one multiply by the run's total
-            # gives the values of one multiply per gate.  The uint8 count
-            # wraps mod 256, over which _EIGHTH_TURN repeats.
-            count = np.zeros(len(rows), dtype=np.uint8)
-            for g in run:
-                count += matching(g.targets, (1,) * len(g.targets)) * np.uint8(_EIGHTHS[g.kind])
-            turn = _EIGHTH_TURN[count]
-            if phase is None:
-                phase = turn
-            else:
-                phase *= turn
+    for g in gates:
+        mask = value = 0
+        for q, bit in _condition(g):
+            mask |= 1 << pos[q]
+            value |= bit << pos[q]
+        hit = (rows & mask) == value
+        if g.kind in _PERMUTATION_KINDS:
+            sigma = rows ^ (hit.astype(rows.dtype) << pos[g.targets[0]])
+            src = src[sigma]
+            if phase is not None:
+                phase = phase[sigma]
             continue
-        for g in run:
-            if g.kind in _PERMUTATION_KINDS:
-                pols = g.polarities if g.kind == "MCX" else (1,) * len(g.controls)
-                flip = matching(g.controls, pols)
-                sigma = rows ^ (flip.astype(rows.dtype) << pos[g.targets[0]])
-                src = src[sigma]
-                if phase is not None:
-                    phase = phase[sigma]
-                continue
-            if phase is None:
-                phase = np.ones(len(rows), dtype=np.complex128)
-            hi = matching(g.targets, (1,))  # T, TDG and RZ have one target
-            if g.kind == "RZ":
-                half = 0.5 * g.theta
-                np.multiply(phase, complex(math.cos(half), -math.sin(half)), out=phase, where=~hi)
-                np.multiply(phase, complex(math.cos(half), math.sin(half)), out=phase, where=hi)
-            else:
-                np.multiply(phase, _EIGHTH_TURN[_EIGHTHS[g.kind]], out=phase, where=hi)
+        if phase is None:
+            phase = np.ones(len(rows), dtype=np.complex128)
+        if g.kind == "RZ":
+            half = 0.5 * g.theta
+            np.multiply(phase, complex(math.cos(half), -math.sin(half)), out=phase, where=~hit)
+            np.multiply(phase, complex(math.cos(half), math.sin(half)), out=phase, where=hit)
+        else:
+            np.multiply(phase, _EIGHTH_TURN[_EIGHTHS[g.kind]], out=phase, where=hit)
     if phase is not None and np.all(phase == 1.0):
         phase = None
     return src, phase
@@ -1128,12 +1111,7 @@ def _compile(u: Circuit, *, split: bool = True, threads: int = 1) -> _Plan:
         mixed = {g.targets[0] for g in body if g.kind in _MIXING_KINDS}
     else:
         mixed = set(range(width))
-    read = {
-        q
-        for g in body
-        if g.kind != "H"
-        for q in (g.controls if g.kind in _PERMUTATION_KINDS else g.targets)
-    }
+    read = {q for g in body if g.kind != "H" for q, _ in _condition(g)}
     a_qubits = [q for q in range(width) if q in mixed]
     d_qubits = [q for q in range(width) if q not in mixed and q in read]
     f_qubits = [q for q in range(width) if q not in mixed and q not in read]

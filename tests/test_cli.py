@@ -388,10 +388,17 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "argv",
-        [["verify-chain", "--seed", "-1"], ["sample", "--count", "1", "--seed", "-1"]],
+        [
+            ["verify-chain", "--seed", "-1"],
+            ["sample", "--count", "1", "--seed", "-1"],
+            ["sample", "--seed", "1", "--count", "-1"],
+            ["sample", "--count", "1", "--seed", "1", "--max-n", "-1"],
+            ["dqc1-dist", "--max-n", "-1"],
+        ],
     )
     def test_negative_seed_is_usage_error(self, identity3, capsys, argv):
-        if argv[0] == "sample":
+        flag = argv[argv.index("-1") - 1]
+        if argv[0] != "verify-chain":
             argv = argv + ["--circuit", identity3]
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -399,7 +406,7 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines() == [
-            f"dqc1sim {argv[0]}: error: argument --seed: must be an integer >= 0, got '-1'"
+            f"dqc1sim {argv[0]}: error: argument {flag}: must be an integer >= 0, got '-1'"
         ]
         assert err.count("error:") == 1
 

@@ -1179,7 +1179,7 @@ class TestMonomial:
             if phase is None:
                 assert np.all(want_phase == 1.0), gates
             else:
-                assert np.array_equal(phase, want_phase), gates
+                assert phase.tobytes() == want_phase.tobytes(), gates  # zero signs too
 
     def test_power_of_i_runs_cancel_to_no_phase(self):
         rows = np.arange(8)

@@ -49,12 +49,14 @@ axis q.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
+from types import MappingProxyType
 
 import numpy as np
 
@@ -871,6 +873,18 @@ def f_value(u: Circuit, zbits) -> float:
 # adjacent pairs of one contiguous array into the next, whose entries
 # stay in row and column order.  One add thus runs over the whole block,
 # however few columns the chunk has.
+#
+# A plan is a layout, its chunks and its steps.  The layout (``_layout``)
+# is the start entries, the slots, and the maps from outcomes to slots,
+# sides and run-qubit values.  It depends only on the key it is memoised
+# on: the width, the leading non-H gates, the qubits of A and of D and the
+# later X gates on B.  So every embedding of one n, and a chain over them,
+# compiles one layout.  The chunks (from _CHUNK_ENTRIES, _MIN_CHUNK_ENTRIES
+# and the thread count), the steps (``_program``) and ``out_row`` are
+# compiled per call.  The cache keeps the last layout only, with
+# read-only arrays that stay resident after the call: at most 33 bytes per
+# outcome, 33 * 2**(n + 1) bytes (1 MiB at n = 14, 66 MiB at n = 20), and
+# 17 on a worst-case embedding (34 MiB at n = 20).
 
 # The ufunc buffer of a plan run.  On a 2-core Xeon, in a chunk of 2**20
 # entries at n = 12 (2**13 rows of 128 columns, its block holding every
@@ -1051,7 +1065,7 @@ def _slots(ncols: np.ndarray, levels: np.ndarray, nd: int):
     return slot_of, slot_levels
 
 
-def _program(body, rows_of: list[int]):
+def _program(body, rows_of: tuple[int, ...]):
     """(steps, final rows, H count) of ``body`` on the qubits ``rows_of``.
 
     Rows index the qubits in ``rows_of``, the first most significant, so
@@ -1082,55 +1096,38 @@ def _program(body, rows_of: list[int]):
     return tuple(steps), src, n_h
 
 
-def _chunk_list(slot_levels: np.ndarray, cols: int) -> tuple:
+def _chunk_list(slot_sizes: tuple, cols: int) -> tuple:
     """(first column, columns) of each chunk: each slot cut into chunks of min(cols, its width) columns."""
     chunks = []
     c0 = 0
-    for k in slot_levels.tolist():
-        size = min(cols, 1 << k)
-        chunks.extend((c, size) for c in range(c0, c0 + (1 << k), size))
-        c0 += 1 << k
+    for span in slot_sizes:
+        size = min(cols, span)
+        chunks.extend((c, size) for c in range(c0, c0 + span, size))
+        c0 += span
     return tuple(chunks)
 
 
-def _compile(u: Circuit, *, split: bool = True, threads: int = 1) -> _Plan:
-    """Plan for chunks of at most _CHUNK_ENTRIES entries, each inside one slot.
+@functools.lru_cache(maxsize=1)
+def _layout(width: int, lead: tuple, a_qubits: tuple, d_qubits: tuple, flip_b: int) -> tuple:
+    """The plan fields that depend on neither the body nor the chunks: (fields, out_index).
 
-    Only the chunk columns depend on _CHUNK_ENTRIES and ``threads``.
-    With ``threads`` > 1 the chunks are halved until there are ``threads``
-    of them or a half would hold fewer than _MIN_CHUNK_ENTRIES entries, so
-    a plan of at least twice that many entries runs in two chunks or more
-    and a one-column plan stays one chunk.  ``split=False`` takes B empty:
-    the full plan over all 2**n columns.
+    ``fields`` maps start_rows, start_cols, start_vals, slot_sizes,
+    out_slot and out_comp to their values, and ``out_index`` is each
+    outcome's run-qubit value, which indexes the final rows of the steps
+    to give out_row.  ``lead`` is the leading non-H gates and ``flip_b``
+    the later X gates on B as a mask of outcome bits.  The arrays are
+    read-only: every plan whose circuit hits the cache shares them.
     """
-    width = u.width
-    gates = u.gates
-    lead = next((i for i, g in enumerate(gates) if g.kind == "H"), len(gates))
-    body = gates[lead:]
-    if split:
-        mixed = {g.targets[0] for g in body if g.kind in _MIXING_KINDS}
-    else:
-        mixed = set(range(width))
-    read = {q for g in body if g.kind != "H" for q, _ in _condition(g)}
-    a_qubits = [q for q in range(width) if q in mixed]
-    d_qubits = [q for q in range(width) if q not in mixed and q in read]
-    f_qubits = [q for q in range(width) if q not in mixed and q not in read]
     r_qubits = a_qubits + d_qubits
-    nd, nr = len(d_qubits), len(r_qubits)
-    # Later X gates on B; on F they are all there is, so they leave the plan.
-    flip_b = 0
-    for g in body:
-        if g.kind == "X" and g.targets[0] not in mixed:
-            flip_b ^= 1 << (width - 1 - g.targets[0])
-    body = [g for g in body if g.targets[0] in mixed or g.targets[0] in read]
-
-    first, phase = _leading(gates[:lead], width)
+    fd_qubits = tuple(q for q in range(width) if q not in r_qubits) + d_qubits  # F, then D
+    nd = len(d_qubits)
+    first, phase = _leading(lead, width)
     if phase is not None and not np.isfinite(phase.view(np.float64)).all():
         msg = "a leading gate gives a non-finite phase"
         raise RuntimeError(msg)
 
     # A block b is (F-value, D-value), the D-value in the low bits.
-    blk = _pack(first, f_qubits + d_qubits, width)
+    blk = _pack(first, fd_qubits, width)
     a_of = _pack(first, a_qubits, width)
     unit = np.ones(len(first), dtype=bool) if phase is None else phase == 1.0
     comp, ncols, levels, owner, (e_blk, e_a, e_pos, e_x) = _sides(
@@ -1148,30 +1145,73 @@ def _compile(u: Circuit, *, split: bool = True, threads: int = 1) -> _Plan:
         vals[e_x < 0] = 1.0
         vals = vals[by_col]
 
-    cols = max(1, min(_CHUNK_ENTRIES >> nr, int(sizes[0]) if len(sizes) else 1))
-    chunks = _chunk_list(slot_levels, cols)
+    rows = np.arange(1 << width)
+    out_blk = _pack(rows ^ flip_b, fd_qubits, width)
+    fields = {
+        "start_rows": e_row[by_col],
+        "start_cols": e_col[by_col],
+        "start_vals": vals,
+        "slot_sizes": tuple(sizes.tolist()),
+        "out_slot": slot_of[out_blk],
+        "out_comp": comp[out_blk],
+    }
+    out_index = _pack(rows, r_qubits, width)
+    for a in (*fields.values(), out_index):
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return MappingProxyType(fields), out_index
+
+
+def _compile(u: Circuit, *, split: bool = True, threads: int = 1) -> _Plan:
+    """Plan for chunks of at most _CHUNK_ENTRIES entries, each inside one slot.
+
+    Only the chunk columns depend on _CHUNK_ENTRIES and ``threads``.
+    With ``threads`` > 1 the chunks are halved until there are ``threads``
+    of them or a half would hold fewer than _MIN_CHUNK_ENTRIES entries, so
+    a plan of at least twice that many entries runs in two chunks or more
+    and a one-column plan stays one chunk.  ``split=False`` takes B empty:
+    the full plan over all 2**n columns.
+
+    Only the steps, the chunks and ``out_row`` are compiled per call; every
+    other field comes from the memoised ``_layout`` (see the plan section).
+    """
+    width = u.width
+    gates = u.gates
+    lead = next((i for i, g in enumerate(gates) if g.kind == "H"), len(gates))
+    body = gates[lead:]
+    if split:
+        mixed = {g.targets[0] for g in body if g.kind in _MIXING_KINDS}
+    else:
+        mixed = set(range(width))
+    read = {q for g in body if g.kind != "H" for q, _ in _condition(g)}
+    a_qubits = tuple(q for q in range(width) if q in mixed)
+    d_qubits = tuple(q for q in range(width) if q not in mixed and q in read)
+    # Later X gates on B; on F they are all there is, so they leave the plan.
+    flip_b = 0
+    for g in body:
+        if g.kind == "X" and g.targets[0] not in mixed:
+            flip_b ^= 1 << (width - 1 - g.targets[0])
+    body = [g for g in body if g.targets[0] in mixed or g.targets[0] in read]
+
+    fields, out_index = _layout(width, gates[:lead], a_qubits, d_qubits, flip_b)
+    nr = len(a_qubits) + len(d_qubits)
+    sizes = fields["slot_sizes"]
+    cols = max(1, min(_CHUNK_ENTRIES >> nr, sizes[0] if sizes else 1))
+    chunks = _chunk_list(sizes, cols)
     # Halve the chunks for more threads while each keeps _MIN_CHUNK_ENTRIES.
     while len(chunks) < threads and (cols >> 1) << nr >= _MIN_CHUNK_ENTRIES:
         cols >>= 1
-        chunks = _chunk_list(slot_levels, cols)
+        chunks = _chunk_list(sizes, cols)
 
-    steps, final_rows, n_h = _program(body, r_qubits)
-    rows = np.arange(1 << width)
-    out = rows ^ flip_b
-    out_blk = _pack(out, f_qubits + d_qubits, width)
+    steps, final_rows, n_h = _program(body, a_qubits + d_qubits)
     return _Plan(
         steps=steps,
         rows=len(final_rows),
         pending_h=n_h % _RESCALE_EVERY,
-        start_rows=e_row[by_col],
-        start_cols=e_col[by_col],
-        start_vals=vals,
         cols=cols,
         chunks=chunks,
-        slot_sizes=tuple(sizes.tolist()),
-        out_slot=slot_of[out_blk],
-        out_row=final_rows[_pack(rows, r_qubits, width)],
-        out_comp=comp[out_blk],
+        out_row=final_rows[out_index],
+        **fields,
     )
 
 
@@ -1330,11 +1370,15 @@ def dqc1_distribution(
     inputs |0 x>.  The circuit is compiled once into a plan of fused steps
     that runs only the columns the untouched qubits leave undetermined (at
     most 2**n, one for a worst-case embedding; see the plan section), in
-    column chunks on up to ``threads`` worker threads.  With ``threads`` >
-    1 the chunks are halved, down to _MIN_CHUNK_ENTRIES entries each,
-    until there is one per thread, so a plan of at least twice that many
-    entries runs in two chunks or more; a plan of one chunk, such as the
-    one column of a worst-case embedding, runs on the calling thread.
+    column chunks on up to ``threads`` worker threads.  Consecutive calls
+    whose circuits share the leading non-H gates and the qubit roles, such
+    as the embeddings of one n in a chain, share one compiled layout of
+    the plan (the last one stays cached) and compile only its chunks and
+    steps.  With ``threads`` > 1 the chunks are
+    halved, down to _MIN_CHUNK_ENTRIES entries each, until there is one
+    per thread, so a plan of at least twice that many entries runs in two
+    chunks or more; a plan of one chunk, such as the one column of a
+    worst-case embedding, runs on the calling thread.
     Each row is summed over columns by an adjacent-pair tree: a chunk lies
     inside one slot and gives one sum per row, a subtree of its slot's, so
     output bits depend on neither ``threads`` nor the chunk size.  A chunk

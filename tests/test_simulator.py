@@ -1,9 +1,12 @@
 """State-vector kernels, the clean-qubit output distribution, and sampling."""
 
 import hashlib
+import itertools
 import math
 import re
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -30,7 +33,13 @@ from dqc1sim.circuits import (
     z,
 )
 from dqc1sim.ensembles import parse_ensemble_spec, random_circuit, random_poly
-from dqc1sim.hardness import build_postselection_pair, build_worst_case_embedding
+from dqc1sim.hardness import (
+    ErrorBudget,
+    SamplerModel,
+    build_postselection_pair,
+    build_worst_case_embedding,
+    verify_chain,
+)
 from dqc1sim.oracles import circuit_unitary, density_matrix_dqc1, gap
 from dqc1sim.simulator import (
     Distribution,
@@ -1377,6 +1386,99 @@ class TestThreadChunks:
         poly = random_poly(10, 30, np.random.default_rng(3))
         u = build_worst_case_embedding(compile_iqp_from_poly(poly))
         assert sim._compile(u, threads=4).chunks == ((0, 1),)
+
+
+def _cache_cases() -> tuple[list, list]:
+    """Circuits of many plan layouts, and each one's distribution bytes from a cold cache.
+
+    Embeddings of two n, postselection pairs and htcx circuits, and three
+    circuits with one leading CX and one A whose qubit 0 is in F, in D or
+    flipped by a later X.
+    """
+    rng = np.random.default_rng(77)
+    circuits = [*parse_ensemble_spec("random:iqp:4:3:12:5").circuits,
+                *parse_ensemble_spec("random:iqp:6:3:18:6").circuits,
+                *parse_ensemble_spec("random:htcx:6:3:40:7").circuits]
+    for _ in range(2):
+        circuits.extend(build_postselection_pair(random_circuit(5, 30, rng, GATE_KINDS)))
+    layer = tuple(h(q) for q in range(1, 5))
+    body = (cx(1, 0), h(1), t(1)) + layer + shift_qubits(random_circuit(4, 20, rng), 1, 5).gates
+    circuits.extend(Circuit(5, body + tail) for tail in ((), (cz(0, 1), h(1)), (x(0),)))
+    cold = []
+    for u in circuits:
+        sim._layout.cache_clear()
+        cold.append(dqc1_distribution(u).probs.tobytes())
+    return circuits, cold
+
+
+class TestLayoutCache:
+    """Plans share a memoised layout; no key part may be left out and no plan may write it."""
+
+    def test_chunks_follow_the_constants_and_threads(self, monkeypatch):
+        # The chunks are not in the cached layout: a warm compile gives a
+        # cold one's under every chunk constant the suite patches.
+        u = parse_ensemble_spec("random:htcx:9:1:60:3").circuits[0]
+        sim._layout.cache_clear()
+        one = sim._compile(u)
+        entries = one.rows * sum(one.slot_sizes)
+        floors = (1, entries // 4, entries // 2, entries // 2 + 1, sim._MIN_CHUNK_ENTRIES)
+        chunks = {}
+        for config in itertools.product((3, 5, 6, 8, 12, 16, 20), floors, (1, 2, 3)):
+            log_chunk, floor, threads = config
+            monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 1 << log_chunk)
+            monkeypatch.setattr(sim, "_MIN_CHUNK_ENTRIES", floor)
+            warm = sim._compile(u, threads=threads)
+            assert sim._layout.cache_info().hits == 1
+            sim._layout.cache_clear()
+            cold = sim._compile(u, threads=threads)
+            assert (warm.chunks, warm.cols) == (cold.chunks, cold.cols), config
+            chunks[config] = warm.chunks
+        assert len({chunks[log_chunk, 1, 1] for log_chunk in (3, 12, 20)}) == 3
+        assert len({chunks[20, floor, 3] for floor in floors}) > 1
+        assert len({chunks[20, 1, threads] for threads in (1, 2, 3)}) == 3
+
+    def test_cached_arrays_are_read_only(self):
+        u = build_worst_case_embedding(compile_iqp_from_poly(random_poly(6, 18, np.random.default_rng(2))))
+        sim._layout.cache_clear()
+        sim._compile(u)
+        plan = sim._compile(u)
+        assert sim._layout.cache_info().hits == 1
+        with pytest.raises(ValueError, match="read-only"):
+            plan.start_rows[0] = 1
+
+    def test_bytes_independent_of_cache_order(self):
+        circuits, cold = _cache_cases()
+        for order in (range(len(circuits)), [*range(0, len(circuits), 2), *range(1, len(circuits), 2)]):
+            for i in order:
+                assert dqc1_distribution(circuits[i]).probs.tobytes() == cold[i], i
+
+    def test_threads_share_the_cache(self):
+        # More workers than cores, each in its own order, so each call is
+        # likely to evict the layout another thread is using, with frequent
+        # switches between threads.
+        circuits, cold = _cache_cases()
+        size = len(circuits)
+
+        def run(k: int) -> list:
+            return [dqc1_distribution(circuits[(k + j) % size]).probs.tobytes() for j in range(size)]
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                jobs = [pool.submit(run, k) for k in range(4)]
+                results = [job.result(timeout=120) for job in jobs]
+        finally:
+            sys.setswitchinterval(old)
+        for k, got in enumerate(results):
+            assert got == [cold[(k + j) % size] for j in range(size)], k
+
+    def test_chain_compiles_one_layout_per_ensemble(self):
+        ens = parse_ensemble_spec("random:iqp:6:20:18:1")
+        sim._layout.cache_clear()
+        verify_chain(ens, SamplerModel.exact(), ErrorBudget())
+        info = sim._layout.cache_info()
+        assert (info.misses, info.hits) == (1, 19)
 
 
 _BLOCK_CASES = (

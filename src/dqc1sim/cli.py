@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sampler", default="exact", help="exact | mixture:LAMBDA | mass_shift:TV")
     p.add_argument("--eps", type=float, default=1.0 / 36.0, help="sampler TV budget")
     p.add_argument("--delta", type=float, default=1.0 / 6.0, help="Markov outlier budget")
-    p.add_argument("--eta", type=float, default=1.0 / 100.0, help="relative error of the counter")
+    p.add_argument("--eta", type=float, default=1.0 / 100.0, help="relative error of the counter, at most 1/8")
     p.add_argument("--seed", type=_nonnegative, default=0, help="master seed for the counter noise (an integer >= 0)")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     _add_threads(p)

@@ -422,8 +422,9 @@ def verify_chain(
     """Run the whole chain on an ensemble and report every bound.
 
     Pairs are counted as in ``_pair_counts``.  The counter precondition
-    eta < 1/6 keeps the estimate's worst case inside the factor-1/2 window
-    on the heavy set.
+    eta <= 1/8 keeps the estimate's worst case inside the factor-1/2 window
+    on the heavy set: a heavy pair that is not an outlier has q < 4p/3,
+    and q * (1 + eta) < 3p/2 holds for all such q only while eta <= 1/8.
 
     Bounds are recorded, not raised: the report carries observed fraction,
     threshold, and pass flag for the Markov, heavy-set, and success steps.
@@ -433,8 +434,8 @@ def verify_chain(
     integer >= 0.
     """
     seed = _nonnegative_int(seed, "seed")
-    if not budget.eta < 1.0 / 6.0:
-        msg = f"need eta < 1/6 for the factor-1/2 window, got {budget.eta}"
+    if not budget.eta <= 1.0 / 8.0:
+        msg = f"need eta <= 1/8 for the factor-1/2 window, got {budget.eta}"
         raise ValueError(msg)
     markov, heavy, success = _pair_counts(ens, sampler, budget, seed, threads)
     pairs = len(ens) * (1 << (ens.n + 1))

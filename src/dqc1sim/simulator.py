@@ -40,7 +40,9 @@ from the one table ``_EIGHTH_TURN`` (a float64 pass reads its real
 parts).  The scales and the powers of i are
 exact and a butterfly rounds only its sums, so dyadic amplitudes, such as
 gap/2**n on the IQP circuits of the paper, come out exact: f_value on a
-worst-case embedding is (gap/2**n)**2 to the bit.
+worst-case embedding is (gap/2**n)**2 to the bit.  Both paths sum squares
+with one adjacent-pair tree, ``_square_sums``, so no output depends on
+the BLAS library.
 
 Index layout (see circuits module): qubit q owns bit (width-1-q) of the
 amplitude index, so viewing a state as a (2,)*width array puts qubit q on
@@ -333,11 +335,11 @@ class Distribution:
 # real, the state takes half the bytes, and each butterfly and table
 # multiply moves half as many.  The diagonal runs read
 # ``_EIGHTH_TURN_REAL``, and every other step does the complex pass's
-# arithmetic on the real parts.  The unnormalised amplitudes are integers
-# times one power of two, so the squared norm is exact, and the complex
-# pass's to the bit, while it stays below 2**53 of that unit, as on every
-# worst-case embedding; past that the float and complex dot products add
-# in different orders and may differ in the last bits.  ``amplitude_zero``
+# arithmetic on the real parts, so its amplitudes are the complex pass's
+# real parts to the bit.  ``_sq_norm`` sums the squares of either dtype by
+# one adjacent-pair tree in which a zero imaginary part adds +0, so the
+# f-value bits depend neither on the dtype, nor on _TEMP_ENTRIES, nor on
+# BLAS.  ``amplitude_zero``
 # and ``apply_circuit`` stay complex128: they return complex amplitudes,
 # and ``iqp-amp`` prints the sign of a zero imaginary part, which a float
 # pass does not keep.  The plan of ``dqc1_distribution`` is not a single
@@ -394,11 +396,51 @@ def _swap(a: np.ndarray, b: np.ndarray) -> None:
         np.positive(tmp, out=y)
 
 
+def _square_sums(flat: np.ndarray, spare: np.ndarray, groups: int) -> np.ndarray:
+    """Sum of squares of each of ``groups`` equal runs of ``flat``, by an adjacent-pair tree.
+
+    ``flat`` is a contiguous float64 array, a complex one's float view, of
+    ``groups`` times a power of two entries.  The squares go into
+    ``spare``, and every level adds the adjacent pairs of one contiguous
+    array into the other, so both are overwritten; returns a view of one.
+    """
+    np.multiply(flat, flat, out=spare[: len(flat)])
+    src, dst = spare, flat
+    count = len(flat)
+    while count > groups:
+        count //= 2
+        np.add(src[0 : 2 * count : 2], src[1 : 2 * count : 2], out=dst[:count])
+        src, dst = dst, src
+    return src[:groups]
+
+
+def _tree_sum(parts) -> np.ndarray:
+    """Adjacent-pair tree over a power-of-two count of vectors or scalars, in order.
+
+    A binary-counter stack holds at most log2(count) + 1 partial sums.
+    """
+    stack: list[tuple[int, np.ndarray]] = []
+    for part in parts:
+        size = 1
+        while stack and stack[-1][0] == size:
+            part = stack.pop()[1] + part
+            size *= 2
+        stack.append((size, part))
+    (_, total), = stack
+    return total
+
+
 def _sq_norm(v: np.ndarray) -> float:
-    """Sum of |v|**2, copying at most _TEMP_ENTRIES entries of v at a time."""
-    if v.size <= _TEMP_ENTRIES or v.flags.c_contiguous:
-        return float(np.vdot(v, v).real)
-    return _sq_norm(v[0]) + _sq_norm(v[1])
+    """Sum of |v|**2 by the adjacent-pair tree over v in index order (``_square_sums``).
+
+    Each block of ``_blocks`` is copied and summed alone, and the block
+    sums are added by the rest of the tree: a block's tree is a subtree,
+    so the bits depend neither on _TEMP_ENTRIES nor on BLAS.  A zero
+    imaginary part adds +0 at the first level, so a complex v with real
+    entries gives the bits of its float64 twin.
+    """
+    flats = (b.copy().reshape(-1).view(np.float64) for b in _blocks(v))
+    return float(_tree_sum(_square_sums(x, np.empty_like(x), 1)[0] for x in flats))
 
 
 def _negate(src: np.ndarray, out: np.ndarray) -> None:
@@ -774,6 +816,8 @@ def f_value(u: Circuit, zbits) -> float:
     reading qubits 1..n at 0, qubit 0 is never mixed, and the last H
     layer keeps one half per gate, about one sweep in all.  It runs in
     float64 when every gate is in _REAL_KINDS, as on every embedding.
+    The squares add by the fixed tree of ``_sq_norm``, so the bits depend
+    neither on BLAS, nor on the block size, nor on the dtype.
     """
     _check_width(u.width)
     idx = _basis_index(zbits, u.width)
@@ -871,8 +915,9 @@ def f_value(u: Circuit, zbits) -> float:
 #
 # Each level of a chunk's tree, the first one re**2 + im**2, adds the
 # adjacent pairs of one contiguous array into the next, whose entries
-# stay in row and column order.  One add thus runs over the whole block,
-# however few columns the chunk has.
+# stay in row and column order: ``_square_sums``, which also sums
+# f_value's squares.  One add thus runs over the whole block, however few
+# columns the chunk has.
 #
 # A plan is a layout, its chunks and its steps.  The layout (``_layout``)
 # is the start entries, the slots, and the maps from outcomes to slots,
@@ -1312,38 +1357,12 @@ def _run_plan(plan: _Plan, chunk: tuple, bufs) -> np.ndarray:
             else:
                 flat = amps.view(np.float64)
                 flat *= _RESCALE
-        # re**2 + im**2, then the tree: every level adds the adjacent
-        # pairs of one contiguous array into the next.
-        flat = amps.view(np.float64).reshape(-1)
-        src, dst = spare[: size * cols].view(np.float64), flat
-        np.multiply(flat, flat, out=src)
-        count = 2 * size * cols
-        while count > size:
-            count //= 2
-            np.add(src[0 : 2 * count : 2], src[1 : 2 * count : 2], out=dst[:count])
-            src, dst = dst, src
-        sums = src[:size]
+        sums = _square_sums(amps.view(np.float64).reshape(-1), spare.view(np.float64), size)
     if size == dim:
         return sums.copy()
     out = np.zeros(dim)
     out[_block_rows(dim, live, fixed)] = sums
     return out
-
-
-def _tree_sum(parts) -> np.ndarray:
-    """Adjacent-pair tree over a power-of-two count of vectors, in index order.
-
-    A binary-counter stack holds at most log2(count) + 1 partial sums.
-    """
-    stack: list[tuple[int, np.ndarray]] = []
-    for part in parts:
-        size = 1
-        while stack and stack[-1][0] == size:
-            part = stack.pop()[1] + part
-            size *= 2
-        stack.append((size, part))
-    (_, total), = stack
-    return total
 
 
 def _parallel_map(fn, items, threads: int):

@@ -53,6 +53,10 @@ class TestGateValidation:
         with pytest.raises(ValueError, match="unknown gate kind"):
             Gate("FOO", (0,))
 
+    def test_circuit_takes_gates_only(self):
+        with pytest.raises(ValueError, match="^gate 0 is not a Gate: 'H'$"):
+            Circuit(2, ("H",))
+
     def test_target_arity(self):
         with pytest.raises(ValueError, match="target"):
             Gate("H", (0, 1))
@@ -279,6 +283,8 @@ class TestIsingInstance:
     def test_rejects_duplicates_and_range(self):
         with pytest.raises(ValueError, match="duplicate"):
             IsingInstance(3, ((0, 1, 0.1), (1, 0, 0.2)))
+        with pytest.raises(ValueError, match="^duplicate field spin$"):
+            IsingInstance(2, (), ((0, 0.5), (0, 0.25)))
         with pytest.raises(ValueError, match="outside"):
             IsingInstance(2, ((0, 2, 0.1),))
         with pytest.raises(ValueError, match="outside"):
@@ -368,6 +374,8 @@ class TestWireFormat:
             parse_circuit('{"qubits":0,"gates":[]}')
         with pytest.raises(CircuitFormatError, match="missing field"):
             parse_circuit('{"qubits":1}')
+        with pytest.raises(CircuitFormatError, match="^circuit: top level must be a JSON object$"):
+            parse_circuit("[]")
 
     def test_serialize_is_canonical(self):
         messy = '{"gates": [ {"t": [0], "g": "H"} ],  "qubits": 1}'
@@ -462,6 +470,8 @@ class TestPolyAndIsingFormats:
             parse_poly('{"n":3,"monomials":[[0,0]]}')
         with pytest.raises(CircuitFormatError, match="missing"):
             parse_poly('{"n":3}')
+        with pytest.raises(CircuitFormatError, match="^polynomial: 'monomials' must be a list$"):
+            parse_poly('{"n":3,"monomials":3}')
 
     def test_ising_parse(self):
         m = parse_ising('{"n":2,"couplings":[[0,1,0.5]],"fields":[[0,1.5]]}')
@@ -472,6 +482,8 @@ class TestPolyAndIsingFormats:
             parse_ising('{"n":2,"couplings":[[0,1]],"fields":[]}')
         with pytest.raises(CircuitFormatError, match="self-coupling"):
             parse_ising('{"n":2,"couplings":[[1,1,0.2]],"fields":[]}')
+        with pytest.raises(CircuitFormatError, match="^ising: 'couplings' and 'fields' must be lists$"):
+            parse_ising('{"n":2,"couplings":{"0":[0,1,0.5]}}')
 
     @pytest.mark.parametrize(
         ("text", "needle"),

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import platform
 import subprocess
 import sys
 
@@ -16,6 +18,7 @@ from dqc1sim.circuits import (
     Circuit,
     PolyF2,
     compile_iqp_from_poly,
+    cx,
     h,
     save_circuit,
     shift_qubits,
@@ -33,12 +36,13 @@ from dqc1sim.oracles import gap
 from dqc1sim.simulator import Distribution
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "dqc1sim", *args],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
 
 
@@ -294,7 +298,7 @@ class TestExitCodes:
     def test_eta_too_large(self, capsys):
         code = cli.main(["verify-chain", "--ensemble", "random:iqp:2:2:4:0", "--eta", "0.5"])
         assert code == 1
-        assert "1/6" in capsys.readouterr().err
+        assert "1/8" in capsys.readouterr().err
 
     def test_dir_ensemble_above_the_cap(self, tmp_path, capsys, monkeypatch):
         ran = []
@@ -365,6 +369,22 @@ class TestExitCodes:
         assert cli.main(["dqc1-dist", "--circuit", identity3]) == 1
         err = capsys.readouterr().err
         assert err == "error: simulator defect: distribution sums to nan\n"
+
+    def test_ceiling_self_check_is_one_line(self, tmp_path, capsys, monkeypatch):
+        real = simulator._run_plan
+
+        def moved(plan, chunk, bufs):
+            out = real(plan, chunk, bufs)
+            out[1] += out[0]
+            out[0] = 0.0
+            return out
+
+        monkeypatch.setattr(simulator, "_run_plan", moved)
+        path = tmp_path / "circuit.json"
+        save_circuit(Circuit(3, (h(1), cx(1, 0))), path)
+        assert cli.main(["dqc1-dist", "--circuit", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: simulator defect: outcome probability 0.5 exceeds 2**-2\n")
 
     def test_f_value_self_check_is_one_line(self, identity3, capsys, monkeypatch):
         monkeypatch.setattr(simulator, "_sq_norm", lambda v: float("nan"))
@@ -499,7 +519,7 @@ _FVALUE_DIGESTS = {
 _REAL_KINDS = ("H", "X", "Z", "CZ", "CCZ", "CX", "MCX")
 # iqp-amp and f-value --z 0000000101 on the circuits of _layered_circuit.
 _LAYERED_DIGESTS = {
-    ("all", "f-value"): "c792f5d4ea6fe7833041f951aad871e3adbaa968ed3c134dde5549fd16c79578",
+    ("all", "f-value"): "4fc1d1bb07fe2a0ac28055c68f7d627786ceeece8cf02a239b6d74818e5a26c2",
     ("all", "iqp-amp"): "b2d20da6ab99125db53847528ad2c530b9eed45a7abe266267b378bc6e6330e1",
     ("real", "f-value"): "8d5c1b5a87c51f970807fc0c2057b3ab3aaf11638ab667dc5956edc8f5bcf138",
     ("real", "iqp-amp"): "65728f36ff4e811ffe0a03ccbede02a104fe42291d454e5f3d78db9a332c2e1f",
@@ -680,3 +700,38 @@ class TestPinnedBytes:
         z = ("--z", "0000000101") if command == "f-value" else ()
         got = _digest(capsys, command, "--circuit", str(path), *z)
         assert got == (0, _LAYERED_DIGESTS[kinds, command])
+
+
+# OpenBLAS settings that change the kernel or the thread count of a BLAS
+# sum.  A forced core type must be one the CPU can run: Prescott needs
+# only SSE3, so it is forced on x86_64 alone.
+_BLAS_SETTINGS = {
+    "one-thread": {"OPENBLAS_NUM_THREADS": "1"},
+    "prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+}
+
+
+class TestBlasIndependence:
+    """Printed bytes do not depend on the kernel or the thread count OpenBLAS picks."""
+
+    @pytest.mark.parametrize("setting", sorted(_BLAS_SETTINGS))
+    @pytest.mark.parametrize("command", ["f-value", "iqp-amp"])
+    def test_stdout_under_blas_settings(self, tmp_path, command, setting):
+        if setting == "prescott" and platform.machine() != "x86_64":
+            pytest.skip("OPENBLAS_CORETYPE=Prescott runs on x86_64 only")
+        if command == "f-value":
+            # f = 1/2; a BLAS sum of squares gave 0.5, 0.49999999999999994 or
+            # 0.4999999999999999, by kernel and thread count.
+            circuit = random_circuit(21, 200, np.random.default_rng(21))
+            args = ("--z", "1" * 21)
+        else:
+            layer = tuple(h(q) for q in range(20))
+            body = random_circuit(20, 200, np.random.default_rng(20), ("H", "T", "CZ", "CX")).gates
+            circuit, args = Circuit(20, layer + body), ()
+        path = tmp_path / "circuit.json"
+        save_circuit(circuit, path)
+        env = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
+        default = run_cli(command, "--circuit", str(path), *args, env=env)
+        forced = run_cli(command, "--circuit", str(path), *args, env={**env, **_BLAS_SETTINGS[setting]})
+        assert default.returncode == forced.returncode == 0, forced.stderr
+        assert forced.stdout == default.stdout

@@ -108,6 +108,10 @@ class TestSamplerModel:
         with pytest.raises(ValueError, match="mass_shift"):
             SamplerModel.mass_shift(2.5)
 
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="^unknown sampler kind 'nope'$"):
+            SamplerModel("nope")
+
     @pytest.mark.parametrize(("kind", "param"), [("mixture", True), ("mass_shift", "0.02"), ("mixture", None)])
     def test_rejects_non_real_parameters(self, kind, param):
         message = f"sampler parameter must be a real number, got {param!r}"
@@ -570,8 +574,22 @@ class TestVerifyChain:
         assert report.success_fraction > report.success_bound == pytest.approx(1 / 6, abs=1e-12)
 
     def test_eta_precondition(self):
-        with pytest.raises(ValueError, match="1/6"):
+        with pytest.raises(ValueError, match="1/8"):
             verify_chain(identity_ensemble(2), SamplerModel.exact(), ErrorBudget(eta=0.2))
+
+    def test_eta_bound_is_one_eighth(self):
+        # A heavy pair that is not an outlier has q < 4p/3, and the counter
+        # may return q * (1 + eta): at eta = 0.15, p = 3 thr and
+        # q = p + 0.999 thr give 1.533 p, outside the factor-1/2 window.
+        n, budget = 4, ErrorBudget(eta=0.15)
+        thr = budget.eps / (2 ** (n + 1) * budget.delta)
+        p = 3 * thr
+        assert (p + 0.999 * thr) * (1 + budget.eta) > 1.5 * p
+        message = "need eta <= 1/8 for the factor-1/2 window, got 0.15"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_chain(identity_ensemble(n), SamplerModel.exact(), budget)
+        report = verify_chain(identity_ensemble(n), SamplerModel.exact(), ErrorBudget(eta=1 / 8))
+        assert report.all_pass
 
     @pytest.mark.parametrize("seed", [True, -1, 1.5, "0"])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
@@ -675,6 +693,21 @@ class TestEnsembleSpecs:
         save_circuit(Circuit(4), tmp_path / "b.json")
         with pytest.raises(ValueError, match="width"):
             load_ensemble_dir(tmp_path)
+
+    def test_n_above_the_cap(self):
+        message = "n=15 exceeds the cap of 14 mixed qubits in 'random:iqp:15:1:1:0'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_ensemble_spec("random:iqp:15:1:1:0")
+
+    def test_dir_with_no_circuits(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("")
+        message = f"no *.json circuit files in {tmp_path}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_ensemble_dir(tmp_path)
+
+    def test_random_circuit_needs_a_gate_that_fits(self):
+        with pytest.raises(ValueError, match=r"^no gate in \('CZ',\) fits on 1 qubit\(s\)$"):
+            random_circuit(1, 3, np.random.default_rng(0), ("CZ",))
 
     def test_bad_specs(self):
         for spec in ("random:iqp:3:5:10", "random:foo:3:5:10:2", "random:iqp:0:5:10:2",

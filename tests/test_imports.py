@@ -76,3 +76,39 @@ def test_the_scan_finds_an_unread_private_name():
     a = "def _used():\n    return 1\n\ndef _dead(n):\n    return _dead(n - 1)\n\n_K, _J = 1, 2\n__all__ = []\n"
     b = "from a import _used, _J\nprint(_used(), _J)\n"
     assert unread_private_names({"a.py": a, "b.py": b}) == ["a.py line 4: _dead", "a.py line 7: _K"]
+
+
+# numpy routines that may hand a product or a sum to BLAS, whose order of
+# addition depends on the CPU kernel and the thread count.
+BLAS_CALLS = frozenset({"vdot", "dot", "inner", "matmul", "tensordot", "einsum"})
+
+
+def blas_products(source: str) -> list[str]:
+    """Calls of BLAS_CALLS or of ``linalg.*``, and ``@`` products, by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = ast.unparse(node.func)
+            if func.rpartition(".")[2] in BLAS_CALLS or "linalg." in func:
+                found.append((node.lineno, func))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "oracles.py"], ids=lambda p: p.name)
+def test_no_blas_product(path):
+    """Output bytes must not depend on the BLAS library; the dense oracles may use it."""
+    assert blas_products(path.read_text()) == []
+
+
+def test_the_scan_finds_a_blas_product():
+    source = (
+        "import numpy as np\nfrom numpy import vdot\n"
+        "a = np.vdot(x, x)\nb = x.dot(y)\nc = x @ y\nx @= y\n"
+        "d = np.linalg.norm(x)\ne = vdot(x, y)\nf = np.add.reduce(x)\n"
+    )
+    assert blas_products(source) == [
+        "line 3: np.vdot", "line 4: x.dot", "line 5: @", "line 6: @",
+        "line 7: np.linalg.norm", "line 8: vdot",
+    ]

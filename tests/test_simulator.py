@@ -218,6 +218,10 @@ class TestApplyCircuit:
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0.0
 
+    def test_amplitude_count_must_match_width(self):
+        with pytest.raises(ValueError, match=r"^need 4 amplitudes for width 2, got shape \(3,\)$"):
+            StateVector(2, np.zeros(3))
+
 
 class TestFValue:
     def test_identity_circuit(self):
@@ -738,6 +742,47 @@ class TestRealPass:
                 _assert_real_f_values(monkeypatch, [c], rng)
 
 
+class TestNormOrder:
+    """f_value sums its squares by one adjacent-pair tree, whatever the dtype and block size."""
+
+    def test_float_and_complex_passes_agree_to_the_bit(self, monkeypatch):
+        # Deep real circuits, whose squared norms do not sum exactly.
+        rng = np.random.default_rng(27)
+        cases = []
+        for _ in range(40):
+            w = int(rng.integers(6, 13))
+            c = random_circuit(w, int(rng.integers(200, 1201)), rng, sorted(_REAL_GATES))
+            z = int(rng.integers(1 << w))
+            cases.append((c, z, f_value(c, z).hex()))
+        monkeypatch.setattr(sim, "_REAL_KINDS", frozenset())
+        assert [f_value(c, z).hex() for c, z, _ in cases] == [f for _, _, f in cases]
+
+    def test_bits_do_not_depend_on_temp_entries(self, monkeypatch):
+        rng = np.random.default_rng(28)
+        cases = []
+        for _ in range(20):
+            w = int(rng.integers(10, 16))
+            cases.append((random_circuit(w, 150, rng), int(rng.integers(1 << w))))
+        want = [f_value(c, z).hex() for c, z in cases]
+        monkeypatch.setattr(sim, "_TEMP_ENTRIES", 16)
+        assert [f_value(c, z).hex() for c, z in cases] == want
+
+    def test_one_sum_for_both_gate_paths(self):
+        # The plan's chunk reduction and f_value's norm are _square_sums:
+        # on one block it gives each row's pair tree, and f_value the tree
+        # over the whole read view.
+        rng = np.random.default_rng(29)
+        amps = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+        flat = amps.view(np.float64).reshape(-1).copy()
+        rows = sim._square_sums(flat.copy(), np.empty_like(flat), 8)
+        for r in range(8):
+            s = flat[8 * r : 8 * r + 8] ** 2
+            while len(s) > 1:
+                s = s[0::2] + s[1::2]
+            assert rows[r] == s[0]
+        assert sim._sq_norm(amps) == sim._tree_sum(rows)
+
+
 class TestExactDyadic:
     """Unnormalised butterflies undone by one power of two are exact on dyadic amplitudes."""
 
@@ -1038,6 +1083,21 @@ class TestFusedPlan:
         u = Circuit(2, (h(0), _nan_rz(1), h(1)))
         with pytest.raises(RuntimeError, match="sums to nan"):
             dqc1_distribution(u)
+
+    def test_outcome_above_the_ceiling_fails_self_check(self, monkeypatch):
+        # A chunk that adds row 0's sum to row 1 keeps the total at 1 and
+        # puts 1/2 on one outcome of n = 2, above the ceiling 1/4.
+        real = sim._run_plan
+
+        def moved(plan, chunk, bufs):
+            out = real(plan, chunk, bufs)
+            out[1] += out[0]
+            out[0] = 0.0
+            return out
+
+        monkeypatch.setattr(sim, "_run_plan", moved)
+        with pytest.raises(RuntimeError, match=r"^outcome probability 0\.5 exceeds 2\*\*-2$"):
+            dqc1_distribution(Circuit(3, (h(1), cx(1, 0))))
 
 
 class TestPlanLayout:
@@ -1740,37 +1800,43 @@ def _deferral_digest(monkeypatch, name: str, real: bool) -> str:
     """sha256 of ``_deferral_outputs`` on the seeded case at widths 5, 8 and 11.
 
     Each width runs at 16 temporary entries, so every kernel splits into
-    blocks, and at _TEMP_ENTRIES; complex norms sum in block order, so
-    their bits may differ between the two.
+    blocks, and at _TEMP_ENTRIES; the two give the same bytes, norms
+    included, since each block's sum of squares is a subtree of one tree.
     """
     digest = hashlib.sha256()
+    runs = []
     for temp_entries in (16, sim._TEMP_ENTRIES):
         monkeypatch.setattr(sim, "_TEMP_ENTRIES", temp_entries)
         rng = np.random.default_rng(_DEFERRAL_CASES.index((name, real)) + 1900)
+        runs.append([])
         for w in (5, 8, 11):
             c = _deferral_case(name, real, w, rng)
-            for item in _deferral_outputs(c, _deferral_starts(w, rng)):
-                digest.update(item.encode() if isinstance(item, str) else item)
+            runs[-1] += _deferral_outputs(c, _deferral_starts(w, rng))
+        for item in runs[-1]:
+            digest.update(item.encode() if isinstance(item, str) else item)
+    assert runs[0] == runs[1]
     return digest.hexdigest()
 
 
-# sha256 of _deferral_digest, computed before the copies were deferred.
+# sha256 of _deferral_digest, computed before the copies were deferred.  The
+# complex cases but pure_h_layer and run_at_the_end were pinned again when
+# f_value took the plan's adjacent-pair sum of squares in place of BLAS.
 _DEFERRAL_DIGESTS = {
     ('run_of_one', True): '5c7313856027ed49b71aab2b6b2b6a2c3f9d928161c8bb0fde49d3942041610d',
-    ('run_of_one', False): '02246e2ea34e22e5fc0795abe4acc9c07569777c008ce6ff7c0c11aea9402e95',
+    ('run_of_one', False): 'd5c0a9cfef5b5e451903059d2d275b5dd6b52022627c2134cf295f1985ffa06d',
     ('run_of_many', True): '0d0ba043327410066eba3a08a297c37a54c00f4f034bdbc3e65ac561929649f2',
-    ('run_of_many', False): '37b8060022b49f899baf1423ef4ab3cfdea5ec01748f58748f67400f71d7400c',
-    ('rz_on_deferred', False): 'b96af6dea68713e3002899216483beee4a798f7f522b2313eceff51c2e29d846',
+    ('run_of_many', False): '62f430dc0984f513b5fd84f46eb15e409309b3ff786fd0108dcec8f52105a02a',
+    ('rz_on_deferred', False): '9efd915d41aeddb94dd1f62d799f01ea059a7c151cdeae37da19b4e229154237',
     ('h_on_deferred', True): '5b6b0536f0b77182b8eba18a4061723d09187cb029c14a676e55e585362b7c5e',
-    ('h_on_deferred', False): '0d6c18124c25e580599b54046d721668b8a25ca24864bbc09e0fceb4789afeae',
+    ('h_on_deferred', False): '13a4f753ab548014a19f187f47e673adb2eae91bc7e74d632f104f97d57c976f',
     ('cx_deferred_control', True): '4bab0aefdc1050e9a080004fce992bfa1ce33f5d62eed693a3483826f48f62af',
-    ('cx_deferred_control', False): '468de1d2edc73264b665643c20691f1d4bdfe0d2f31161c844c1019880ca9ee8',
+    ('cx_deferred_control', False): 'a42880a9e92e0aff0e11efdec046cb23ade6b29e3319edb7149877a9f809bf64',
     ('x_on_deferred', True): '13841735dd65940a01271a80dc7951cab27f403760a2dd42f4c92e0b39027990',
-    ('x_on_deferred', False): 'b6f7d77343e02925c0cfbeddc8380286b93af4cbc9959649bd79a92c33e7d3dc',
+    ('x_on_deferred', False): 'af4c60d41ab952a8570fd55e8bf1d2c35f929673f6252fd0ddf8dcb60a132320',
     ('h_after_run', True): '410ee02d9cc50929d73d4a9657de474761cdd6014f6807a1a881af159f083b6a',
-    ('h_after_run', False): '33529597d728e65681d3606802988adc1f07e6c89e725f096e886c7b9408ce9a',
+    ('h_after_run', False): 'eefad70bf5cbb1ea4d420e6d18e3bf1c63baa435866d4061a33e0fc2dec0fc19',
     ('flipped_settled_h', True): 'c94752679ff6bdb52995baf01982799c65f42f37bddab8592a30e7935b898cb1',
-    ('flipped_settled_h', False): '275ccd1e97e670f68b5c126b9ca44ec3d337bc6bae0da95717eccbeadde6a919',
+    ('flipped_settled_h', False): 'c254346c65ce9567b8b0dad7debccf4641c57b4ea31954434c40edc0164b6a45',
     ('pure_h_layer', True): '006f0561a94ba00766265ff7825c71f09a3de1437da73a47998778b4dc902f25',
     ('pure_h_layer', False): '88cd71810276027b0d61605961bd4a80670da1ae69dd03ff81f5b7d7bec47fd6',
     ('run_at_the_end', True): 'f83de00e705a81c90a111d43fd8a0c0af7d2c187a724e6c9f52c756f20161907',

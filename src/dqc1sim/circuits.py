@@ -86,8 +86,8 @@ class Gate:
         if self.kind not in _TARGET_COUNT:
             msg = f"unknown gate kind {self.kind!r}"
             raise ValueError(msg)
-        object.__setattr__(self, "targets", _wire_tuple(self.targets, "target"))
-        object.__setattr__(self, "controls", _wire_tuple(self.controls, "control"))
+        object.__setattr__(self, "targets", tuple([_int_at_least(q, "target index", 0) for q in self.targets]))
+        object.__setattr__(self, "controls", tuple([_int_at_least(q, "control index", 0) for q in self.controls]))
         object.__setattr__(self, "polarities", tuple(self.polarities))
         if len(self.targets) != _TARGET_COUNT[self.kind]:
             msg = (
@@ -120,11 +120,7 @@ class Gate:
             if self.theta is None:
                 msg = "RZ needs an angle"
                 raise ValueError(msg)
-            theta = _finite_float(self.theta)
-            if theta is None:
-                msg = f"'theta' must be a finite number, got {self.theta!r}"
-                raise ValueError(msg)
-            object.__setattr__(self, "theta", theta)
+            object.__setattr__(self, "theta", _finite(self.theta, "'theta'"))
         elif self.theta is not None:
             msg = f"{self.kind} takes no angle"
             raise ValueError(msg)
@@ -150,20 +146,10 @@ def _checked_gate(kind: str, targets, controls, polarities, theta) -> Gate:
     return g
 
 
-def _wire_tuple(wires, role: str) -> tuple[int, ...]:
-    out = []
-    for q in wires:
-        if not _is_int(q) or q < 0:
-            msg = f"{role} index must be a nonnegative integer, got {q!r}"
-            raise ValueError(msg)
-        out.append(int(q))
-    return tuple(out)
-
-
-def _positive_int(value, field: str) -> int:
-    """value as an int; a one-line ValueError naming ``field`` unless it is an integer >= 1."""
-    if not _is_int(value) or value < 1:
-        msg = f"{field} must be a positive integer, got {value!r}"
+def _int_at_least(value, field: str, low: int) -> int:
+    """value as an int; a one-line ValueError naming ``field`` unless it is an integer >= ``low`` (0 or 1)."""
+    if not (type(value) is int or _is_int(value)) or value < low:  # plain ints skip the call
+        msg = f"{field} must be a {'positive' if low else 'nonnegative'} integer, got {value!r}"
         raise ValueError(msg)
     return int(value)
 
@@ -175,15 +161,20 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _finite_float(value) -> float | None:
-    """value as a finite float; None for NaN, infinities, booleans and non-numbers."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return None
-    try:
-        x = float(value)
-    except OverflowError:
-        return None
-    return x if math.isfinite(x) else None
+def _finite(value, field: str) -> float:
+    """value as a float; a one-line ValueError naming ``field`` unless it is a finite real number.
+
+    Booleans, NaN, infinities and integers beyond float range are rejected.
+    """
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    msg = f"{field} must be a finite number, got {value!r}"
+    raise ValueError(msg)
 
 
 def h(q: int) -> Gate:
@@ -239,13 +230,17 @@ def mcx(target: int, controls, polarities=None) -> Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """An ordered gate list on ``width`` qubits, applied left to right."""
+    """An ordered gate list on ``width`` qubits, applied left to right.
+
+    Construction is the package's one wire-range check; ``parse_circuit``
+    relies on it too.
+    """
 
     width: int
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self) -> None:
-        width = _positive_int(self.width, "width")
+        width = _int_at_least(self.width, "width", 1)
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "gates", tuple(self.gates))
         for i, g in enumerate(self.gates):
@@ -286,11 +281,11 @@ def adjoint(c: Circuit) -> Circuit:
 
 def shift_qubits(c: Circuit, offset: int, width: int) -> Circuit:
     """The same gate list with every wire moved up by ``offset`` on a wider register."""
+    width = _int_at_least(width, "width", 1)
     if not _is_int(offset) or offset < 0 or width < c.width + offset:
         msg = f"cannot shift a {c.width}-qubit circuit by {offset} into width {width}"
         raise ValueError(msg)
     offset = int(offset)
-    width = _positive_int(width, "width")
     gates = [
         _checked_gate(
             g.kind,
@@ -318,7 +313,7 @@ class PolyF2:
     monomials: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_vars", _positive_int(self.n_vars, "n_vars"))
+        object.__setattr__(self, "n_vars", _int_at_least(self.n_vars, "n_vars", 1))
         monos = []
         for i, m in enumerate(self.monomials):
             if not all(_is_int(v) for v in m):
@@ -354,7 +349,7 @@ class IsingInstance:
     fields: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_spins", _positive_int(self.n_spins, "n_spins"))
+        object.__setattr__(self, "n_spins", _int_at_least(self.n_spins, "n_spins", 1))
 
         raw = self.couplings.items() if isinstance(self.couplings, dict) else self.couplings
         pairs = []
@@ -397,11 +392,7 @@ class IsingInstance:
         if not all(_is_int(j) for j in spins):
             msg = f"{where}: spins must be integers, got {list(spins)!r}"
             raise ValueError(msg)
-        angle = _finite_float(theta)
-        if angle is None:
-            msg = f"{where}: theta must be a finite number, got {theta!r}"
-            raise ValueError(msg)
-        return (*(int(j) for j in spins), angle)
+        return (*(int(j) for j in spins), _finite(theta, f"{where}: theta"))
 
 
 def _checked_poly(n_vars: int, monomials: tuple) -> PolyF2:
@@ -530,12 +521,12 @@ def parse_circuit(text: str) -> Circuit:
         except ValueError as e:
             msg = f"{where}: {e}"
             raise CircuitFormatError(msg) from None
-        bad = [q for q in g.qubits if q >= width]
-        if bad:
-            msg = f"{where}: qubit {bad[0]} out of range on {width} qubits"
-            raise CircuitFormatError(msg)
         gates.append(g)
-    return Circuit(width, tuple(gates))
+    try:
+        return Circuit(width, tuple(gates))
+    except ValueError as e:  # a wire beyond 'qubits'; the message names the gate
+        msg = f"circuit: {e}"
+        raise CircuitFormatError(msg) from None
 
 
 def serialize_circuit(c: Circuit) -> str:

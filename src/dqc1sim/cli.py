@@ -51,7 +51,7 @@ def _scalar(value: float) -> str:
     return repr(float(value))
 
 
-def _int_at_least(text: str, low: int) -> int:
+def _int_arg(text: str, low: int) -> int:
     """An argparse value that must be an integer of at least ``low``."""
     try:
         value = int(text)
@@ -65,12 +65,12 @@ def _int_at_least(text: str, low: int) -> int:
 
 def _thread_count(text: str) -> int:
     """The --threads value: an integer of at least 1."""
-    return _int_at_least(text, 1)
+    return _int_arg(text, 1)
 
 
 def _nonnegative(text: str) -> int:
     """A --seed, --count or --max-n value: an integer of at least 0."""
-    return _int_at_least(text, 0)
+    return _int_arg(text, 0)
 
 
 def _add_threads(p: argparse.ArgumentParser) -> None:

@@ -23,7 +23,7 @@ from .circuits import (
     Gate,
     PolyF2,
     _checked_poly,
-    _positive_int,
+    _int_at_least,
     compile_iqp_from_poly,
     load_circuit,
 )
@@ -49,7 +49,7 @@ _FULL_GATE_SET = ("H", "X", "Z", "S", "T", "RZ", "CZ", "CCZ", "CX", "MCX")
 
 def random_poly(n_vars: int, n_monomials: int, rng: np.random.Generator) -> PolyF2:
     """Uniformly chosen distinct monomials of sizes 1..3 on n_vars variables."""
-    n_vars = _positive_int(n_vars, "n_vars")
+    n_vars = _int_at_least(n_vars, "n_vars", 1)
     pool = [
         m
         for size in (1, 2, 3)

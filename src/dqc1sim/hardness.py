@@ -22,19 +22,12 @@ directly against the Markov threshold above.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .circuits import Circuit, _checked_circuit, adjoint, cx, mcx, shift_qubits, x
-from .simulator import (
-    DEFAULT_MAX_MIXED_QUBITS,
-    Distribution,
-    _nonnegative_int,
-    _thread_count,
-    dqc1_distribution,
-)
+from .circuits import Circuit, _checked_circuit, _finite, _int_at_least, adjoint, cx, mcx, shift_qubits, x
+from .simulator import DEFAULT_MAX_MIXED_QUBITS, Distribution, dqc1_distribution
 
 __all__ = [
     "ErrorBudget",
@@ -49,18 +42,6 @@ __all__ = [
     "success_fraction_bound",
     "verify_chain",
 ]
-
-
-def _real(value, field: str) -> float:
-    """value as a float; a one-line ValueError naming ``field`` unless it is a real number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        msg = f"{field} must be a real number, got {value!r}"
-        raise ValueError(msg)
-    try:
-        return float(value)
-    except OverflowError:
-        msg = f"{field} must be a real number in float range, got {value!r}"
-        raise ValueError(msg) from None
 
 
 @dataclass(frozen=True)
@@ -82,7 +63,7 @@ class ErrorBudget:
 
     def __post_init__(self) -> None:
         for field in ("eps", "delta", "eta"):
-            object.__setattr__(self, field, _real(getattr(self, field), field))
+            object.__setattr__(self, field, _finite(getattr(self, field), field))
         if not 0.0 <= self.eps:
             msg = f"eps must be nonnegative, got {self.eps}"
             raise ValueError(msg)
@@ -117,7 +98,7 @@ class SamplerModel:
         if self.kind not in ("exact", "mixture", "mass_shift"):
             msg = f"unknown sampler kind {self.kind!r}"
             raise ValueError(msg)
-        object.__setattr__(self, "param", _real(self.param, "sampler parameter"))
+        object.__setattr__(self, "param", _finite(self.param, "sampler parameter"))
         if self.kind == "mixture" and not 0.0 <= self.param <= 1.0:
             msg = f"mixture weight must lie in [0, 1], got {self.param}"
             raise ValueError(msg)
@@ -166,7 +147,7 @@ class Ensemble:
     circuits: tuple[Circuit, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _nonnegative_int(self.n, "n"))
+        object.__setattr__(self, "n", _int_at_least(self.n, "n", 0))
         object.__setattr__(self, "circuits", tuple(self.circuits))
         if not self.circuits:
             msg = "ensemble must contain at least one circuit"
@@ -332,7 +313,7 @@ def _pair_counts(
     the simulator's default cap: the chain takes no ``max_n``, so a larger
     n fails here before any circuit runs.
     """
-    threads = _thread_count(threads)
+    threads = _int_at_least(threads, "threads", 1)
     n = ens.n
     if n > DEFAULT_MAX_MIXED_QUBITS:
         msg = f"n={n} mixed qubits exceeds the chain's cap of {DEFAULT_MAX_MIXED_QUBITS}"
@@ -433,7 +414,7 @@ def verify_chain(
     equality, the limit t -> 0+ of the strict bound.  ``seed`` must be an
     integer >= 0.
     """
-    seed = _nonnegative_int(seed, "seed")
+    seed = _int_at_least(seed, "seed", 0)
     if not budget.eta <= 1.0 / 8.0:
         msg = f"need eta <= 1/8 for the factor-1/2 window, got {budget.eta}"
         raise ValueError(msg)

@@ -62,7 +62,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .circuits import Circuit, Gate, _is_int, adjoint
+from .circuits import Circuit, Gate, _int_at_least, _is_int, adjoint
 
 __all__ = [
     "StateVector",
@@ -140,22 +140,6 @@ def bits_to_index(zbits: str, width: int) -> int:
     return int(zbits, 2)
 
 
-def _nonnegative_int(value, field: str) -> int:
-    """value as an int; a one-line ValueError naming ``field`` unless it is an integer >= 0."""
-    if not _is_int(value) or value < 0:
-        msg = f"{field} must be a nonnegative integer, got {value!r}"
-        raise ValueError(msg)
-    return int(value)
-
-
-def _thread_count(threads) -> int:
-    """threads as an int; a one-line ValueError unless it is an integer >= 1."""
-    if not _is_int(threads) or threads < 1:
-        msg = f"threads must be an integer >= 1, got {threads!r}"
-        raise ValueError(msg)
-    return int(threads)
-
-
 def _index(index, width: int) -> int:
     """index as an int; a one-line ValueError unless it is an integer in [0, 2**width)."""
     if not _is_int(index):
@@ -174,7 +158,7 @@ def _basis_index(z, width: int) -> int:
 
 def index_to_bits(index: int, width: int) -> str:
     """Bit string of |index> with qubit 0 as the leftmost character."""
-    width = _nonnegative_int(width, "width")
+    width = _int_at_least(width, "width", 0)
     return format(_index(index, width), f"0{width}b")
 
 
@@ -189,7 +173,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "width", _nonnegative_int(self.width, "width"))
+        object.__setattr__(self, "width", _int_at_least(self.width, "width", 0))
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (1 << self.width,):
             msg = f"need {1 << self.width} amplitudes for width {self.width}, got shape {amps.shape}"
@@ -203,7 +187,7 @@ class StateVector:
 
     @classmethod
     def basis(cls, width: int, index_or_bits) -> "StateVector":
-        amps = np.zeros(1 << _nonnegative_int(width, "width"), dtype=np.complex128)
+        amps = np.zeros(1 << _int_at_least(width, "width", 0), dtype=np.complex128)
         amps[_basis_index(index_or_bits, width)] = 1.0
         return cls(width, amps)
 
@@ -222,7 +206,7 @@ class Distribution:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _nonnegative_int(self.n, "n"))
+        object.__setattr__(self, "n", _int_at_least(self.n, "n", 0))
         p = np.asarray(self.probs, dtype=np.float64)
         if p.shape != (1 << (self.n + 1),):
             msg = f"need {1 << (self.n + 1)} probabilities for n={self.n}, got shape {p.shape}"
@@ -1207,15 +1191,14 @@ def _layout(width: int, lead: tuple, a_qubits: tuple, d_qubits: tuple, flip_b: i
     return MappingProxyType(fields), out_index
 
 
-def _compile(u: Circuit, *, split: bool = True, threads: int = 1) -> _Plan:
+def _compile(u: Circuit, *, threads: int = 1) -> _Plan:
     """Plan for chunks of at most _CHUNK_ENTRIES entries, each inside one slot.
 
     Only the chunk columns depend on _CHUNK_ENTRIES and ``threads``.
     With ``threads`` > 1 the chunks are halved until there are ``threads``
     of them or a half would hold fewer than _MIN_CHUNK_ENTRIES entries, so
     a plan of at least twice that many entries runs in two chunks or more
-    and a one-column plan stays one chunk.  ``split=False`` takes B empty:
-    the full plan over all 2**n columns.
+    and a one-column plan stays one chunk.
 
     Only the steps, the chunks and ``out_row`` are compiled per call; every
     other field comes from the memoised ``_layout`` (see the plan section).
@@ -1224,10 +1207,7 @@ def _compile(u: Circuit, *, split: bool = True, threads: int = 1) -> _Plan:
     gates = u.gates
     lead = next((i for i, g in enumerate(gates) if g.kind == "H"), len(gates))
     body = gates[lead:]
-    if split:
-        mixed = {g.targets[0] for g in body if g.kind in _MIXING_KINDS}
-    else:
-        mixed = set(range(width))
+    mixed = {g.targets[0] for g in body if g.kind in _MIXING_KINDS}
     read = {q for g in body if g.kind != "H" for q, _ in _condition(g)}
     a_qubits = tuple(q for q in range(width) if q in mixed)
     d_qubits = tuple(q for q in range(width) if q not in mixed and q in read)
@@ -1419,8 +1399,8 @@ def dqc1_distribution(
     ``max_n`` must be an integer >= 0 and ``threads`` one >= 1; other
     values raise a one-line ValueError before any work.
     """
-    max_n = _nonnegative_int(max_n, "max_n")
-    threads = _thread_count(threads)
+    max_n = _int_at_least(max_n, "max_n", 0)
+    threads = _int_at_least(threads, "threads", 1)
     n = u.width - 1
     if n > max_n:
         msg = f"n={n} mixed qubits exceeds the cap of {max_n} (up to 2**n columns); raise max_n to override"
@@ -1456,8 +1436,8 @@ def dqc1_distribution(
 
 def sample(d: Distribution, count: int, seed: int) -> list[str]:
     """Draw ``count`` outcome bit strings; identical (d, count, seed) give identical draws."""
-    count = _nonnegative_int(count, "count")
-    rng = np.random.default_rng(_nonnegative_int(seed, "seed"))
+    count = _int_at_least(count, "count", 0)
+    rng = np.random.default_rng(_int_at_least(seed, "seed", 0))
     p = np.maximum(d.probs, 0.0)
     p = p / p.sum()
     width = d.n + 1

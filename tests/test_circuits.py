@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -206,9 +207,11 @@ class TestShiftQubits:
         with pytest.raises(ValueError, match=rf"^cannot shift a 2-qubit circuit by {offset} into width {width}$"):
             shift_qubits(c, offset, width)
 
-    def test_bad_target_width(self):
-        with pytest.raises(ValueError, match=r"^width must be a positive integer, got 3.5$"):
-            shift_qubits(Circuit(2, (cx(0, 1),)), 1, 3.5)
+    @pytest.mark.parametrize("width", [3.5, "5", None])
+    def test_bad_target_width(self, width):
+        message = f"width must be a positive integer, got {width!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            shift_qubits(Circuit(2, (cx(0, 1),)), 1, width)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_replace(self, seed):
@@ -360,6 +363,11 @@ class TestWireFormat:
     def test_mcx_polarity_default(self):
         c = parse_circuit('{"qubits":2,"gates":[{"g":"MCX","t":[0],"c":[1]}]}')
         assert c.gates[0].polarities == (1,)
+
+    def test_qubit_out_of_range_names_the_gate(self):
+        text = '{"qubits":2,"gates":[{"g":"H","t":[0]},{"g":"CX","t":[2],"c":[0]}]}'
+        with pytest.raises(CircuitFormatError, match=r"^circuit: gate 1 \(CX\) uses qubit 2 on a 2-qubit circuit$"):
+            parse_circuit(text)
 
     def test_parse_errors_carry_location(self):
         with pytest.raises(CircuitFormatError, match="line 1"):

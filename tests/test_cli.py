@@ -300,6 +300,11 @@ class TestExitCodes:
         assert code == 1
         assert "1/8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(("flag", "value"), [("--eps", "nan"), ("--eps", "inf"), ("--delta", "inf")])
+    def test_non_finite_budget(self, capsys, flag, value):
+        assert cli.main(["verify-chain", "--ensemble", "random:iqp:2:2:4:0", flag, value]) == 1
+        assert capsys.readouterr() == ("", f"error: {flag[2:]} must be a finite number, got {value}\n")
+
     def test_dir_ensemble_above_the_cap(self, tmp_path, capsys, monkeypatch):
         ran = []
         monkeypatch.setattr(hardness, "dqc1_distribution", lambda u: ran.append(u))

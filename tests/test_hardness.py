@@ -66,15 +66,18 @@ class TestErrorBudget:
 
     @pytest.mark.parametrize(
         ("field", "value"),
-        [("eps", False), ("eta", False), ("delta", True), ("eps", "0.1"), ("eps", None), ("delta", 0.5j)],
+        [
+            ("eps", False), ("eta", False), ("delta", True), ("eps", "0.1"), ("eps", None), ("delta", 0.5j),
+            ("eps", float("nan")), ("delta", float("inf")), ("eps", float("inf")), ("eta", -float("inf")),
+        ],
     )
     def test_rejects_non_reals(self, field, value):
-        message = f"{field} must be a real number, got {value!r}"
+        message = f"{field} must be a finite number, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ErrorBudget(**{field: value})
 
     def test_rejects_reals_out_of_float_range(self):
-        with pytest.raises(ValueError, match=r"^eta must be a real number in float range, got 1\d+$"):
+        with pytest.raises(ValueError, match=r"^eta must be a finite number, got 1\d+$"):
             ErrorBudget(eta=10**400)
 
     def test_stores_floats(self):
@@ -112,9 +115,13 @@ class TestSamplerModel:
         with pytest.raises(ValueError, match="^unknown sampler kind 'nope'$"):
             SamplerModel("nope")
 
-    @pytest.mark.parametrize(("kind", "param"), [("mixture", True), ("mass_shift", "0.02"), ("mixture", None)])
+    @pytest.mark.parametrize(
+        ("kind", "param"),
+        [("mixture", True), ("mass_shift", "0.02"), ("mixture", None), ("mixture", float("nan")),
+         ("mass_shift", float("inf"))],
+    )
     def test_rejects_non_real_parameters(self, kind, param):
-        message = f"sampler parameter must be a real number, got {param!r}"
+        message = f"sampler parameter must be a finite number, got {param!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SamplerModel(kind, param)
 
@@ -607,7 +614,7 @@ class TestVerifyChain:
             raise AssertionError("threads must be checked before any circuit runs")
 
         monkeypatch.setattr(hardness, "dqc1_distribution", forbidden)
-        message = f"^{re.escape(f'threads must be an integer >= 1, got {threads!r}')}$"
+        message = f"^{re.escape(f'threads must be a positive integer, got {threads!r}')}$"
         with pytest.raises(ValueError, match=message):
             verify_chain(identity_ensemble(2), SamplerModel.exact(), ErrorBudget(), threads=threads)
 

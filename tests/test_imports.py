@@ -1,4 +1,4 @@
-"""Every imported name and every private helper is used: standard-library stand-ins for a linter."""
+"""Every imported name, private helper and private keyword is used: standard-library stand-ins for a linter."""
 
 import ast
 from pathlib import Path
@@ -112,3 +112,51 @@ def test_the_scan_finds_a_blas_product():
         "line 3: np.vdot", "line 4: x.dot", "line 5: @", "line 6: @",
         "line 7: np.linalg.norm", "line 8: vdot",
     ]
+
+
+def unpassed_defaults(sources: dict[str, str]) -> list[str]:
+    """Defaulted parameters of private functions that no call passes, by keyword or by position.
+
+    A call with ``*args`` or ``**kwargs`` counts as passing every parameter.
+    """
+    defaults = {}  # function name -> (file, line, [(parameter, position among the call's arguments)])
+    passed = {}  # function name -> the positions and keywords some call passes
+    for label, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__"):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                bound = 1 if positional and positional[0].arg in ("self", "cls") else 0
+                first = len(positional) - len(a.defaults)
+                found = [(p.arg, i - bound) for i, p in enumerate(positional) if i >= first]
+                found += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                if found:
+                    defaults[node.name] = (label, node.lineno, found)
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                got = passed.setdefault(name, set())
+                got.update(range(len(node.args)), (k.arg for k in node.keywords))
+                if None in got or any(isinstance(arg, ast.Starred) for arg in node.args):
+                    got.add("*")
+    return [
+        f"{label} line {line}: {func}({param}=)"
+        for func, (label, line, found) in sorted(defaults.items())
+        for param, pos in found
+        if not {param, pos, "*"} & passed.get(func, set())
+    ]
+
+
+def test_no_keyword_only_tests_pass():
+    """A keyword the package never passes is dead in the package; tests do not count."""
+    assert unpassed_defaults({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def test_the_scan_finds_an_unpassed_default():
+    source = (
+        "def _f(a, b=1, *, c=2, d=3):\n    return a\n"
+        "class K:\n    def _m(self, x, y=0):\n        return x\n"
+        "def _g(u=1, v=2):\n    return u\n"
+        "def public(e=1):\n    return e\n"
+        "_f(0, 5, d=1)\nK()._m(1, 2)\n_g(*args)\npublic()\n"
+    )
+    assert unpassed_defaults({"a.py": source}) == ["a.py line 1: _f(c=)"]

@@ -994,7 +994,7 @@ class TestDqc1Distribution:
     @pytest.mark.parametrize("threads", [0, -3, 2.5, "2", None, True])
     def test_threads_must_be_a_positive_integer(self, monkeypatch, threads):
         monkeypatch.setattr(sim, "_compile", _forbidden)  # checked before any work
-        message = f"threads must be an integer >= 1, got {threads!r}"
+        message = f"threads must be a positive integer, got {threads!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             dqc1_distribution(Circuit(3), threads=threads)
 
@@ -1115,7 +1115,7 @@ class TestPlanLayout:
         monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 1 << 20)
         layer = tuple(h(q) for q in range(9))
         u = Circuit(9, layer + layer)
-        plan = sim._compile(u, split=False)
+        plan = sim._compile(u)
         assert plan.steps == tuple(("h", 8 - q) for q in range(9)) * 2
         assert np.abs(dqc1_distribution(u).probs - _columns_reference(u)).max() < 1e-13
 
@@ -1258,9 +1258,22 @@ class TestMonomial:
 
 
 def _full_plan(u: Circuit) -> np.ndarray:
-    """The plan over all 2**n columns (B empty), run directly through _compile and _run_plan."""
+    """The plan over all 2**n columns (every qubit in A, B empty), run directly through _run_plan."""
     n = u.width - 1
-    plan = sim._compile(u, split=False)
+    everything = tuple(range(u.width))
+    lead = next((i for i, g in enumerate(u.gates) if g.kind == "H"), len(u.gates))
+    fields, out_index = sim._layout(u.width, u.gates[:lead], everything, (), 0)
+    steps, final_rows, n_h = sim._program(u.gates[lead:], everything)
+    cols = max(1, min(sim._CHUNK_ENTRIES >> u.width, 1 << n))
+    plan = sim._Plan(
+        steps=steps,
+        rows=len(final_rows),
+        pending_h=n_h % sim._RESCALE_EVERY,
+        cols=cols,
+        chunks=sim._chunk_list(fields["slot_sizes"], cols),
+        out_row=final_rows[out_index],
+        **fields,
+    )
     assert plan.slot_sizes == (1 << n,) and not plan.out_comp.any()
     bufs = [np.empty(plan.rows * plan.cols, dtype=np.complex128) for _ in range(2)]
     parts = [sim._run_plan(plan, chunk, bufs) for chunk in plan.chunks]

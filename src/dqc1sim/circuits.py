@@ -73,7 +73,9 @@ class Gate:
 
     ``controls`` is populated only for CX (exactly one control, implicit
     polarity 1) and MCX (one polarity bit per control).  ``theta`` is
-    populated only for RZ.
+    populated only for RZ.  Construction states every rule of a gate: a
+    known kind, lists or tuples of integer wires and polarity bits (stored as
+    tuples of int), the wire counts, distinct wires and a finite angle.
     """
 
     kind: str
@@ -83,12 +85,15 @@ class Gate:
     theta: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _TARGET_COUNT:
+        if not isinstance(self.kind, str) or self.kind not in _TARGET_COUNT:
             msg = f"unknown gate kind {self.kind!r}"
             raise ValueError(msg)
-        object.__setattr__(self, "targets", tuple([_int_at_least(q, "target index", 0) for q in self.targets]))
-        object.__setattr__(self, "controls", tuple([_int_at_least(q, "control index", 0) for q in self.controls]))
-        object.__setattr__(self, "polarities", tuple(self.polarities))
+        for field, item in (("targets", "target index"), ("controls", "control index"), ("polarities", "polarity")):
+            value = getattr(self, field)
+            if not isinstance(value, (list, tuple)):
+                msg = f"{field} must be a list of integers, got {value!r}"
+                raise ValueError(msg)
+            object.__setattr__(self, field, tuple([_int_at_least(q, item, 0) for q in value]))
         if len(self.targets) != _TARGET_COUNT[self.kind]:
             msg = (
                 f"{self.kind} takes {_TARGET_COUNT[self.kind]} target(s), "
@@ -110,7 +115,7 @@ class Gate:
             if len(self.polarities) != len(self.controls):
                 msg = "MCX needs exactly one polarity bit per control"
                 raise ValueError(msg)
-            if any(b not in (0, 1) for b in self.polarities):
+            if max(self.polarities) > 1:
                 msg = "MCX polarities must be 0 or 1"
                 raise ValueError(msg)
         elif self.polarities:
@@ -124,7 +129,7 @@ class Gate:
         elif self.theta is not None:
             msg = f"{self.kind} takes no angle"
             raise ValueError(msg)
-        wires = self.targets + self.controls
+        wires = self.qubits
         if len(set(wires)) != len(wires):
             msg = f"{self.kind} wires must be distinct, got {wires}"
             raise ValueError(msg)
@@ -247,9 +252,8 @@ class Circuit:
             if not isinstance(g, Gate):
                 msg = f"gate {i} is not a Gate: {g!r}"
                 raise ValueError(msg)
-            wires = g.targets + g.controls
-            if max(wires) >= width:
-                bad = next(q for q in wires if q >= width)
+            if max(g.qubits) >= width:
+                bad = next(q for q in g.qubits if q >= width)
                 msg = f"gate {i} ({g.kind}) uses qubit {bad} on a {width}-qubit circuit"
                 raise ValueError(msg)
 
@@ -305,8 +309,8 @@ class PolyF2:
 
     There is no constant term: it would only flip the sign of every
     summand of the gap at once, so it stays unrepresentable.  Monomials
-    are strictly increasing index tuples; the outer tuple is kept sorted
-    so equal polynomials compare equal.
+    are given as lists or tuples and stored as strictly increasing index
+    tuples; the outer tuple is kept sorted so equal polynomials compare equal.
     """
 
     n_vars: int
@@ -316,8 +320,11 @@ class PolyF2:
         object.__setattr__(self, "n_vars", _int_at_least(self.n_vars, "n_vars", 1))
         monos = []
         for i, m in enumerate(self.monomials):
+            if not isinstance(m, (list, tuple)):
+                msg = f"monomial {i} must be a list of integers, got {m!r}"
+                raise ValueError(msg)
             if not all(_is_int(v) for v in m):
-                msg = f"monomial {i}: variables must be integers, got {tuple(m)!r}"
+                msg = f"monomial {i}: variables must be integers, got {m!r}"
                 raise ValueError(msg)
             mt = tuple(int(v) for v in m)
             if not 1 <= len(mt) <= 3:
@@ -341,7 +348,8 @@ class IsingInstance:
     """Pairwise couplings and local fields for spins s_j in {+1, -1}.
 
     ``couplings`` holds (j, k, theta) with j < k (pairs are unordered and
-    normalized on construction); ``fields`` holds (j, theta).
+    normalized on construction); ``fields`` holds (j, theta).  Each entry
+    given is a list or a tuple of that shape.
     """
 
     n_spins: int
@@ -351,14 +359,9 @@ class IsingInstance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_spins", _int_at_least(self.n_spins, "n_spins", 1))
 
-        raw = self.couplings.items() if isinstance(self.couplings, dict) else self.couplings
         pairs = []
-        for i, entry in enumerate(raw):
-            if isinstance(self.couplings, dict):
-                (j, k), theta = entry
-            else:
-                j, k, theta = entry
-            j, k, angle = self._entry(f"coupling {i}", (j, k), theta)
+        for i, entry in enumerate(self.couplings):
+            j, k, angle = self._entry(f"coupling {i}", entry, "[j, k, theta]")
             if j == k:
                 msg = f"coupling {i}: self-coupling on spin {j}"
                 raise ValueError(msg)
@@ -373,10 +376,9 @@ class IsingInstance:
             raise ValueError(msg)
         object.__setattr__(self, "couplings", tuple(sorted(pairs)))
 
-        raw = self.fields.items() if isinstance(self.fields, dict) else self.fields
         sites = []
-        for i, (j, theta) in enumerate(raw):
-            j, angle = self._entry(f"field {i}", (j,), theta)
+        for i, entry in enumerate(self.fields):
+            j, angle = self._entry(f"field {i}", entry, "[j, theta]")
             if j < 0 or j >= self.n_spins:
                 msg = f"field {i}: spin {j} outside 0..{self.n_spins - 1}"
                 raise ValueError(msg)
@@ -387,10 +389,14 @@ class IsingInstance:
         object.__setattr__(self, "fields", tuple(sorted(sites)))
 
     @staticmethod
-    def _entry(where: str, spins: tuple, theta) -> tuple:
-        """(*spins, theta) as ints and a finite float; ValueError naming ``where``."""
+    def _entry(where: str, entry, shape: str) -> tuple:
+        """``entry`` of the form ``shape`` as int spins and a finite float; ValueError naming ``where``."""
+        if not isinstance(entry, (list, tuple)) or len(entry) != shape.count(",") + 1:
+            msg = f"{where} must be {shape}, got {entry!r}"
+            raise ValueError(msg)
+        *spins, theta = entry
         if not all(_is_int(j) for j in spins):
-            msg = f"{where}: spins must be integers, got {list(spins)!r}"
+            msg = f"{where}: spins must be integers, got {spins!r}"
             raise ValueError(msg)
         return (*(int(j) for j in spins), _finite(theta, f"{where}: theta"))
 
@@ -417,8 +423,8 @@ def compile_iqp_from_poly(f: PolyF2) -> Circuit:
     and the sandwich averages those signs.
     """
     n = f.n_vars
-    layer = tuple(h(q) for q in range(n))
-    # PolyF2 already checked each monomial: distinct in-range integer wires.
+    # PolyF2 already checked n_vars and each monomial: distinct in-range integer wires.
+    layer = tuple(_checked_gate("H", (q,), (), (), None) for q in range(n))
     phases = tuple(_checked_gate(_PHASE_KIND[len(m)], m, (), (), None) for m in f.monomials)
     return _checked_circuit(n, layer + phases + layer)
 
@@ -447,6 +453,11 @@ def compile_iqp_from_ising(m: IsingInstance) -> Circuit:
 #                                      "pol": [...]?, "theta": radians?}]}
 # polynomial: {"n": n, "monomials": [[0], [1, 2], [0, 1, 2]]}
 # ising:      {"n": n, "couplings": [[j, k, theta]], "fields": [[j, theta]]}
+#
+# A parser checks JSON structure only: valid JSON, a top-level object, known
+# and required fields, and the lists it walks.  Every other rule (gate kinds,
+# entry shapes, integers, ranges) is the constructor's, and ``_built`` puts
+# where the document failed in front of the constructor's message.
 
 
 def _loads(text: str, what: str) -> dict:
@@ -475,11 +486,18 @@ def _no_extra_fields(obj: dict, allowed: set[str], what: str) -> None:
         raise CircuitFormatError(msg)
 
 
-def _int_list(value, where: str) -> list[int]:
-    if not isinstance(value, list) or not all(_is_int(v) for v in value):
-        msg = f"{where}: expected a list of integers, got {value!r}"
-        raise CircuitFormatError(msg)
-    return value
+def _positive(obj: dict, key: str, what: str) -> int:
+    """The required field ``key`` as a positive integer."""
+    return _built(what, _int_at_least, _require(obj, key, what), repr(key), 1)
+
+
+def _built(where: str, make, *args):
+    """``make(*args)``, whose ValueError becomes a CircuitFormatError prefixed with ``where``."""
+    try:
+        return make(*args)
+    except ValueError as e:
+        msg = f"{where}: {e}"
+        raise CircuitFormatError(msg) from None
 
 
 _GATE_FIELDS = {"g", "t", "c", "pol", "theta"}
@@ -489,10 +507,7 @@ def parse_circuit(text: str) -> Circuit:
     """Parse the circuit wire format; errors carry the offending gate index."""
     obj = _loads(text, "circuit")
     _no_extra_fields(obj, {"qubits", "gates"}, "circuit")
-    width = _require(obj, "qubits", "circuit")
-    if not _is_int(width) or width < 1:
-        msg = f"circuit: 'qubits' must be a positive integer, got {width!r}"
-        raise CircuitFormatError(msg)
+    width = _positive(obj, "qubits", "circuit")
     raw_gates = _require(obj, "gates", "circuit")
     if not isinstance(raw_gates, list):
         msg = "circuit: 'gates' must be a list"
@@ -505,28 +520,13 @@ def parse_circuit(text: str) -> Circuit:
             raise CircuitFormatError(msg)
         _no_extra_fields(entry, _GATE_FIELDS, where)
         kind = _require(entry, "g", where)
-        if not isinstance(kind, str):
-            msg = f"{where}: 'g' must be a gate name, got {kind!r}"
-            raise CircuitFormatError(msg)
-        targets = _int_list(_require(entry, "t", where), f"{where} field 't'")
-        controls = _int_list(entry.get("c", []), f"{where} field 'c'")
+        targets = _require(entry, "t", where)
+        controls = entry.get("c", [])
         pol = entry.get("pol")
-        theta = entry.get("theta")
-        if pol is not None:
-            pol = _int_list(pol, f"{where} field 'pol'")
-        elif kind == "MCX":
-            pol = [1] * len(controls)
-        try:
-            g = Gate(kind, tuple(targets), tuple(controls), tuple(pol or ()), theta)
-        except ValueError as e:
-            msg = f"{where}: {e}"
-            raise CircuitFormatError(msg) from None
-        gates.append(g)
-    try:
-        return Circuit(width, tuple(gates))
-    except ValueError as e:  # a wire beyond 'qubits'; the message names the gate
-        msg = f"circuit: {e}"
-        raise CircuitFormatError(msg) from None
+        if pol is None:  # an MCX without 'pol' fires on |1> at each control
+            pol = [1] * len(controls) if kind == "MCX" and isinstance(controls, list) else []
+        gates.append(_built(where, Gate, kind, targets, controls, pol, entry.get("theta")))
+    return _built("circuit", Circuit, width, gates)
 
 
 def serialize_circuit(c: Circuit) -> str:
@@ -552,28 +552,15 @@ def save_circuit(c: Circuit, path) -> None:
     Path(path).write_text(serialize_circuit(c) + "\n")
 
 
-def _positive_n(obj: dict, what: str) -> int:
-    n = _require(obj, "n", what)
-    if not _is_int(n) or n < 1:
-        msg = f"{what}: 'n' must be a positive integer, got {n!r}"
-        raise CircuitFormatError(msg)
-    return n
-
-
 def parse_poly(text: str) -> PolyF2:
     obj = _loads(text, "polynomial")
     _no_extra_fields(obj, {"n", "monomials"}, "polynomial")
-    n = _positive_n(obj, "polynomial")
+    n = _positive(obj, "n", "polynomial")
     monomials = _require(obj, "monomials", "polynomial")
     if not isinstance(monomials, list):
         msg = "polynomial: 'monomials' must be a list"
         raise CircuitFormatError(msg)
-    monos = [_int_list(m, f"monomial {i}") for i, m in enumerate(monomials)]
-    try:
-        return PolyF2(n, tuple(tuple(m) for m in monos))
-    except ValueError as e:
-        msg = f"polynomial: {e}"
-        raise CircuitFormatError(msg) from None
+    return _built("polynomial", PolyF2, n, monomials)
 
 
 def load_poly(path) -> PolyF2:
@@ -583,30 +570,13 @@ def load_poly(path) -> PolyF2:
 def parse_ising(text: str) -> IsingInstance:
     obj = _loads(text, "ising")
     _no_extra_fields(obj, {"n", "couplings", "fields"}, "ising")
-    n = _positive_n(obj, "ising")
+    n = _positive(obj, "n", "ising")
     couplings = obj.get("couplings", [])
     fields = obj.get("fields", [])
     if not isinstance(couplings, list) or not isinstance(fields, list):
         msg = "ising: 'couplings' and 'fields' must be lists"
         raise CircuitFormatError(msg)
-    for name, entries, shape, size in (
-        ("coupling", couplings, "[j, k, theta]", 3),
-        ("field", fields, "[j, theta]", 2),
-    ):
-        for i, entry in enumerate(entries):
-            where = f"ising: {name} {i}"
-            if not isinstance(entry, list) or len(entry) != size:
-                msg = f"{where} must be {shape}, got {entry!r}"
-                raise CircuitFormatError(msg)
-    try:
-        return IsingInstance(
-            n,
-            tuple((j, k, theta) for j, k, theta in couplings),
-            tuple((j, theta) for j, theta in fields),
-        )
-    except ValueError as e:
-        msg = f"ising: {e}"
-        raise CircuitFormatError(msg) from None
+    return _built("ising", IsingInstance, n, couplings, fields)
 
 
 def load_ising(path) -> IsingInstance:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .circuits import (
     CircuitFormatError,
@@ -63,26 +64,16 @@ def _int_arg(text: str, low: int) -> int:
     return value
 
 
-def _thread_count(text: str) -> int:
-    """The --threads value: an integer of at least 1."""
-    return _int_arg(text, 1)
-
-
-def _nonnegative(text: str) -> int:
-    """A --seed, --count or --max-n value: an integer of at least 0."""
-    return _int_arg(text, 0)
-
-
 def _add_threads(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--threads", type=_thread_count, default=1, help="worker threads (output is identical for any value)"
+        "--threads", type=partial(_int_arg, low=1), default=1, help="worker threads (output is identical for any value)"
     )
 
 
 def _add_max_n(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--max-n",
-        type=_nonnegative,
+        type=partial(_int_arg, low=0),
         default=DEFAULT_MAX_MIXED_QUBITS,
         help=f"cap on mixed qubits n for the distribution, which runs up to 2**n columns (default {DEFAULT_MAX_MIXED_QUBITS})",
     )
@@ -132,23 +123,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw outcome bit strings from a circuit's distribution")
     p.add_argument("--circuit", required=True, help="circuit JSON file")
-    p.add_argument("--count", type=_nonnegative, required=True, help="number of draws")
-    p.add_argument("--seed", type=_nonnegative, required=True, help="RNG seed (an integer >= 0)")
+    p.add_argument("--count", type=partial(_int_arg, low=0), required=True, help="number of draws")
+    p.add_argument("--seed", type=partial(_int_arg, low=0), required=True, help="RNG seed (an integer >= 0)")
     _add_max_n(p)
 
     p = sub.add_parser("anticoncentration", help="heavy-set fraction of an ensemble vs its threshold")
     p.add_argument("--ensemble", default=_DEFAULT_ENSEMBLE, help=ENSEMBLE_SPEC_HELP)
-    p.add_argument("--eps", type=float, default=1.0 / 36.0, help="sampler TV budget")
-    p.add_argument("--delta", type=float, default=1.0 / 6.0, help="Markov outlier budget")
+    p.add_argument("--eps", type=float, default=ErrorBudget.eps, help="sampler TV budget")
+    p.add_argument("--delta", type=float, default=ErrorBudget.delta, help="Markov outlier budget")
     _add_threads(p)
 
     p = sub.add_parser("verify-chain", help="run every bound of the chain on an ensemble")
     p.add_argument("--ensemble", default=_DEFAULT_ENSEMBLE, help=ENSEMBLE_SPEC_HELP)
     p.add_argument("--sampler", default="exact", help="exact | mixture:LAMBDA | mass_shift:TV")
-    p.add_argument("--eps", type=float, default=1.0 / 36.0, help="sampler TV budget")
-    p.add_argument("--delta", type=float, default=1.0 / 6.0, help="Markov outlier budget")
-    p.add_argument("--eta", type=float, default=1.0 / 100.0, help="relative error of the counter, at most 1/8")
-    p.add_argument("--seed", type=_nonnegative, default=0, help="master seed for the counter noise (an integer >= 0)")
+    p.add_argument("--eps", type=float, default=ErrorBudget.eps, help="sampler TV budget")
+    p.add_argument("--delta", type=float, default=ErrorBudget.delta, help="Markov outlier budget")
+    p.add_argument("--eta", type=float, default=ErrorBudget.eta, help="relative error of the counter, at most 1/8")
+    p.add_argument(
+        "--seed", type=partial(_int_arg, low=0), default=0, help="master seed for the counter noise (an integer >= 0)"
+    )
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     _add_threads(p)
 

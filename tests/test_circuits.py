@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dqc1sim.cli as cli
 from dqc1sim.circuits import (
     GATE_KINDS,
     Circuit,
@@ -22,12 +23,14 @@ from dqc1sim.circuits import (
     cx,
     cz,
     h,
+    load_circuit,
     mcx,
     parse_circuit,
     parse_ising,
     parse_poly,
     rz,
     s,
+    save_circuit,
     sdg,
     serialize_circuit,
     shift_qubits,
@@ -99,15 +102,36 @@ class TestGateValidation:
     def test_rejects_boolean_and_float_wires(self, wire):
         with pytest.raises(ValueError, match="must be a nonnegative integer"):
             Gate("H", (wire,))
+        # Polarity bits like these used to pass, and save_circuit then wrote "pol":[true] or [1.0].
+        with pytest.raises(ValueError, match="^polarity must be a nonnegative integer, got "):
+            Gate("MCX", (0,), (1,), (wire,))
 
     def test_numpy_integer_wires_accepted_and_boolean_wires_rejected(self):
-        g = Gate("MCX", (np.int64(2),), (np.int64(0), np.uint8(1)), (1, 0))
-        assert g.targets == (2,) and g.controls == (0, 1)
-        assert all(type(q) is int for q in g.qubits)
+        g = Gate("MCX", (np.int64(2),), (np.int64(0), np.uint8(1)), (np.int64(1), np.uint8(0)))
+        assert g.targets == (2,) and g.controls == (0, 1) and g.polarities == (1, 0)
+        assert all(type(q) is int for q in g.qubits + g.polarities)
         with pytest.raises(ValueError, match="control index must be a nonnegative integer"):
             Gate("CX", (np.int64(1),), (True,))
         with pytest.raises(ValueError, match="target index must be a nonnegative integer"):
             Gate("CX", (True,), (np.int64(0),))
+
+    @pytest.mark.parametrize(
+        ("make", "message"),
+        [
+            (lambda: Gate("H", 0), "targets must be a list of integers, got 0"),
+            (lambda: Gate("CX", (0,), 1), "controls must be a list of integers, got 1"),
+            (lambda: Gate("MCX", (0,), (1,), 1), "polarities must be a list of integers, got 1"),
+            (lambda: Gate(["H"], (0,)), "unknown gate kind ['H']"),
+            (lambda: PolyF2(2, (5,)), "monomial 0 must be a list of integers, got 5"),
+            (lambda: IsingInstance(2, ((0, 1),)), "coupling 0 must be [j, k, theta], got (0, 1)"),
+            (lambda: IsingInstance(2, (), ((0, 1, 0.5),)), "field 0 must be [j, theta], got (0, 1, 0.5)"),
+        ],
+    )
+    def test_malformed_shapes_name_their_field(self, make, message):
+        # These used to raise a TypeError or a ValueError that named no field.
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
 
     def test_negative_index(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -274,11 +298,6 @@ class TestIsingInstance:
         m = IsingInstance(3, ((2, 0, 0.5),))
         assert m.couplings == ((0, 2, 0.5),)
 
-    def test_accepts_mappings(self):
-        m = IsingInstance(3, {(0, 1): 0.25}, {2: -1.0})
-        assert m.couplings == ((0, 1, 0.25),)
-        assert m.fields == ((2, -1.0),)
-
     def test_rejects_self_coupling(self):
         with pytest.raises(ValueError, match="self-coupling"):
             IsingInstance(2, ((1, 1, 0.3),))
@@ -308,7 +327,7 @@ class TestIsingInstance:
         with pytest.raises(ValueError, match="^field 0: theta must be a finite number"):
             IsingInstance(2, ((0, 1, 0.3),), ((1, theta),))
         with pytest.raises(ValueError, match="^coupling 0: theta must be a finite number"):
-            IsingInstance(2, {(0, 1): theta})
+            IsingInstance(2, ((0, 1, theta),))
 
 
 class TestIqpFromPoly:
@@ -398,6 +417,21 @@ class TestWireFormat:
             again = parse_circuit(text)
             assert again == c
             assert serialize_circuit(again) == text
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_save_load_round_trip_with_numpy_wires(self, tmp_path, seed):
+        # numpy polarities used to reach json.dumps, which cannot write an int64.
+        rng = np.random.default_rng(seed)
+        path = tmp_path / "circuit.json"
+        for _ in range(50):
+            c = random_circuit(int(rng.integers(2, 7)), int(rng.integers(0, 20)), rng, GATE_KINDS)
+            gates = [
+                Gate(g.kind, tuple(map(np.int64, g.targets)), tuple(map(np.uint8, g.controls)),
+                     tuple(map(np.int64, g.polarities)), g.theta)
+                for g in c.gates
+            ]
+            save_circuit(Circuit(np.int64(c.width), gates), path)
+            assert load_circuit(path) == c
 
 
 # Values the fuzz writes into fields; "@1e309" becomes the bare literal 1e309.
@@ -527,3 +561,99 @@ class TestPolyAndIsingFormats:
     def test_unknown_top_level_field(self, parse, text, field):
         with pytest.raises(CircuitFormatError, match=f"unexpected field '{field}'"):
             parse(text)
+
+
+# One single-fault document per rule of the three wire formats, with the
+# exact one-line message it must raise.
+_FORMAT_MESSAGES = [
+    (parse_circuit, '{not json', 'circuit: invalid JSON at line 1, column 2: Expecting property name enclosed in double quotes'),
+    (parse_circuit, '[]', 'circuit: top level must be a JSON object'),
+    (parse_circuit, '{"qubits":1,"gates":[],"extra":1}', "circuit: unexpected field 'extra'"),
+    (parse_circuit, '{"gates":[]}', "circuit: missing field 'qubits'"),
+    (parse_circuit, '{"qubits":0,"gates":[]}', "circuit: 'qubits' must be a positive integer, got 0"),
+    (parse_circuit, '{"qubits":true,"gates":[]}', "circuit: 'qubits' must be a positive integer, got True"),
+    (parse_circuit, '{"qubits":1}', "circuit: missing field 'gates'"),
+    (parse_circuit, '{"qubits":1,"gates":{}}', "circuit: 'gates' must be a list"),
+    (parse_circuit, '{"qubits":1,"gates":["H"]}', "gate 0: expected an object, got 'H'"),
+    (parse_circuit, '{"qubits":1,"gates":[{"g":"H","t":[0],"x":1}]}', "gate 0: unexpected field 'x'"),
+    (parse_circuit, '{"qubits":1,"gates":[{"t":[0]}]}', "gate 0: missing field 'g'"),
+    (parse_circuit, '{"qubits":1,"gates":[{"g":"H"}]}', "gate 0: missing field 't'"),
+    (parse_circuit, '{"qubits":1,"gates":[{"g":"FOO","t":[0]}]}', "gate 0: unknown gate kind 'FOO'"),
+    (parse_circuit, '{"qubits":1,"gates":[{"g":["H"],"t":[0]}]}', "gate 0: unknown gate kind ['H']"),
+    (parse_circuit, '{"qubits":1,"gates":[{"g":"H","t":0}]}', 'gate 0: targets must be a list of integers, got 0'),
+    (parse_circuit, '{"qubits":1,"gates":[{"g":"H","t":[false]}]}', 'gate 0: target index must be a nonnegative integer, got False'),
+    (parse_circuit, '{"qubits":1,"gates":[{"g":"H","t":[0.0]}]}', 'gate 0: target index must be a nonnegative integer, got 0.0'),
+    (parse_circuit, '{"qubits":1,"gates":[{"g":"H","t":[-1]}]}', 'gate 0: target index must be a nonnegative integer, got -1'),
+    (parse_circuit, '{"qubits":2,"gates":[{"g":"H","t":[0,1]}]}', 'gate 0: H takes 1 target(s), got 2'),
+    (parse_circuit, '{"qubits":2,"gates":[{"g":"CX","t":[0]}]}', 'gate 0: CX takes exactly one control'),
+    (parse_circuit, '{"qubits":2,"gates":[{"g":"CX","t":[0],"c":[true]}]}', 'gate 0: control index must be a nonnegative integer, got True'),
+    (parse_circuit, '{"qubits":2,"gates":[{"g":"CX","t":[0],"c":1}]}', 'gate 0: controls must be a list of integers, got 1'),
+    (parse_circuit, '{"qubits":2,"gates":[{"g":"H","t":[0],"c":[1]}]}', 'gate 0: H takes no controls'),
+    (parse_circuit, '{"qubits":2,"gates":[{"g":"MCX","t":[0]}]}', 'gate 0: MCX needs at least one control'),
+    (parse_circuit, '{"qubits":2,"gates":[{"g":"MCX","t":[0],"c":[1],"pol":[true]}]}', 'gate 0: polarity must be a nonnegative integer, got True'),
+    (parse_circuit, '{"qubits":2,"gates":[{"g":"MCX","t":[0],"c":[1],"pol":[1.0]}]}', 'gate 0: polarity must be a nonnegative integer, got 1.0'),
+    (parse_circuit, '{"qubits":2,"gates":[{"g":"MCX","t":[0],"c":[1],"pol":[2]}]}', 'gate 0: MCX polarities must be 0 or 1'),
+    (parse_circuit, '{"qubits":2,"gates":[{"g":"MCX","t":[0],"c":[1],"pol":[-1]}]}', 'gate 0: polarity must be a nonnegative integer, got -1'),
+    (parse_circuit, '{"qubits":2,"gates":[{"g":"MCX","t":[0],"c":[1],"pol":[0,1]}]}', 'gate 0: MCX needs exactly one polarity bit per control'),
+    (parse_circuit, '{"qubits":2,"gates":[{"g":"MCX","t":[0],"c":[1],"pol":1}]}', 'gate 0: polarities must be a list of integers, got 1'),
+    (parse_circuit, '{"qubits":2,"gates":[{"g":"H","t":[0],"pol":[1]}]}', 'gate 0: H takes no polarities'),
+    (parse_circuit, '{"qubits":2,"gates":[{"g":"RZ","t":[0]}]}', 'gate 0: RZ needs an angle'),
+    (parse_circuit, '{"qubits":2,"gates":[{"g":"RZ","t":[0],"theta":NaN}]}', "gate 0: 'theta' must be a finite number, got nan"),
+    (parse_circuit, '{"qubits":2,"gates":[{"g":"RZ","t":[0],"theta":"1"}]}', "gate 0: 'theta' must be a finite number, got '1'"),
+    (parse_circuit, '{"qubits":2,"gates":[{"g":"H","t":[0],"theta":1.0}]}', 'gate 0: H takes no angle'),
+    (parse_circuit, '{"qubits":2,"gates":[{"g":"CZ","t":[1,1]}]}', 'gate 0: CZ wires must be distinct, got (1, 1)'),
+    (parse_circuit, '{"qubits":2,"gates":[{"g":"H","t":[0]},{"g":"H","t":[2]}]}', 'circuit: gate 1 (H) uses qubit 2 on a 2-qubit circuit'),
+    (parse_poly, '{"n":3', "polynomial: invalid JSON at line 1, column 7: Expecting ',' delimiter"),
+    (parse_poly, '[]', 'polynomial: top level must be a JSON object'),
+    (parse_poly, '{"n":3,"monomials":[],"x":1}', "polynomial: unexpected field 'x'"),
+    (parse_poly, '{"monomials":[]}', "polynomial: missing field 'n'"),
+    (parse_poly, '{"n":0,"monomials":[]}', "polynomial: 'n' must be a positive integer, got 0"),
+    (parse_poly, '{"n":true,"monomials":[]}', "polynomial: 'n' must be a positive integer, got True"),
+    (parse_poly, '{"n":3}', "polynomial: missing field 'monomials'"),
+    (parse_poly, '{"n":3,"monomials":3}', "polynomial: 'monomials' must be a list"),
+    (parse_poly, '{"n":3,"monomials":[5]}', 'polynomial: monomial 0 must be a list of integers, got 5'),
+    (parse_poly, '{"n":3,"monomials":[[0.5]]}', 'polynomial: monomial 0: variables must be integers, got [0.5]'),
+    (parse_poly, '{"n":3,"monomials":[[0],[true]]}', 'polynomial: monomial 1: variables must be integers, got [True]'),
+    (parse_poly, '{"n":3,"monomials":[[]]}', 'polynomial: monomial () has size 0, only sizes 1..3 are allowed'),
+    (parse_poly, '{"n":3,"monomials":[[0,1,2],[0,1,2,3]]}', 'polynomial: monomial (0, 1, 2, 3) has size 4, only sizes 1..3 are allowed'),
+    (parse_poly, '{"n":3,"monomials":[[1,0]]}', 'polynomial: monomial (1, 0) must be strictly increasing'),
+    (parse_poly, '{"n":3,"monomials":[[0,3]]}', 'polynomial: monomial (0, 3) uses a variable outside 0..2'),
+    (parse_poly, '{"n":3,"monomials":[[0],[0]]}', 'polynomial: duplicate monomials'),
+    (parse_ising, '{"n":2,', 'ising: invalid JSON at line 1, column 8: Expecting property name enclosed in double quotes'),
+    (parse_ising, '[]', 'ising: top level must be a JSON object'),
+    (parse_ising, '{"n":2,"feilds":[]}', "ising: unexpected field 'feilds'"),
+    (parse_ising, '{"couplings":[]}', "ising: missing field 'n'"),
+    (parse_ising, '{"n":2.0}', "ising: 'n' must be a positive integer, got 2.0"),
+    (parse_ising, '{"n":2,"couplings":{}}', "ising: 'couplings' and 'fields' must be lists"),
+    (parse_ising, '{"n":2,"fields":3}', "ising: 'couplings' and 'fields' must be lists"),
+    (parse_ising, '{"n":2,"couplings":[[0,1]]}', 'ising: coupling 0 must be [j, k, theta], got [0, 1]'),
+    (parse_ising, '{"n":2,"couplings":[5]}', 'ising: coupling 0 must be [j, k, theta], got 5'),
+    (parse_ising, '{"n":2,"fields":[[0]]}', 'ising: field 0 must be [j, theta], got [0]'),
+    (parse_ising, '{"n":2,"fields":[[0,0.5],{"j":1}]}', "ising: field 1 must be [j, theta], got {'j': 1}"),
+    (parse_ising, '{"n":2,"couplings":[[0,1,NaN]]}', 'ising: coupling 0: theta must be a finite number, got nan'),
+    (parse_ising, '{"n":2,"couplings":[[0,true,0.5]]}', 'ising: coupling 0: spins must be integers, got [0, True]'),
+    (parse_ising, '{"n":2,"fields":[[0.0,0.5]]}', 'ising: field 0: spins must be integers, got [0.0]'),
+    (parse_ising, '{"n":2,"fields":[[1,"0.5"]]}', "ising: field 0: theta must be a finite number, got '0.5'"),
+    (parse_ising, '{"n":2,"couplings":[[1,1,0.2]]}', 'ising: coupling 0: self-coupling on spin 1'),
+    (parse_ising, '{"n":2,"couplings":[[0,2,0.1]]}', 'ising: coupling 0: (0, 2) outside 0..1'),
+    (parse_ising, '{"n":2,"couplings":[[0,1,0.1],[1,0,0.2]]}', 'ising: duplicate coupling pair'),
+    (parse_ising, '{"n":2,"fields":[[5,0.1]]}', 'ising: field 0: spin 5 outside 0..1'),
+    (parse_ising, '{"n":2,"fields":[[0,0.1],[0,0.2]]}', 'ising: duplicate field spin'),
+]
+
+
+@pytest.mark.parametrize(
+    ("parse", "text", "message"),
+    _FORMAT_MESSAGES,
+    ids=[f"{parse.__name__[6:]}:{text}" for parse, text, _ in _FORMAT_MESSAGES],
+)
+def test_single_fault_message(tmp_path, capsys, parse, text, message):
+    with pytest.raises(CircuitFormatError) as info:
+        parse(text)
+    assert str(info.value) == message
+    # The CLI prints the same line and exits 1.
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    flags = {parse_circuit: ["iqp-amp", "--circuit"], parse_poly: ["gap", "--poly"], parse_ising: ["ising-z", "--model"]}
+    assert cli.main([*flags[parse], str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")

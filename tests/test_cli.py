@@ -326,11 +326,11 @@ class TestExitCodes:
             ("dqc1-dist", '{"qubits":2,"gates":[{"g":"H","t":[0]},{"g":"RZ","t":[1],"theta":Infinity}]}',
              "gate 1: 'theta'"),
             ("dqc1-dist", '{"qubits": true, "gates": [{"g":"H","t":[false]}]}', "'qubits'"),
-            ("dqc1-dist", '{"qubits":1,"gates":[{"g":"H","t":[false]}]}', "gate 0 field 't'"),
-            ("dqc1-dist", '{"qubits":2,"gates":[{"g":"CX","t":[0],"c":[true]}]}', "gate 0 field 'c'"),
+            ("dqc1-dist", '{"qubits":1,"gates":[{"g":"H","t":[false]}]}', "gate 0: target index"),
+            ("dqc1-dist", '{"qubits":2,"gates":[{"g":"CX","t":[0],"c":[true]}]}', "gate 0: control index"),
             ("dqc1-dist", '{"qubits":2,"gates":[{"g":"MCX","t":[0],"c":[1],"pol":[true]}]}',
-             "gate 0 field 'pol'"),
-            ("dqc1-dist", '{"qubits":2,"gates":[{"g":["H"],"t":[0]}]}', "gate 0: 'g'"),
+             "gate 0: polarity"),
+            ("dqc1-dist", '{"qubits":2,"gates":[{"g":["H"],"t":[0]}]}', "gate 0: unknown gate kind"),
         ],
     )
     def test_rejects_non_finite_and_boolean_fields(self, tmp_path, capsys, command, text, needle):
@@ -709,11 +709,25 @@ class TestPinnedBytes:
 
 # OpenBLAS settings that change the kernel or the thread count of a BLAS
 # sum.  A forced core type must be one the CPU can run: Prescott needs
-# only SSE3, so it is forced on x86_64 alone.
+# only SSE3, so it is forced on x86_64 alone, and each other core type runs
+# only where /proc/cpuinfo lists the flag after it.
 _BLAS_SETTINGS = {
-    "one-thread": {"OPENBLAS_NUM_THREADS": "1"},
-    "prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "one-thread": ({"OPENBLAS_NUM_THREADS": "1"}, None),
+    "prescott": ({"OPENBLAS_CORETYPE": "Prescott"}, None),
+    "sandybridge": ({"OPENBLAS_CORETYPE": "Sandybridge"}, "avx"),
+    "haswell": ({"OPENBLAS_CORETYPE": "Haswell"}, "avx2"),
+    "skylakex": ({"OPENBLAS_CORETYPE": "SkylakeX"}, "avx512f"),
 }
+
+
+def _cpu_flags() -> set[str]:
+    """The CPU feature flags /proc/cpuinfo lists; none where it cannot be read."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            text = fh.read()
+    except OSError:
+        return set()
+    return {flag for line in text.splitlines() if line.startswith("flags") for flag in line.split(":", 1)[1].split()}
 
 
 class TestBlasIndependence:
@@ -722,8 +736,11 @@ class TestBlasIndependence:
     @pytest.mark.parametrize("setting", sorted(_BLAS_SETTINGS))
     @pytest.mark.parametrize("command", ["f-value", "iqp-amp"])
     def test_stdout_under_blas_settings(self, tmp_path, command, setting):
+        env_setting, cpu_flag = _BLAS_SETTINGS[setting]
         if setting == "prescott" and platform.machine() != "x86_64":
             pytest.skip("OPENBLAS_CORETYPE=Prescott runs on x86_64 only")
+        if cpu_flag is not None and cpu_flag not in _cpu_flags():
+            pytest.skip(f"{env_setting['OPENBLAS_CORETYPE']} needs {cpu_flag}, which /proc/cpuinfo does not list")
         if command == "f-value":
             # f = 1/2; a BLAS sum of squares gave 0.5, 0.49999999999999994 or
             # 0.4999999999999999, by kernel and thread count.
@@ -737,6 +754,6 @@ class TestBlasIndependence:
         save_circuit(circuit, path)
         env = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
         default = run_cli(command, "--circuit", str(path), *args, env=env)
-        forced = run_cli(command, "--circuit", str(path), *args, env={**env, **_BLAS_SETTINGS[setting]})
+        forced = run_cli(command, "--circuit", str(path), *args, env={**env, **env_setting})
         assert default.returncode == forced.returncode == 0, forced.stderr
         assert forced.stdout == default.stdout

@@ -41,12 +41,43 @@ def test_the_scan_finds_an_unused_import():
     assert unused_imports(source) == ["line 1: os", "line 2: system"]
 
 
+def name_resolver(label: str, tree: ast.Module):
+    """A function from a Name or Attribute node read in module ``label`` to the (module, name) it refers to.
+
+    ``from .x import _a as _b`` makes ``_b`` refer to ``("x.py", "_a")``, and ``x._a`` on a module ``x``
+    imported whole refers to ``("x.py", "_a")``.  Any other attribute (a method, say) may be defined in
+    any module, so it refers to ``("*", name)``.
+    """
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                names[alias.asname or alias.name] = (f"{node.module.rpartition('.')[2]}.py", alias.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                modules[alias.asname or alias.name] = f"{alias.name.rpartition('.')[2]}.py"
+
+    def resolve(node) -> tuple[str, str]:
+        if isinstance(node, ast.Name):
+            return names.get(node.id, (label, node.id))
+        if isinstance(node.value, ast.Name) and node.value.id in modules:
+            return (modules[node.value.id], node.attr)
+        return ("*", node.attr)
+
+    return resolve
+
+
 def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """Module-level private names (defs, classes, constants) that no module reads outside their own definition."""
-    defined = {}  # name -> (file, line, defining statement)
-    reads = []  # (name, top-level statement that reads it)
+    """Module-level private names (defs, classes, constants) that no module reads outside their own definition.
+
+    Each definition is keyed by (module, name), so a name defined in two modules is read only where it resolves.
+    """
+    defined = {}  # (file, name) -> (line, defining statement)
+    reads = []  # ((file, name), top-level statement that reads it)
     for label, source in sources.items():
-        for stmt in ast.parse(source).body:
+        tree = ast.parse(source)
+        resolve = name_resolver(label, tree)
+        for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 targets = [stmt.name]
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
@@ -56,14 +87,17 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
                 targets = []
             for name in targets:
                 if name.startswith("_") and not name.startswith("__"):
-                    defined[name] = (label, stmt.lineno, stmt)
+                    defined[label, name] = (stmt.lineno, stmt)
             for node in ast.walk(stmt):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    reads.append((node.id, stmt))
-                elif isinstance(node, ast.Attribute):
-                    reads.append((node.attr, stmt))
-    read = {name for name, stmt in reads if name in defined and stmt is not defined[name][2]}
-    unread = sorted((f, line, name) for name, (f, line, _) in defined.items() if name not in read)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute):
+                    reads.append((resolve(node), stmt))
+    read = {
+        key
+        for (where, name), stmt in reads
+        for key in defined
+        if key[1] == name and where in (key[0], "*") and stmt is not defined[key][1]
+    }
+    unread = sorted((f, line, name) for (f, name), (line, _) in defined.items() if (f, name) not in read)
     return [f"{f} line {line}: {name}" for f, line, name in unread]
 
 
@@ -117,12 +151,16 @@ def test_the_scan_finds_a_blas_product():
 def unpassed_defaults(sources: dict[str, str]) -> list[str]:
     """Defaulted parameters of private functions that no call passes, by keyword or by position.
 
-    A call with ``*args`` or ``**kwargs`` counts as passing every parameter.
+    Functions are keyed by (module, name), and a call reaches the definition its name resolves to; a
+    method call, whose receiver's module is unknown, reaches every function of that name.  A call with
+    ``*args`` or ``**kwargs`` counts as passing every parameter.
     """
-    defaults = {}  # function name -> (file, line, [(parameter, position among the call's arguments)])
-    passed = {}  # function name -> the positions and keywords some call passes
+    defaults = {}  # (file, function name) -> (line, [(parameter, position among the call's arguments)])
+    passed = {}  # (file or "*", function name) -> the positions and keywords some call passes
     for label, source in sources.items():
-        for node in ast.walk(ast.parse(source)):
+        tree = ast.parse(source)
+        resolve = name_resolver(label, tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__"):
                 a = node.args
                 positional = a.posonlyargs + a.args
@@ -131,18 +169,17 @@ def unpassed_defaults(sources: dict[str, str]) -> list[str]:
                 found = [(p.arg, i - bound) for i, p in enumerate(positional) if i >= first]
                 found += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
                 if found:
-                    defaults[node.name] = (label, node.lineno, found)
-            elif isinstance(node, ast.Call):
-                name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                got = passed.setdefault(name, set())
+                    defaults[label, node.name] = (node.lineno, found)
+            elif isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                got = passed.setdefault(resolve(node.func), set())
                 got.update(range(len(node.args)), (k.arg for k in node.keywords))
                 if None in got or any(isinstance(arg, ast.Starred) for arg in node.args):
                     got.add("*")
     return [
         f"{label} line {line}: {func}({param}=)"
-        for func, (label, line, found) in sorted(defaults.items())
+        for (label, func), (line, found) in sorted(defaults.items())
         for param, pos in found
-        if not {param, pos, "*"} & passed.get(func, set())
+        if not {param, pos, "*"} & (passed.get((label, func), set()) | passed.get(("*", func), set()))
     ]
 
 
@@ -160,3 +197,21 @@ def test_the_scan_finds_an_unpassed_default():
         "_f(0, 5, d=1)\nK()._m(1, 2)\n_g(*args)\npublic()\n"
     )
     assert unpassed_defaults({"a.py": source}) == ["a.py line 1: _f(c=)"]
+
+
+def test_the_unread_scan_keys_names_by_module():
+    """A private name defined in two modules does not hide the definition that no module reads."""
+    assert unread_private_names({"a.py": "def _h(x): ...", "b.py": "def _h(y): ...\nprint(_h(1))"}) == [
+        "a.py line 1: _h"
+    ]
+    c = "from .a import _h as _g\nprint(_g(1))\n"
+    assert unread_private_names({"a.py": "def _h(x): ...", "b.py": "def _h(y): ...\n_h", "c.py": c}) == []
+
+
+def test_the_unpassed_scan_keys_functions_by_module():
+    """A call reaches the function its name resolves to, not every function of that name."""
+    assert unpassed_defaults({"a.py": "def _f(a, b=1): ...", "b.py": "def _f(a, b=1): ...\n_f(0, 2)"}) == [
+        "a.py line 1: _f(b=)"
+    ]
+    c = "from .a import _f as _g\n_g(0, b=2)\n"
+    assert unpassed_defaults({"a.py": "def _f(a, b=1): ...", "b.py": "def _f(a, b=1): ...\n_f(0, 2)", "c.py": c}) == []

@@ -89,10 +89,7 @@ class Gate:
             msg = f"unknown gate kind {self.kind!r}"
             raise ValueError(msg)
         for field, item in (("targets", "target index"), ("controls", "control index"), ("polarities", "polarity")):
-            value = getattr(self, field)
-            if not isinstance(value, (list, tuple)):
-                msg = f"{field} must be a list of integers, got {value!r}"
-                raise ValueError(msg)
+            value = _listed(getattr(self, field), field, "integers")
             object.__setattr__(self, field, tuple([_int_at_least(q, item, 0) for q in value]))
         if len(self.targets) != _TARGET_COUNT[self.kind]:
             msg = (
@@ -149,6 +146,14 @@ def _checked_gate(kind: str, targets, controls, polarities, theta) -> Gate:
     object.__setattr__(g, "polarities", polarities)
     object.__setattr__(g, "theta", theta)
     return g
+
+
+def _listed(value, field: str, items: str) -> tuple:
+    """value as a tuple; a one-line ValueError naming ``field`` unless it is a list or a tuple."""
+    if not isinstance(value, (list, tuple)):
+        msg = f"{field} must be a list of {items}, got {value!r}"
+        raise ValueError(msg)
+    return tuple(value)
 
 
 def _int_at_least(value, field: str, low: int) -> int:
@@ -227,10 +232,8 @@ def cx(control: int, target: int) -> Gate:
 
 
 def mcx(target: int, controls, polarities=None) -> Gate:
-    controls = tuple(controls)
-    if polarities is None:
-        polarities = (1,) * len(controls)
-    return Gate("MCX", (target,), controls, tuple(polarities))
+    controls = _listed(controls, "controls", "integers")
+    return Gate("MCX", (target,), controls, (1,) * len(controls) if polarities is None else polarities)
 
 
 @dataclass(frozen=True)
@@ -247,7 +250,7 @@ class Circuit:
     def __post_init__(self) -> None:
         width = _int_at_least(self.width, "width", 1)
         object.__setattr__(self, "width", width)
-        object.__setattr__(self, "gates", tuple(self.gates))
+        object.__setattr__(self, "gates", _listed(self.gates, "gates", "Gates"))
         for i, g in enumerate(self.gates):
             if not isinstance(g, Gate):
                 msg = f"gate {i} is not a Gate: {g!r}"
@@ -309,8 +312,9 @@ class PolyF2:
 
     There is no constant term: it would only flip the sign of every
     summand of the gap at once, so it stays unrepresentable.  Monomials
-    are given as lists or tuples and stored as strictly increasing index
-    tuples; the outer tuple is kept sorted so equal polynomials compare equal.
+    are given as lists or tuples, in a list or a tuple, and stored as
+    strictly increasing index tuples; the outer tuple is kept sorted so
+    equal polynomials compare equal.
     """
 
     n_vars: int
@@ -319,7 +323,7 @@ class PolyF2:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_vars", _int_at_least(self.n_vars, "n_vars", 1))
         monos = []
-        for i, m in enumerate(self.monomials):
+        for i, m in enumerate(_listed(self.monomials, "monomials", "monomials")):
             if not isinstance(m, (list, tuple)):
                 msg = f"monomial {i} must be a list of integers, got {m!r}"
                 raise ValueError(msg)
@@ -348,8 +352,9 @@ class IsingInstance:
     """Pairwise couplings and local fields for spins s_j in {+1, -1}.
 
     ``couplings`` holds (j, k, theta) with j < k (pairs are unordered and
-    normalized on construction); ``fields`` holds (j, theta).  Each entry
-    given is a list or a tuple of that shape.
+    normalized on construction); ``fields`` holds (j, theta).  Each is
+    given as a list or a tuple of entries, and each entry as a list or a
+    tuple of that shape.
     """
 
     n_spins: int
@@ -360,7 +365,7 @@ class IsingInstance:
         object.__setattr__(self, "n_spins", _int_at_least(self.n_spins, "n_spins", 1))
 
         pairs = []
-        for i, entry in enumerate(self.couplings):
+        for i, entry in enumerate(_listed(self.couplings, "couplings", "[j, k, theta] entries")):
             j, k, angle = self._entry(f"coupling {i}", entry, "[j, k, theta]")
             if j == k:
                 msg = f"coupling {i}: self-coupling on spin {j}"
@@ -377,7 +382,7 @@ class IsingInstance:
         object.__setattr__(self, "couplings", tuple(sorted(pairs)))
 
         sites = []
-        for i, entry in enumerate(self.fields):
+        for i, entry in enumerate(_listed(self.fields, "fields", "[j, theta] entries")):
             j, angle = self._entry(f"field {i}", entry, "[j, theta]")
             if j < 0 or j >= self.n_spins:
                 msg = f"field {i}: spin {j} outside 0..{self.n_spins - 1}"

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .circuits import Circuit, _checked_circuit, _finite, _int_at_least, adjoint, cx, mcx, shift_qubits, x
+from .circuits import Circuit, _checked_circuit, _finite, _int_at_least, _listed, adjoint, cx, mcx, shift_qubits, x
 from .simulator import DEFAULT_MAX_MIXED_QUBITS, Distribution, dqc1_distribution
 
 __all__ = [
@@ -148,7 +148,7 @@ class Ensemble:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _int_at_least(self.n, "n", 0))
-        object.__setattr__(self, "circuits", tuple(self.circuits))
+        object.__setattr__(self, "circuits", _listed(self.circuits, "circuits", "Circuits"))
         if not self.circuits:
             msg = "ensemble must contain at least one circuit"
             raise ValueError(msg)

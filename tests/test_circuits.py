@@ -40,7 +40,7 @@ from dqc1sim.circuits import (
     z,
 )
 from dqc1sim.ensembles import random_circuit
-from dqc1sim.hardness import build_worst_case_embedding
+from dqc1sim.hardness import Ensemble, build_worst_case_embedding
 from dqc1sim.simulator import (
     DEFAULT_MAX_MIXED_QUBITS,
     MAX_SINGLE_PASS_WIDTH,
@@ -125,6 +125,13 @@ class TestGateValidation:
             (lambda: PolyF2(2, (5,)), "monomial 0 must be a list of integers, got 5"),
             (lambda: IsingInstance(2, ((0, 1),)), "coupling 0 must be [j, k, theta], got (0, 1)"),
             (lambda: IsingInstance(2, (), ((0, 1, 0.5),)), "field 0 must be [j, theta], got (0, 1, 0.5)"),
+            # The outer collections: a list or a tuple, as a gate's wires.
+            (lambda: PolyF2(2, 5), "monomials must be a list of monomials, got 5"),
+            (lambda: IsingInstance(2, None), "couplings must be a list of [j, k, theta] entries, got None"),
+            (lambda: IsingInstance(2, (), 3), "fields must be a list of [j, theta] entries, got 3"),
+            (lambda: Circuit(2, None), "gates must be a list of Gates, got None"),
+            (lambda: mcx(0, 5), "controls must be a list of integers, got 5"),
+            (lambda: Ensemble(1, None), "circuits must be a list of Circuits, got None"),
         ],
     )
     def test_malformed_shapes_name_their_field(self, make, message):

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, file round trips, exit codes."""
 
+import functools
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 import dqc1sim.cli as cli
 import dqc1sim.hardness as hardness
 import dqc1sim.simulator as simulator
+from corpus import split_circuit
 from dqc1sim.circuits import (
     GATE_KINDS,
     Circuit,
@@ -21,7 +23,6 @@ from dqc1sim.circuits import (
     cx,
     h,
     save_circuit,
-    shift_qubits,
 )
 from dqc1sim.ensembles import parse_ensemble_spec, random_circuit, random_poly
 from dqc1sim.hardness import (
@@ -33,7 +34,7 @@ from dqc1sim.hardness import (
     verify_chain,
 )
 from dqc1sim.oracles import gap
-from dqc1sim.simulator import Distribution
+from dqc1sim.simulator import Distribution, dqc1_distribution
 
 
 def run_cli(*args, env=None):
@@ -578,25 +579,6 @@ def _layered_circuit(kinds: str) -> Circuit:
     return Circuit(10, layer + first + layer + second + layer)
 
 
-def _split_circuit(case: str) -> Circuit:
-    """A circuit whose untouched qubits leave fewer than 2**n columns to run.
-
-    "embedding": an n = 8 worst-case embedding (one column); "pair": the
-    two-qubit-joint embedding of a random 8-qubit circuit; "spread":
-    leading X/CX/MCX/T gates spread the inputs over qubits 0 and 1, which
-    nothing after them touches, so sides of several widths run.
-    """
-    if case == "embedding":
-        poly = random_poly(8, 24, np.random.default_rng(9))
-        return build_worst_case_embedding(compile_iqp_from_poly(poly))
-    if case == "pair":
-        return build_postselection_pair(random_circuit(8, 60, np.random.default_rng(9), GATE_KINDS))[1]
-    rng = np.random.default_rng(6)
-    lead = random_circuit(10, 16, rng, ("X", "CX", "MCX", "T")).gates
-    body = Circuit(8, (h(0),) + random_circuit(8, 60, rng, GATE_KINDS).gates)
-    return Circuit(10, lead + shift_qubits(body, 2, 10).gates)
-
-
 def _dist_n12_circuit(seed: int) -> Circuit:
     """The shape of the dist-n12 benchmark: 12 random gates of each of ten kinds on 13 qubits."""
     rng = np.random.default_rng(seed)
@@ -610,17 +592,7 @@ class _Stop(Exception):
 
 
 class TestChunkLists:
-    """The plan chunks that one thread runs, as they were before --threads split chunks."""
-
-    @pytest.mark.parametrize(
-        ("case", "chunks"),
-        [("embedding", ((0, 1),)),
-         ("pair", ((0, 32),)),
-         ("spread", ((0, 256), (256, 128), (384, 32), (416, 32)))],
-    )
-    def test_split_circuits(self, case, chunks):
-        u = _split_circuit(case)
-        assert simulator._compile(u, threads=1).chunks == chunks
+    """The plan chunks of the dist-n12 benchmark's shape."""
 
     @pytest.mark.parametrize(("seed", "columns"), [(1, 2048), (3, 4096)])
     def test_dist_n12_circuits(self, seed, columns):
@@ -632,10 +604,8 @@ class TestChunkLists:
 
     def test_first_butterfly_skips_unreached_rows(self, monkeypatch):
         # A chunk's 128 columns start on few of its 2**13 rows, so its first
-        # butterflies run on a block of them, not on the whole chunk.
-        plan = simulator._compile(_dist_n12_circuit(1))
-        entries = plan.rows * plan.cols
-        bufs = [np.empty(entries, dtype=np.complex128) for _ in range(2)]
+        # butterflies run on a block of them, not on the whole chunk of
+        # 2**20 entries.
         sizes = []
 
         def spy(lo, hi, flipped):
@@ -645,8 +615,8 @@ class TestChunkLists:
 
         monkeypatch.setattr(simulator, "_butterfly", spy)
         with pytest.raises(_Stop):
-            simulator._run_plan(plan, plan.chunks[0], bufs)
-        assert max(sizes) <= entries // 4  # floats, of the chunk's 2 * entries
+            dqc1_distribution(_dist_n12_circuit(1))
+        assert max(sizes) <= (1 << 20) // 4  # floats, of the chunk's 2 * entries
 
 
 class TestPinnedBytes:
@@ -675,7 +645,7 @@ class TestPinnedBytes:
     @pytest.mark.parametrize("case", sorted(_SPLIT_DIGESTS))
     def test_dqc1_dist_split(self, tmp_path, capsys, case, threads):
         path = tmp_path / "circuit.json"
-        save_circuit(_split_circuit(case), path)
+        save_circuit(split_circuit(case), path)
         got = _digest(capsys, "dqc1-dist", "--circuit", str(path), "--threads", threads)
         assert got == (0, _SPLIT_DIGESTS[case])
 
@@ -710,7 +680,8 @@ class TestPinnedBytes:
 # OpenBLAS settings that change the kernel or the thread count of a BLAS
 # sum.  A forced core type must be one the CPU can run: Prescott needs
 # only SSE3, so it is forced on x86_64 alone, and each other core type runs
-# only where /proc/cpuinfo lists the flag after it.
+# only where /proc/cpuinfo lists the flag after it.  For Prescott,
+# OpenBLAS 0.3.31 loads the Katmai kernels (OPENBLAS_VERBOSE=2).
 _BLAS_SETTINGS = {
     "one-thread": ({"OPENBLAS_NUM_THREADS": "1"}, None),
     "prescott": ({"OPENBLAS_CORETYPE": "Prescott"}, None),
@@ -730,17 +701,25 @@ def _cpu_flags() -> set[str]:
     return {flag for line in text.splitlines() if line.startswith("flags") for flag in line.split(":", 1)[1].split()}
 
 
-class TestBlasIndependence:
-    """Printed bytes do not depend on the kernel or the thread count OpenBLAS picks."""
+def _blas_env(setting: dict) -> dict:
+    """The environment with no OPENBLAS_* variable but those of ``setting``."""
+    return {**{k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}, **setting}
 
-    @pytest.mark.parametrize("setting", sorted(_BLAS_SETTINGS))
-    @pytest.mark.parametrize("command", ["f-value", "iqp-amp"])
-    def test_stdout_under_blas_settings(self, tmp_path, command, setting):
-        env_setting, cpu_flag = _BLAS_SETTINGS[setting]
-        if setting == "prescott" and platform.machine() != "x86_64":
-            pytest.skip("OPENBLAS_CORETYPE=Prescott runs on x86_64 only")
-        if cpu_flag is not None and cpu_flag not in _cpu_flags():
-            pytest.skip(f"{env_setting['OPENBLAS_CORETYPE']} needs {cpu_flag}, which /proc/cpuinfo does not list")
+
+@functools.cache
+def _blas_core(coretype: str | None) -> str | None:
+    """The core whose kernels OpenBLAS loads for OPENBLAS_CORETYPE=coretype (None: unset), as OPENBLAS_VERBOSE=2 names it."""
+    setting = {"OPENBLAS_VERBOSE": "2"} if coretype is None else {"OPENBLAS_VERBOSE": "2", "OPENBLAS_CORETYPE": coretype}
+    r = subprocess.run([sys.executable, "-c", "import numpy"], capture_output=True, text=True, timeout=60, env=_blas_env(setting))
+    found = [line.split(":", 1)[1].strip() for line in r.stderr.splitlines() if line.startswith("Core:")]
+    return found[0] if found else None
+
+
+@pytest.fixture(scope="module")
+def blas_default(tmp_path_factory) -> dict:
+    """Per command: the arguments, and the stdout with no OPENBLAS_* variable set."""
+    out = {}
+    for command in ("f-value", "iqp-amp"):
         if command == "f-value":
             # f = 1/2; a BLAS sum of squares gave 0.5, 0.49999999999999994 or
             # 0.4999999999999999, by kernel and thread count.
@@ -750,10 +729,29 @@ class TestBlasIndependence:
             layer = tuple(h(q) for q in range(20))
             body = random_circuit(20, 200, np.random.default_rng(20), ("H", "T", "CZ", "CX")).gates
             circuit, args = Circuit(20, layer + body), ()
-        path = tmp_path / "circuit.json"
+        path = tmp_path_factory.mktemp("blas") / "circuit.json"
         save_circuit(circuit, path)
-        env = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
-        default = run_cli(command, "--circuit", str(path), *args, env=env)
-        forced = run_cli(command, "--circuit", str(path), *args, env={**env, **env_setting})
-        assert default.returncode == forced.returncode == 0, forced.stderr
-        assert forced.stdout == default.stdout
+        r = run_cli(command, "--circuit", str(path), *args, env=_blas_env({}))
+        assert r.returncode == 0, r.stderr
+        out[command] = (("--circuit", str(path), *args), r.stdout)
+    return out
+
+
+class TestBlasIndependence:
+    """Printed bytes do not depend on the kernel or the thread count OpenBLAS picks."""
+
+    @pytest.mark.parametrize("setting", sorted(_BLAS_SETTINGS))
+    @pytest.mark.parametrize("command", ["f-value", "iqp-amp"])
+    def test_stdout_under_blas_settings(self, blas_default, command, setting):
+        env_setting, cpu_flag = _BLAS_SETTINGS[setting]
+        if setting == "prescott" and platform.machine() != "x86_64":
+            pytest.skip("OPENBLAS_CORETYPE=Prescott runs on x86_64 only")
+        if cpu_flag is not None and cpu_flag not in _cpu_flags():
+            pytest.skip(f"{env_setting['OPENBLAS_CORETYPE']} needs {cpu_flag}, which /proc/cpuinfo does not list")
+        coretype = env_setting.get("OPENBLAS_CORETYPE")
+        if coretype is not None and _blas_core(None) is not None and _blas_core(coretype) == _blas_core(None):
+            pytest.skip(f"OpenBLAS loads {_blas_core(None)}, the default core, for {coretype}")
+        args, want = blas_default[command]
+        forced = run_cli(command, *args, env=_blas_env(env_setting))
+        assert forced.returncode == 0, forced.stderr
+        assert forced.stdout == want

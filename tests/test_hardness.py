@@ -525,17 +525,17 @@ class TestChainThreads:
     def test_large_plans_split_their_chunks(self, monkeypatch):
         ens = parse_ensemble_spec("random:htcx:9:3:60:3")
         want = verify_chain(ens, SamplerModel.mass_shift(1 / 36), ErrorBudget(), seed=4)
-        threads = []
-        real = simulator._parallel_map
+        workers = []
+        pool = simulator.ThreadPoolExecutor
 
-        def spy(fn, items, workers):
-            threads.append((workers, len(items)))
-            return real(fn, items, workers)
+        def spy(max_workers):
+            workers.append(max_workers)
+            return pool(max_workers=max_workers)
 
-        monkeypatch.setattr(simulator, "_parallel_map", spy)
+        monkeypatch.setattr(simulator, "ThreadPoolExecutor", spy)
         got = verify_chain(ens, SamplerModel.mass_shift(1 / 36), ErrorBudget(), seed=4, threads=2)
         assert got == want
-        assert threads == [(2, 2)] * 3
+        assert workers == [2] * 3  # one pool of two workers per circuit
 
 
 class TestChainDistributions:

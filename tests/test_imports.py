@@ -67,6 +67,18 @@ def name_resolver(label: str, tree: ast.Module):
     return resolve
 
 
+def private_names(stmt: ast.stmt) -> list[str]:
+    """The private names (of a def, a class or assigned constants) that a module-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        nodes = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
 def unread_private_names(sources: dict[str, str]) -> list[str]:
     """Module-level private names (defs, classes, constants) that no module reads outside their own definition.
 
@@ -78,16 +90,8 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
         tree = ast.parse(source)
         resolve = name_resolver(label, tree)
         for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                targets = [stmt.name]
-            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                nodes = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                targets = [n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)]
-            else:
-                targets = []
-            for name in targets:
-                if name.startswith("_") and not name.startswith("__"):
-                    defined[label, name] = (stmt.lineno, stmt)
+            for name in private_names(stmt):
+                defined[label, name] = (stmt.lineno, stmt)
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute):
                     reads.append((resolve(node), stmt))
@@ -110,6 +114,74 @@ def test_the_scan_finds_an_unread_private_name():
     a = "def _used():\n    return 1\n\ndef _dead(n):\n    return _dead(n - 1)\n\n_K, _J = 1, 2\n__all__ = []\n"
     b = "from a import _used, _J\nprint(_used(), _J)\n"
     assert unread_private_names({"a.py": a, "b.py": b}) == ["a.py line 4: _dead", "a.py line 7: _K"]
+
+
+def simulator_reach(sources: dict[str, str], privates: set[str]) -> dict[str, list[str]]:
+    """Where the sources reach each of ``privates``, the private names of simulator.py: {name: ["file line N"]}.
+
+    A reach is an attribute of the module (``sim._x``), a name imported from it and each read of that
+    name, or a string constant that spells the name, as ``monkeypatch.setattr(sim, "_x", ...)`` passes.
+    """
+    reach: dict[str, list[str]] = {}
+    for label, source in sources.items():
+        tree = ast.parse(source)
+        resolve = name_resolver(label, tree)
+        for node in ast.walk(tree):
+            found = []
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("simulator"):
+                found = [alias.name for alias in node.names]
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                where, name = resolve(node)
+                module = isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                if where == "simulator.py" or (module and resolve(node.value)[1] == "simulator"):
+                    found = [name]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found = [node.value]
+            for name in found:
+                if name in privates:
+                    reach.setdefault(name, []).append((label, node.lineno))
+    return {name: [f"{f} line {line}" for f, line in sorted(where)] for name, where in sorted(reach.items())}
+
+
+# The private names of simulator.py that tests may reach, each with what it
+# checks that no public output shows.  Every other check goes through the
+# public entry points (tests/test_corpus.py), so a new plan or pass shape
+# does not start by rewriting tests.
+SIMULATOR_REACH = {
+    "_CHUNK_ENTRIES": "a tuning constant: patched to show that no output byte depends on it",
+    "_MIN_CHUNK_ENTRIES": "a tuning constant: patched for the bytes, and the floor of the chunk splits for threads",
+    "_TEMP_ENTRIES": "a tuning constant: patched to show that no output byte depends on it",
+    "_ROW_BITS": "a tuning constant: patched to show that no output byte depends on it",
+    "_compile": "chunk splits, the compile's memory, the layout's read-only arrays and the complement rows",
+    "_run_plan": "one column per embedding, chunks per thread, no run at all, and the ceiling self-check's fault",
+    "_butterfly": "block reach and the plan's own ufunc buffer",
+    "_contract": "the last H layer of an embedding computes one half per gate",
+    "_activate": "the leading H layer of an embedding copies nothing",
+    "_layout": "one compiled layout per ensemble",
+    "_negate": "the workaround for numpy's negative on 64-byte strides",
+    "_sq_norm": "the fault behind f_value's self-check",
+    "_single_pass": "the plan never runs the pass, and the deferral digests hash the pass's own buffer",
+}
+# The most reaches of those names that the tests may make in all.
+MAX_SIMULATOR_REACHES = 50
+
+
+def test_tests_reach_only_the_listed_simulator_names():
+    source = (ROOT / "src" / "dqc1sim" / "simulator.py").read_text()
+    privates = {name for stmt in ast.parse(source).body for name in private_names(stmt)}
+    tests = {p.name: p.read_text() for p in sorted((ROOT / "tests").glob("*.py")) if p.name != "test_imports.py"}
+    reach = simulator_reach(tests, privates)
+    assert {name: where for name, where in reach.items() if name not in SIMULATOR_REACH} == {}
+    assert sum(map(len, reach.values())) <= MAX_SIMULATOR_REACHES
+
+
+def test_the_reach_scan_finds_every_form():
+    a = "import dqc1sim.simulator as sim\nsim._run(1)\nmonkeypatch.setattr(sim, '_K', 2)\nsim.public(x._run)\n"
+    b = "from dqc1sim.simulator import _run as go\ngo()\nprint('_other', _K)\n"
+    assert simulator_reach({"a.py": a, "b.py": b}, {"_run", "_K"}) == {
+        "_K": ["a.py line 3"],
+        "_run": ["a.py line 2", "b.py line 1", "b.py line 2"],
+    }
 
 
 # numpy routines that may hand a product or a sum to BLAS, whose order of

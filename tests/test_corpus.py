@@ -116,14 +116,26 @@ def runs() -> dict:
 
 
 _ENTRIES = ("dqc1_distribution", "f_value", "amplitude_zero", "apply_circuit", "sample", "verify_chain")
+# The corpus's groups, in case order.  The per-case checks run once per
+# group, so a failure names the edge structure whose cases broke.
+_GROUPS = list(dict.fromkeys(n.split(":", 1)[0] for n, _ in CASES))
+# The groups with at least one case that circuit_unitary reaches.
+_REACHED = [g for g in _GROUPS if any(n.startswith(f"{g}:") and u.width <= _ORACLE_WIDTH for n, u in CASES)]
 
 
-@pytest.mark.parametrize("entry", _ENTRIES)
-def test_bytes_do_not_depend_on_tuning_or_threads(runs, entry):
-    names = ENSEMBLES if entry == "verify_chain" else [n for n, _ in CASES]
+def _group(group: str) -> list:
+    """The (index, name, circuit) of each case in ``group``."""
+    return [(i, n, u) for i, (n, u) in enumerate(CASES) if n.startswith(f"{group}:")]
+
+
+@pytest.mark.parametrize(
+    "entry, group", [(e, g) for e in _ENTRIES if e != "verify_chain" for g in _GROUPS] + [("verify_chain", "ensembles")]
+)
+def test_bytes_do_not_depend_on_tuning_or_threads(runs, entry, group):
+    picked = list(enumerate(ENSEMBLES)) if entry == "verify_chain" else [(i, n) for i, n, _ in _group(group)]
     (first, want), *others = runs[entry].items()
     for run, got in others:
-        moved = [n for n, a, b in zip(names, want, got) if a != b]
+        moved = [n for i, n in picked if want[i] != got[i]]
         assert moved == [], (run, first)
 
 
@@ -181,9 +193,10 @@ def _outputs(runs, entry: str, dtype) -> dict:
     return {n: np.frombuffer(b, dtype=dtype) for (n, _), b in zip(CASES, runs[entry]["default", 1])}
 
 
-def test_distributions_against_oracles(runs, unitaries):
+@pytest.mark.parametrize("group", _REACHED)
+def test_distributions_against_oracles(runs, unitaries, group):
     dists = _outputs(runs, "dqc1_distribution", np.float64)
-    for name, u in CASES:
+    for _, name, u in _group(group):
         p = dists[name]
         assert p.min() >= 0.0, name
         if name in unitaries:
@@ -194,12 +207,13 @@ def test_distributions_against_oracles(runs, unitaries):
                 assert np.abs(p - density_matrix_dqc1(u).probs).max() <= _bound(u), name
 
 
-def test_single_passes_against_oracle(runs, unitaries):
+@pytest.mark.parametrize("group", _REACHED)
+def test_single_passes_against_oracle(runs, unitaries, group):
     # On the scale of f, 2**n p: (2 gates + n) ulp(1), for amplitudes too.
     fs = _outputs(runs, "f_value", np.float64)
     amps = _outputs(runs, "amplitude_zero", np.complex128)
     states = _outputs(runs, "apply_circuit", np.complex128)
-    for name, u in CASES:
+    for _, name, u in _group(group):
         if name not in unitaries:
             continue
         m = unitaries[name]
@@ -211,12 +225,13 @@ def test_single_passes_against_oracle(runs, unitaries):
         assert np.abs(states[name] - want).max() <= tol, name
 
 
-def test_f_value_is_2n_p(runs):
+@pytest.mark.parametrize("group", _GROUPS)
+def test_f_value_is_2n_p(runs, group):
     # The single pass against the plan, on every case: f_value(u, z) is
     # 2**n p_z within the bound on both.
     fs = _outputs(runs, "f_value", np.float64)
     dists = _outputs(runs, "dqc1_distribution", np.float64)
-    for name, u in CASES:
+    for _, name, u in _group(group):
         scale = 2.0 ** (u.width - 1)
         assert np.abs(fs[name] - scale * dists[name][_inputs(name, u)[0]]).max() <= 2 * scale * _bound(u), name
 

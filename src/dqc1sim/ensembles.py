@@ -9,6 +9,11 @@ Kinds: ``iqp`` wraps random degree-<=3 phase polynomials in the worst-case
 embedding (depth = monomial count); ``htcx`` draws depth gates uniformly
 from {H, T, CX} on n+1 qubits.  ``dir`` loads every ``*.json`` circuit in
 the directory in name order; all files must share one width.
+
+An ``iqp`` depth above the n + C(n,2) + C(n,3) monomials that exist is
+silently clamped to them.  Every member then holds all of them, and the
+ensemble is one circuit ``count`` times: ``random:iqp:4:50:24:1``, the
+CLI default, draws all 14 monomials of n = 4 for each of its 50 members.
 """
 
 from __future__ import annotations
@@ -48,7 +53,11 @@ _FULL_GATE_SET = ("H", "X", "Z", "S", "T", "RZ", "CZ", "CCZ", "CX", "MCX")
 
 
 def random_poly(n_vars: int, n_monomials: int, rng: np.random.Generator) -> PolyF2:
-    """Uniformly chosen distinct monomials of sizes 1..3 on n_vars variables."""
+    """Uniformly chosen distinct monomials of sizes 1..3 on n_vars variables.
+
+    n_monomials is silently clamped to the n + C(n,2) + C(n,3) monomials
+    that exist; at or above that count every draw is the same polynomial.
+    """
     n_vars = _int_at_least(n_vars, "n_vars", 1)
     pool = [
         m

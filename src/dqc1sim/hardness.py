@@ -153,6 +153,9 @@ class Ensemble:
             msg = "ensemble must contain at least one circuit"
             raise ValueError(msg)
         for i, c in enumerate(self.circuits):
+            if not isinstance(c, Circuit):
+                msg = f"circuit {i} is not a Circuit: {c!r}"
+                raise ValueError(msg)
             if c.width != self.n + 1:
                 msg = f"circuit {i} has width {c.width}, ensemble needs {self.n + 1}"
                 raise ValueError(msg)

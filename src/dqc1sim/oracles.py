@@ -2,16 +2,16 @@
 
 Everything here recomputes a quantity the fast paths also produce, by the
 most literal route available: exhaustive enumeration over assignments, or
-explicit dense matrices multiplied together.  None of it shares kernels
-with the simulator module, so agreement between the two is evidence, not
-tautology.
+one full matrix that each gate updates row by row, by its textbook
+definition.  None of it shares kernels with the simulator module, so
+agreement between the two is evidence, not tautology.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .circuits import Circuit, Gate, IsingInstance, PolyF2
+from .circuits import Circuit, IsingInstance, PolyF2
 from .simulator import Distribution
 
 __all__ = [
@@ -21,8 +21,8 @@ __all__ = [
     "density_matrix_dqc1",
 ]
 
-# Caps on each brute-force route: 2**n entries per enumeration, and a
-# dense 2**w x 2**w matrix per gate.
+# Caps on each brute-force route: 2**n entries per enumeration, and one
+# dense 2**w x 2**w matrix per circuit.
 _MAX_VARS = 24
 _MAX_SPINS = 20
 _MAX_WIDTH = 10
@@ -73,65 +73,53 @@ def ising_partition_function(m: IsingInstance) -> complex:
     return complex(np.exp(1j * energy).sum())
 
 
-_SINGLE_QUBIT_MATRIX = {
-    "H": np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Z": np.diag([1.0, -1.0]).astype(np.complex128),
-    "S": np.diag([1.0, 1.0j]),
-    "SDG": np.diag([1.0, -1.0j]),
-    "T": np.diag([1.0, np.exp(1j * np.pi / 4)]),
-    "TDG": np.diag([1.0, np.exp(-1j * np.pi / 4)]),
+# The phase each diagonal gate but RZ puts on the rows where all its
+# targets read 1.
+_PHASE = {
+    "Z": -1.0, "S": 1.0j, "SDG": -1.0j, "T": np.exp(0.25j * np.pi), "TDG": np.exp(-0.25j * np.pi),
+    "CZ": -1.0, "CCZ": -1.0,
 }
 
 
-def _gate_matrix(g: Gate, width: int) -> np.ndarray:
-    dim = 1 << width
-    if g.kind in _SINGLE_QUBIT_MATRIX or g.kind == "RZ":
-        if g.kind == "RZ":
-            m2 = np.diag([np.exp(-0.5j * g.theta), np.exp(0.5j * g.theta)])
-        else:
-            m2 = _SINGLE_QUBIT_MATRIX[g.kind]
-        q = g.targets[0]
-        left = np.eye(1 << q, dtype=np.complex128)
-        right = np.eye(1 << (width - 1 - q), dtype=np.complex128)
-        return np.kron(np.kron(left, m2), right)
-
-    idx = np.arange(dim)
-
-    def bit(q: int) -> np.ndarray:
-        return (idx >> (width - 1 - q)) & 1
-
-    if g.kind in ("CZ", "CCZ"):
-        mask = np.ones(dim, dtype=bool)
-        for q in g.targets:
-            mask &= bit(q) == 1
-        return np.diag(np.where(mask, -1.0, 1.0)).astype(np.complex128)
-
-    # CX / MCX: a permutation flipping the target where controls match.
-    pols = g.polarities if g.kind == "MCX" else (1,)
-    fire = np.ones(dim, dtype=bool)
-    for q, want in zip(g.controls, pols):
-        fire &= bit(q) == want
-    flipped = idx ^ (1 << (width - 1 - g.targets[0]))
-    image = np.where(fire, flipped, idx)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    mat[image, idx] = 1.0
-    return mat
-
-
 def circuit_unitary(c: Circuit) -> np.ndarray:
-    """The circuit's full 2**w x 2**w matrix, one explicit matmul per gate.
+    """The circuit's full 2**w x 2**w matrix, each gate applied to its rows.
 
-    The cap, width 10, is what this route can serve: each matrix
-    takes 16 MiB and each gate is a 1024**3 matmul.  At width 12 each
-    matrix would take 256 MiB and each gate a 4096**3 matmul.
+    Starts from the identity and applies each gate, by its textbook
+    definition, to the rows of that one matrix; qubit q is bit (w-1-q) of
+    the row index.  H replaces each row pair (r0, r1) of its qubit by
+    ((r0 + r1)/sqrt 2, (r0 - r1)/sqrt 2).  X, CX and MCX swap the row pairs
+    of their target where the controls hold at their polarities.  The
+    diagonal gates scale the rows where all their targets read 1, and RZ
+    also scales the other rows, by exp(-i theta/2).  Each gate costs
+    O(4**w).  The cap, width 10, keeps the one matrix at 16 MiB; at width
+    12 it would take 256 MiB.
     """
-    if c.width > _MAX_WIDTH:
-        msg = f"width {c.width} exceeds the dense-matrix cap of {_MAX_WIDTH}"
+    w = c.width
+    if w > _MAX_WIDTH:
+        msg = f"width {w} exceeds the dense-matrix cap of {_MAX_WIDTH}"
         raise ValueError(msg)
-    u = np.eye(1 << c.width, dtype=np.complex128)
+    rows = np.arange(1 << w)
+    u = np.eye(1 << w, dtype=np.complex128)
+
+    def rows_where(*reads) -> np.ndarray:
+        """The rows at which every qubit q of the (q, value) pairs reads value."""
+        return rows[np.all([((rows >> (w - 1 - q)) & 1) == value for q, value in reads], axis=0)]
+
     for g in c.gates:
-        u = _gate_matrix(g, c.width) @ u
+        t = g.targets[0]
+        flip = 1 << (w - 1 - t)
+        if g.kind == "H":
+            r0 = rows_where((t, 0))
+            r1 = r0 | flip
+            u[r0], u[r1] = (u[r0] + u[r1]) / np.sqrt(2.0), (u[r0] - u[r1]) / np.sqrt(2.0)
+        elif g.kind in ("X", "CX", "MCX"):
+            r0 = rows_where((t, 0), *zip(g.controls, g.polarities or (1,)))
+            u[r0], u[r0 | flip] = u[r0 | flip], u[r0]
+        elif g.kind == "RZ":
+            u[rows_where((t, 0))] *= np.exp(-0.5j * g.theta)
+            u[rows_where((t, 1))] *= np.exp(0.5j * g.theta)
+        else:
+            u[rows_where(*((q, 1) for q in g.targets))] *= _PHASE[g.kind]
     return u
 
 

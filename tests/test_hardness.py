@@ -142,6 +142,13 @@ class TestEnsembleType:
         with pytest.raises(ValueError, match=r"^n must be a nonnegative integer, got 1.0$"):
             Ensemble(1.0, (Circuit(2),))
 
+    def test_member_must_be_a_circuit(self):
+        # An int member used to raise AttributeError on its width.
+        with pytest.raises(ValueError, match=r"^circuit 0 is not a Circuit: 1$"):
+            Ensemble(2, [1, 2])
+        with pytest.raises(ValueError, match=r"^circuit 1 is not a Circuit: 'u'$"):
+            Ensemble(1, (Circuit(2), "u"))
+
     def test_len(self):
         assert len(Ensemble(1, (Circuit(2), Circuit(2)))) == 2
 

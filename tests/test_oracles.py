@@ -2,11 +2,12 @@
 
 import itertools
 import re
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from dqc1sim.circuits import Circuit, IsingInstance, PolyF2, cx, h, s, x
+from dqc1sim.circuits import GATE_KINDS, Circuit, IsingInstance, PolyF2, ccz, cx, cz, h, mcx, rz, s, sdg, t, tdg, x, z
 from dqc1sim.ensembles import random_circuit, random_poly
 from dqc1sim.oracles import (
     circuit_unitary,
@@ -116,7 +117,50 @@ class TestIsingPartitionFunction:
             ising_partition_function(IsingInstance(21))
 
 
+# Textbook matrices at width 3, where qubit 0 is the leading kron factor.
+_I = np.eye(2)
+_H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+_X = np.array([[0, 1], [1, 0]])
+
+
+def _kron(*factors) -> np.ndarray:
+    return reduce(np.kron, factors)
+
+
+def _permutation(image) -> np.ndarray:
+    """The matrix sending basis column j to basis row image[j]."""
+    return np.eye(len(image))[:, image]
+
+
+_ONE_GATE = [
+    (h(1), _kron(_I, _H, _I)),
+    (x(2), _kron(_I, _I, _X)),
+    (z(0), _kron(np.diag([1, -1]), _I, _I)),
+    (s(1), _kron(_I, np.diag([1, 1j]), _I)),
+    (sdg(2), _kron(_I, _I, np.diag([1, -1j]))),
+    (t(0), _kron(np.diag([1, np.exp(1j * np.pi / 4)]), _I, _I)),
+    (tdg(1), _kron(_I, np.diag([1, np.exp(-1j * np.pi / 4)]), _I)),
+    # RZ(theta) = diag(exp(-i theta/2), exp(i theta/2)), the circuits.py convention.
+    (rz(0.3, 2), _kron(_I, _I, np.diag([np.exp(-0.15j), np.exp(0.15j)]))),
+    # Qubits 0 and 2 read 1 at rows 101 and 111.
+    (cz(0, 2), np.diag([1, 1, 1, 1, 1, -1, 1, -1])),
+    # Targets out of order: only row 111 reads 1 on all three.
+    (ccz(2, 0, 1), np.diag([1, 1, 1, 1, 1, 1, 1, -1])),
+    # Control qubit 2 (the low bit) flips target qubit 0: 001 <-> 101, 011 <-> 111.
+    (cx(2, 0), _permutation([0, 5, 2, 7, 4, 1, 6, 3])),
+    # Fires where qubit 0 reads 0 and qubit 2 reads 1, flipping qubit 1: 001 <-> 011.
+    (mcx(1, (0, 2), (0, 1)), _permutation([0, 3, 2, 1, 4, 5, 6, 7])),
+]
+
+
 class TestCircuitUnitary:
+    @pytest.mark.parametrize(("gate", "want"), _ONE_GATE, ids=[g.kind for g, _ in _ONE_GATE])
+    def test_one_gate_against_its_textbook_matrix(self, gate, want):
+        assert np.abs(circuit_unitary(Circuit(3, (gate,))) - want).max() <= 1e-15
+
+    def test_every_kind_is_pinned(self):
+        assert sorted(g.kind for g, _ in _ONE_GATE) == sorted(GATE_KINDS)
+
     def test_hadamard(self):
         mat = circuit_unitary(Circuit(1, (h(0),)))
         assert np.allclose(mat, np.array([[1, 1], [1, -1]]) / np.sqrt(2))

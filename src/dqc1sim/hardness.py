@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .circuits import Circuit, _checked_circuit, _finite, _int_at_least, _listed, adjoint, cx, mcx, shift_qubits, x
-from .simulator import DEFAULT_MAX_MIXED_QUBITS, Distribution, dqc1_distribution
+from .simulator import DEFAULT_MAX_MIXED_QUBITS, Distribution, _reading_ahead, dqc1_distribution
 
 __all__ = [
     "ErrorBudget",
@@ -306,13 +306,16 @@ def _pair_counts(
 ) -> tuple[int, int, int]:
     """Markov-outlier, heavy and counter-success pairs (z, U) over the ensemble.
 
-    One pass per circuit, in order: p_z from the exact simulator, which
-    splits each circuit's column chunks over up to ``threads`` worker
-    threads, q_z from the sampler model (which must honor the TV budget),
-    and q~_z from the eta-relative counter on stream (seed, i) for circuit
-    i, so counts do not depend on ``threads``.  A pair succeeds when
-    |q~_z * 2**n - f| < f/2 with f = p_z * 2**n; pairs with f = 0 succeed
-    only if q~_z = 0.  ``threads`` must be an integer >= 1, and n at most
+    One pass per circuit, in order: p_z from ``dqc1_distribution``, which
+    reads ahead over the ensemble (``_reading_ahead``), so consecutive
+    embeddings of one n run as one batch and one chunk pool of up to
+    ``threads`` workers serves every circuit; q_z from the sampler model
+    (which must honor the TV budget), and q~_z from the eta-relative
+    counter on stream (seed, i) for circuit i, so counts do not depend on
+    ``threads``.  A batch holds at most _CHUNK_ENTRIES entries of member
+    row sums, and each distribution is dropped once counted.  A pair
+    succeeds when |q~_z * 2**n - f| < f/2 with f = p_z * 2**n; pairs with
+    f = 0 succeed only if q~_z = 0.  ``threads`` must be an integer >= 1, and n at most
     the simulator's default cap: the chain takes no ``max_n``, so a larger
     n fails here before any circuit runs.
     """
@@ -347,8 +350,8 @@ def _pair_counts(
         heavy = int(np.count_nonzero((thr <= p.probs / 3.0) & (p.probs > 0.0)))
         return markov, heavy, int(np.count_nonzero(good))
 
-    counts = map(per_circuit, range(len(ens)))
-    return tuple(map(sum, zip(*counts)))
+    with _reading_ahead(ens.circuits, threads):
+        return tuple(map(sum, zip(*map(per_circuit, range(len(ens))))))
 
 
 @dataclass(frozen=True)

@@ -55,8 +55,8 @@ import functools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from dataclasses import dataclass
+from contextlib import ExitStack, contextmanager
+from dataclasses import dataclass, replace
 from itertools import islice
 from types import MappingProxyType
 
@@ -828,7 +828,10 @@ def f_value(u: Circuit, zbits) -> float:
 # * ("h", bit): ``_butterfly`` on a stored bit;
 # * ("scale",): the exact rescale by _RESCALE after every _RESCALE_EVERY H.
 #
-# A gather's phase table is built gate by gate, one multiply per phase gate.
+# A gather's phase table takes its phase gates in gate order: a lone one
+# is one multiply where it acts, and each stretch of several between two
+# permutations is one ``np.multiply.reduce`` down a stack of their factor
+# rows (``_fold``), whose values are those of one multiply per gate.
 #
 # The compiler holds only 1-D arrays over row indices, never a table of
 # every qubit's bit of every row: ``_monomial`` finds the rows a gate acts
@@ -914,6 +917,19 @@ def f_value(u: Circuit, zbits) -> float:
 # read-only arrays that stay resident after the call: at most 33 bytes per
 # outcome, 33 * 2**(n + 1) bytes (1 MiB at n = 14, 66 MiB at n = 20), and
 # 17 on a worst-case embedding (34 MiB at n = 20).
+#
+# A sequence of circuits runs through one generator, ``_distributions``.
+# Consecutive plans that are one chunk each on one cached layout, with the
+# same steps but for the gather phase tables (every worst-case embedding
+# of one n), run as one batch (``_batch``): member j takes the columns
+# after member j - 1's, each gather multiplies by a (rows, members) table,
+# and the run sums each member's columns on their own.  Per column the
+# arithmetic is that of the member's own plan, so batches move no byte.  A
+# batch holds at most _CHUNK_ENTRIES entries and is cut into chunks of
+# whole members by the halving rule of a plan's chunks.  Each member is
+# then finished, in circuit order, as the generator yields it.  A chain
+# reads ahead (``_reading_ahead``): its per-circuit dqc1_distribution
+# calls take their distributions from one generator over the ensemble.
 
 # The ufunc buffer of a plan run.  On a 2-core Xeon, in a chunk of 2**20
 # entries at n = 12 (2**13 rows of 128 columns, its block holding every
@@ -930,34 +946,66 @@ def _monomial(gates, rows, pos):
 
     ``rows`` is every row index in order and qubit q sits on index bit
     ``pos[q]``.  Each gate acts on the rows where its ``_condition``
-    holds, and each phase gate is one multiply into the table.  ``phase``
-    is None when every factor is 1.
+    holds.  The phase gates between two permutations are folded into the
+    table together (``_fold``), as many at once as keep the fold's stack
+    within _TEMP_ENTRIES entries, and at least one.  ``phase`` is None
+    when every factor is 1.
     """
     src = rows
     phase = None
+    most = max(1, _TEMP_ENTRIES // len(rows) - 1)
+    pending = []  # (mask, value, factor elsewhere, factor where it acts) of each phase gate not folded yet
     for g in gates:
+        if pending and (g.kind in _PERMUTATION_KINDS or len(pending) == most):
+            phase, pending = _fold(phase, pending, rows), []
         mask = value = 0
         for q, bit in _condition(g):
             mask |= 1 << pos[q]
             value |= bit << pos[q]
-        hit = (rows & mask) == value
         if g.kind in _PERMUTATION_KINDS:
+            hit = (rows & mask) == value
             sigma = rows ^ (hit.astype(rows.dtype) << pos[g.targets[0]])
             src = src[sigma]
             if phase is not None:
                 phase = phase[sigma]
-            continue
-        if phase is None:
-            phase = np.ones(len(rows), dtype=np.complex128)
-        if g.kind == "RZ":
-            half = 0.5 * g.theta
-            np.multiply(phase, complex(math.cos(half), -math.sin(half)), out=phase, where=~hit)
-            np.multiply(phase, complex(math.cos(half), math.sin(half)), out=phase, where=hit)
+        elif g.kind == "RZ":
+            cos, sin = math.cos(0.5 * g.theta), math.sin(0.5 * g.theta)
+            pending.append((mask, value, complex(cos, -sin), complex(cos, sin)))
         else:
-            np.multiply(phase, _EIGHTH_TURN[_EIGHTHS[g.kind]], out=phase, where=hit)
+            pending.append((mask, value, 1.0, _EIGHTH_TURN[_EIGHTHS[g.kind]]))
+    if pending:
+        phase = _fold(phase, pending, rows)
     if phase is not None and np.all(phase == 1.0):
         phase = None
     return src, phase
+
+
+def _fold(phase, gates: list, rows) -> np.ndarray:
+    """The table ``phase`` (None: all 1) times each gate's factors, gate by gate.
+
+    ``gates`` are (mask, value, factor elsewhere, factor where it acts),
+    each acting on the rows r with ``r & mask == value``.  One gate is
+    one multiply where it acts (and RZ one elsewhere).  Several are one
+    ``np.multiply.reduce`` down a stack whose row 0 is the table and each
+    further row one gate's factors, exactly 1 where a gate other than RZ
+    does not act.  An outer-axis reduce multiplies in gate order, so the
+    values are those of the one-gate multiplies; only the signs of zero
+    parts may differ, and no |amplitude|**2 sees them.
+    """
+    if phase is None:
+        phase = np.ones(len(rows), dtype=np.complex128)
+    if len(gates) == 1:
+        ((mask, value, lo, hi),) = gates
+        hit = (rows & mask) == value
+        if lo != 1.0:
+            np.multiply(phase, lo, out=phase, where=~hit)
+        np.multiply(phase, hi, out=phase, where=hit)
+        return phase
+    mask, value, lo, hi = (np.array(c)[:, None] for c in zip(*gates))
+    stack = np.empty((1 + len(gates), len(rows)), dtype=np.complex128)
+    stack[0], stack[1:] = phase, lo
+    np.copyto(stack[1:], hi, where=(rows & mask) == value)
+    return np.multiply.reduce(stack, axis=0)
 
 
 def _runs(seq) -> list[tuple[int, int]]:
@@ -1256,18 +1304,21 @@ def _run_plan(plan: _Plan, chunk: tuple, bufs) -> np.ndarray:
     ``chunk`` is (first column, columns) and ``bufs`` holds two buffers of
     at least rows * columns entries.  Columns are summed by an
     adjacent-pair tree, so the sum is a subtree of the tree over the
-    chunk's slot, whatever the chunk width.
+    chunk's slot, whatever the chunk width.  A batch chunk (``_batch``)
+    is wider than ``plan.cols`` and holds whole members of that many
+    columns each: it gives their sums side by side, per stored row.
 
     The steps run on the chunk's block of rows (see the plan section):
     the stored rows r with ``r & ~live == fixed``, packed in order, and
     the rows outside it come back as exact zeros.
     """
     c0, cols = chunk
+    members = max(1, cols // plan.cols)
     dim = plan.rows
     nbits = dim.bit_length() - 1
     a, b = np.searchsorted(plan.start_cols, (c0, c0 + cols))
     if a == b:
-        return np.zeros(dim)
+        return np.zeros(dim * members)
     start = plan.start_rows[a:b]
     live = int(np.bitwise_or.reduce(start ^ start[0]))
     fixed = int(start[0]) & ~live
@@ -1333,28 +1384,152 @@ def _run_plan(plan: _Plan, chunk: tuple, bufs) -> np.ndarray:
                 elif size < dim and phase is not None:
                     rows = _block_rows(dim, live, fixed)
                 if phase is not None:
-                    amps *= phase[rows, None]
+                    if phase.ndim == 2:  # a batch's (rows, members) table
+                        phase = phase[:, c0 // plan.cols : c0 // plan.cols + members]
+                    v = amps.reshape(size, members, -1)
+                    np.multiply(v, phase[rows].reshape(size, members, 1), out=v)
             else:
                 flat = amps.view(np.float64)
                 flat *= _RESCALE
-        sums = _square_sums(amps.view(np.float64).reshape(-1), spare.view(np.float64), size)
+        sums = _square_sums(amps.view(np.float64).reshape(-1), spare.view(np.float64), size * members)
     if size == dim:
         return sums.copy()
-    out = np.zeros(dim)
-    out[_block_rows(dim, live, fixed)] = sums
-    return out
+    out = np.zeros((dim, members))
+    out[_block_rows(dim, live, fixed)] = sums.reshape(size, members)
+    return out.reshape(-1)
 
 
-def _parallel_map(fn, items, threads: int):
-    """Yield fn(item) for each item, in order, from up to ``threads`` worker threads.
+def _joins(a: _Plan, b: _Plan) -> bool:
+    """Whether b runs beside a in one batch: one chunk each on one cached layout, same steps but the phase tables."""
 
-    A generator, so the caller can fold each result in as it arrives.
+    def shape(p: _Plan) -> list:
+        return [s if s[0] != "gather" else (s[1] is None or s[1].tobytes(), s[2] is None) for s in p.steps]
+
+    return len(a.chunks) == len(b.chunks) == 1 and a.start_rows is b.start_rows and shape(a) == shape(b)
+
+
+def _batch(plans: list, threads: int) -> _Plan:
+    """One plan that runs ``plans``, which ``_joins`` the first, side by side: member j on its own columns.
+
+    Each gather multiplies by a (rows, members) table of the members'
+    phases.  A chunk holds whole members: all of them, halved for
+    ``threads`` as ``_compile`` halves a plan's chunks.
     """
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
-            yield from pool.map(fn, items)
-    else:
-        yield from map(fn, items)
+    p = plans[0]
+    k, w = len(plans), p.cols
+    steps = tuple(
+        (*s[:2], np.stack([q.steps[i][2] for q in plans], axis=1)) if s[0] == "gather" and s[2] is not None else s
+        for i, s in enumerate(p.steps)
+    )
+    m = k  # members per chunk
+    while -(-k // m) < threads and (m >> 1) * w * p.rows >= _MIN_CHUNK_ENTRIES:
+        m >>= 1
+    return replace(
+        p,
+        steps=steps,
+        start_rows=np.tile(p.start_rows, k),
+        start_cols=(w * np.arange(k)[:, None] + p.start_cols).reshape(-1),
+        start_vals=None if p.start_vals is None else np.tile(p.start_vals, k),
+        chunks=tuple((c * w, min(m, k - c) * w) for c in range(0, k, m)),
+    )
+
+
+def _finished(plan: _Plan, parts, n: int) -> Distribution:
+    """The distribution from the chunk sums ``parts`` of ``plan``, in chunk order, after both self-checks."""
+    sums = np.zeros((len(plan.slot_sizes) + 1, plan.rows))  # the last row: no columns
+    for i, size in enumerate(plan.slot_sizes):
+        sums[i] = _tree_sum(islice(parts, max(1, size // plan.cols)))
+    probs = sums[plan.out_slot, plan.out_row]
+    np.subtract(2.0**plan.pending_h, probs, out=probs, where=plan.out_comp)
+    np.maximum(probs, 0.0, out=probs, where=plan.out_comp)
+    probs *= math.ldexp(1.0, -(plan.pending_h + n))
+
+    total = float(probs.sum())
+    if not abs(total - 1.0) <= 1e-9:  # unitarity self-check
+        msg = f"distribution sums to {total}"
+        raise RuntimeError(msg)
+    ceiling = 2.0 ** (-n) + 1e-12
+    if not float(probs.max()) <= ceiling:  # clean-qubit ceiling self-check
+        msg = f"outcome probability {probs.max()} exceeds 2**-{n}"
+        raise RuntimeError(msg)
+    return Distribution(n, probs)
+
+
+def _distributions(circuits, threads: int):
+    """Yield the distribution of each circuit in order, as ``dqc1_distribution`` defines it.
+
+    Consecutive plans that ``_joins`` the first of them, such as the
+    worst-case embeddings of one n, run as one ``_batch`` of at most
+    _CHUNK_ENTRIES entries; every other plan runs alone.  Each member is
+    finished as it is yielded, so a failure surfaces at its own circuit.
+    The package's one worker pool, of ``threads`` workers, opens on the
+    first run of more than one chunk and closes when the generator ends
+    or is closed.  Each thread keeps two chunk buffers, grown as the
+    plans need.
+    """
+    local = threading.local()
+    pool = None
+
+    def parts(plan: _Plan):
+        nonlocal pool
+
+        def one_chunk(chunk: tuple) -> np.ndarray:
+            need = plan.rows * chunk[1]
+            if getattr(local, "size", 0) < need:
+                local.bufs, local.size = [np.empty(need, dtype=np.complex128) for _ in range(2)], need
+            return _run_plan(plan, chunk, local.bufs)
+
+        if threads == 1 or len(plan.chunks) < 2:
+            return map(one_chunk, plan.chunks)
+        pool = pool or stack.enter_context(ThreadPoolExecutor(max_workers=threads))
+        return pool.map(one_chunk, plan.chunks)
+
+    def run(batch: list):
+        if len(batch) == 1:
+            ((n, plan),) = batch
+            yield _finished(plan, parts(plan), n)
+        elif batch:
+            joint = _batch([plan for _, plan in batch], threads)
+            sums = np.concatenate([s.reshape(joint.rows, -1) for s in parts(joint)], axis=1)
+            for (n, plan), column in zip(batch, sums.T):
+                yield _finished(plan, iter((column,)), n)
+
+    batch: list = []  # (n, plan) of the circuits compiled but not run
+    with ExitStack() as stack:
+        for u in circuits:
+            try:
+                plan = _compile(u, threads=threads)
+            except Exception:
+                yield from run(batch)  # the circuits before u fail or finish first
+                raise
+            if batch and not (len(batch) < _CHUNK_ENTRIES // (plan.rows * plan.cols) and _joins(batch[0][1], plan)):
+                yield from run(batch)
+                batch = []
+            batch.append((u.width - 1, plan))
+        yield from run(batch)
+
+
+# The read-ahead of a chain on this thread: (its circuits not taken yet,
+# last first; the generator of their distributions).  See _reading_ahead.
+_AHEAD = threading.local()
+
+
+@contextmanager
+def _reading_ahead(circuits, threads: int):
+    """Run the block with ``dqc1_distribution`` reading ahead over ``circuits``.
+
+    Inside it, a call on the next of ``circuits``, in order, takes its
+    distribution from one ``_distributions`` over all of them, so
+    consecutive same-shape plans run as one batch; any other call runs
+    alone.  The generator, and its worker pool, close with the block.
+    """
+    dists = _distributions(circuits, threads)
+    _AHEAD.chain = (list(circuits)[::-1], dists)
+    try:
+        yield
+    finally:
+        del _AHEAD.chain
+        dists.close()
 
 
 def dqc1_distribution(
@@ -1377,7 +1552,11 @@ def dqc1_distribution(
     halved, down to _MIN_CHUNK_ENTRIES entries each, until there is one
     per thread, so a plan of at least twice that many entries runs in two
     chunks or more; a plan of one chunk, such as the one column of a
-    worst-case embedding, runs on the calling thread.
+    worst-case embedding, runs on the calling thread.  Inside a chain's
+    read-ahead (``_reading_ahead``) a call on the chain's next circuit
+    takes its distribution from one generator over the chain, which runs
+    consecutive one-chunk plans of one shape as a batch; the bytes are
+    those of the call alone.
     Each row is summed over columns by an adjacent-pair tree: a chunk lies
     inside one slot and gives one sum per row, a subtree of its slot's, so
     output bits depend on neither ``threads`` nor the chunk size.  A chunk
@@ -1405,33 +1584,12 @@ def dqc1_distribution(
     if n > max_n:
         msg = f"n={n} mixed qubits exceeds the cap of {max_n} (up to 2**n columns); raise max_n to override"
         raise ValueError(msg)
-    plan = _compile(u, threads=threads)
-    local = threading.local()  # two chunk buffers per worker thread
-
-    def one_chunk(chunk: tuple) -> np.ndarray:
-        if not hasattr(local, "bufs"):
-            local.bufs = [np.empty(plan.rows * plan.cols, dtype=np.complex128) for _ in range(2)]
-        return _run_plan(plan, chunk, local.bufs)
-
-    parts = _parallel_map(one_chunk, plan.chunks, threads)
-    sums = np.zeros((len(plan.slot_sizes) + 1, plan.rows))  # the last row: no columns
-    for i, size in enumerate(plan.slot_sizes):
-        sums[i] = _tree_sum(islice(parts, max(1, size // plan.cols)))
-    next(parts, None)  # ends the worker pool
-    probs = sums[plan.out_slot, plan.out_row]
-    np.subtract(2.0**plan.pending_h, probs, out=probs, where=plan.out_comp)
-    np.maximum(probs, 0.0, out=probs, where=plan.out_comp)
-    probs *= math.ldexp(1.0, -(plan.pending_h + n))
-
-    total = float(probs.sum())
-    if not abs(total - 1.0) <= 1e-9:  # unitarity self-check
-        msg = f"distribution sums to {total}"
-        raise RuntimeError(msg)
-    ceiling = 2.0 ** (-n) + 1e-12
-    if not float(probs.max()) <= ceiling:  # clean-qubit ceiling self-check
-        msg = f"outcome probability {probs.max()} exceeds 2**-{n}"
-        raise RuntimeError(msg)
-    return Distribution(n, probs)
+    rest, dists = getattr(_AHEAD, "chain", ((), None))
+    if rest and rest[-1] is u:
+        rest.pop()
+        return next(dists)
+    (d,) = _distributions((u,), threads)
+    return d
 
 
 def sample(d: Distribution, count: int, seed: int) -> list[str]:

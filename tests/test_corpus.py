@@ -13,6 +13,9 @@ tuning constants and two sets patched small, at 1-3 threads.  The checks:
   output;
 * ``f_value(u, z) == 2**n p_z`` on every case, which checks the single
   pass against the plan;
+* every p that ``verify_chain`` hands its sampler is the bytes of
+  ``dqc1_distribution`` on that circuit, wherever the run's chunk
+  constants put the boundaries of the batches that share a run;
 * one pinned sha256 per entry point.
 
 The single passes run the adjoint of a case: f_value(u, z) does, and
@@ -28,6 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import dqc1sim.hardness as hardness
 import dqc1sim.simulator as sim
 from corpus import BLOCK_CASES, CASES, ENSEMBLES, REAL_KINDS
 from dqc1sim.circuits import Circuit, adjoint, s, sdg, x
@@ -82,11 +86,21 @@ def _passes(case: tuple) -> dict:
     }
 
 
-def _chain_reports(threads: int) -> list:
-    return [
-        repr(verify_chain(parse_ensemble_spec(spec), SamplerModel.mass_shift(1 / 72), ErrorBudget(), threads=threads)).encode()
-        for spec in ENSEMBLES
-    ]
+def _chain_reports(threads: int, seen: list) -> list:
+    """The report of each ensemble, and the bytes of each p the chain hands the sampler appended to ``seen``."""
+    noisy = hardness.make_noisy_distribution
+
+    def spy(p, model):
+        seen.append(p.probs.tobytes())
+        return noisy(p, model)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hardness, "make_noisy_distribution", spy)
+        reports = [
+            verify_chain(parse_ensemble_spec(spec), SamplerModel.mass_shift(1 / 72), ErrorBudget(), threads=threads)
+            for spec in ENSEMBLES
+        ]
+    return [repr(r).encode() for r in reports]
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +119,11 @@ def runs() -> dict:
             out.setdefault("sample", {})[setting, threads] = [
                 " ".join(sample(dists[n], 16, zlib.crc32(n.encode()))).encode() for n, _ in CASES
             ]
-            out.setdefault("verify_chain", {})[setting, threads] = _chain_reports(threads)
+            seen: list = []
+            out.setdefault("verify_chain", {})[setting, threads] = _chain_reports(threads, seen)
+            members = [u for spec in ENSEMBLES for u in parse_ensemble_spec(spec).circuits]
+            alone = [dqc1_distribution(u).probs.tobytes() for u in members]
+            out.setdefault("chain_p", {})[setting, threads] = (seen, alone)
             if (setting, threads) in _PASS_RUNS:
                 with ThreadPoolExecutor(max_workers=threads) as pool:
                     passes = list(pool.map(_passes, CASES))
@@ -134,6 +152,13 @@ def test_bytes_do_not_depend_on_tuning_or_threads(runs, entry, group):
     for run, got in others:
         moved = [n for i, n in picked if want[i] != got[i]]
         assert moved == [], (run, first)
+
+
+def test_chain_sees_each_distribution(runs):
+    # The chain runs consecutive same-shape plans as one batch; each p it
+    # hands the sampler is still the distribution of its own circuit.
+    for run, (seen, want) in runs["chain_p"].items():
+        assert len(seen) == len(want) and seen == want, run
 
 
 # sha256 of each entry point's bytes over the corpus, in case order.

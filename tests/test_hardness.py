@@ -2,6 +2,8 @@
 
 import hashlib
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 
 import dqc1sim.hardness as hardness
 import dqc1sim.simulator as simulator
-from dqc1sim.circuits import Circuit, PolyF2, compile_iqp_from_poly, h, save_circuit, x
+from dqc1sim.circuits import Circuit, PolyF2, compile_iqp_from_poly, cx, h, rz, s, save_circuit, t, x
 from dqc1sim.ensembles import (
     load_ensemble_dir,
     parse_ensemble_spec,
@@ -542,7 +544,109 @@ class TestChainThreads:
         monkeypatch.setattr(simulator, "ThreadPoolExecutor", spy)
         got = verify_chain(ens, SamplerModel.mass_shift(1 / 36), ErrorBudget(), seed=4, threads=2)
         assert got == want
-        assert workers == [2] * 3  # one pool of two workers per circuit
+        assert workers == [2]  # one pool of two workers for the chain
+
+    def test_concurrent_chains_read_ahead_on_their_own_threads(self):
+        # More callers than cores, switching often: each chain's calls take
+        # the distributions of its own ensemble, never another thread's.
+        specs = ["random:iqp:5:12:15:1", "random:iqp:5:12:15:2", "random:iqp:6:8:18:3", "random:htcx:5:6:20:4"]
+        ensembles = [parse_ensemble_spec(spec) for spec in specs]
+        sampler, budget = SamplerModel.mass_shift(1 / 72), ErrorBudget()
+        want = [verify_chain(ens, sampler, budget) for ens in ensembles]
+
+        def run(k: int) -> list:
+            return [verify_chain(ensembles[(k + j) % 4], sampler, budget, threads=1 + k % 2) for j in range(4)]
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = [job.result(timeout=120) for job in [pool.submit(run, k) for k in range(4)]]
+        finally:
+            sys.setswitchinterval(old)
+        for k, got in enumerate(results):
+            assert got == [want[(k + j) % 4] for j in range(4)], k
+
+
+class _Boom(Exception):
+    """Raised by a spy inside the chain."""
+
+
+def _spy_on_the_sampler(monkeypatch, record) -> None:
+    """Pass each p that the chain hands make_noisy_distribution to ``record`` first."""
+    noisy = hardness.make_noisy_distribution
+
+    def spy(p, model):
+        record(p)
+        return noisy(p, model)
+
+    monkeypatch.setattr(hardness, "make_noisy_distribution", spy)
+
+
+class TestChainBatches:
+    """Consecutive embeddings of one n share a run; a circuit of another shape ends the batch, and the next resumes."""
+
+    @staticmethod
+    def _interleaved() -> Ensemble:
+        # Batches of embeddings 0-2, 4-6 and 9-10; circuits 3, 7 and 8 run alone.
+        iqp = parse_ensemble_spec("random:iqp:5:8:15:3").circuits
+        htcx = parse_ensemble_spec("random:htcx:5:3:20:4").circuits
+        return Ensemble(5, iqp[:3] + htcx[:1] + iqp[3:6] + htcx[1:] + iqp[6:])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_report_is_the_sum_of_one_circuit_reports(self, threads):
+        # At eta = 0 the counter draws nothing, so each circuit counts the same alone.
+        ens = self._interleaved()
+        sampler, budget = SamplerModel.mass_shift(1 / 72), ErrorBudget(eta=0.0)
+        got = verify_chain(ens, sampler, budget, threads=threads)
+        alone = [verify_chain(Ensemble(ens.n, (u,)), sampler, budget) for u in ens.circuits]
+        pairs = 1 << (ens.n + 1)
+        for field in ("markov_fraction", "heavy_fraction", "success_fraction"):
+            count = sum(getattr(r, field) * pairs for r in alone)
+            assert getattr(got, field) == count / (len(ens) * pairs), field
+
+    def test_failure_inside_a_batch_surfaces_at_its_circuit(self, monkeypatch):
+        # The sampler fails on circuit 5, the middle of a batch: the chain
+        # has handed it exactly the 5 distributions before, in order.
+        ens = self._interleaved()
+        seen = []
+
+        def record(p):
+            if len(seen) == 5:
+                raise _Boom
+            seen.append(p.probs.tobytes())
+
+        _spy_on_the_sampler(monkeypatch, record)
+        with pytest.raises(_Boom):
+            verify_chain(ens, SamplerModel.mass_shift(1 / 72), ErrorBudget())
+        assert seen == [dqc1_distribution(u).probs.tobytes() for u in ens.circuits[:5]]
+
+    def test_compile_failure_surfaces_at_its_circuit(self, monkeypatch):
+        # Circuit 2 cannot compile (a NaN angle past the constructor's
+        # check, standing in for a defect); circuits 0 and 1, a batch the
+        # chain had to compile 2 to close, are counted first.
+        bad = rz(0.0, 1)
+        object.__setattr__(bad, "theta", float("nan"))
+        emb = parse_ensemble_spec("random:iqp:3:3:6:2").circuits
+        ens = Ensemble(3, emb[:2] + (Circuit(4, (bad, h(1))),) + emb[2:])
+        seen = []
+        _spy_on_the_sampler(monkeypatch, seen.append)
+        with pytest.raises(RuntimeError, match="^a leading gate gives a non-finite phase$"):
+            verify_chain(ens, SamplerModel.mass_shift(1 / 72), ErrorBudget())
+        assert len(seen) == 2
+
+    def test_gathers_that_move_rows_differently_share_no_run(self, monkeypatch):
+        # One layout and the same steps but for what the middle gather
+        # moves: each circuit still gets its own distribution.
+        layer = tuple(h(q) for q in range(4))
+        middles = [(t(0), cx(0, 1), s(1)), (t(0), cx(0, 2), s(1)), (t(0), cx(2, 0), s(1))]
+        ens = Ensemble(3, tuple(Circuit(4, layer + m + layer) for m in middles))
+        want = [dqc1_distribution(u).probs.tobytes() for u in ens.circuits]
+        assert len(set(want)) == 3
+        seen = []
+        _spy_on_the_sampler(monkeypatch, lambda p: seen.append(p.probs.tobytes()))
+        verify_chain(ens, SamplerModel.mass_shift(1 / 72), ErrorBudget())
+        assert seen == want
 
 
 class TestChainDistributions:
@@ -557,6 +661,16 @@ class TestChainDistributions:
         digest = hashlib.sha256()
         for u in parse_ensemble_spec("random:iqp:8:100:24:1016164991").circuits:
             digest.update(dqc1_distribution(u, threads=threads).probs.tobytes())
+        assert digest.hexdigest() == self._DIGEST
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_chain_sees_the_same_distributions(self, monkeypatch, threads):
+        # The chain runs the 100 embeddings as one batch; the p it hands
+        # the sampler are the bytes dqc1_distribution gives one by one.
+        digest = hashlib.sha256()
+        _spy_on_the_sampler(monkeypatch, lambda p: digest.update(p.probs.tobytes()))
+        ens = parse_ensemble_spec("random:iqp:8:100:24:1016164991")
+        verify_chain(ens, SamplerModel.mass_shift(0.0277), ErrorBudget(), threads=threads)
         assert digest.hexdigest() == self._DIGEST
 
 

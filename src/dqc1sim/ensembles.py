@@ -59,6 +59,7 @@ def random_poly(n_vars: int, n_monomials: int, rng: np.random.Generator) -> Poly
     that exist; at or above that count every draw is the same polynomial.
     """
     n_vars = _int_at_least(n_vars, "n_vars", 1)
+    n_monomials = _int_at_least(n_monomials, "n_monomials", 0)
     pool = [
         m
         for size in (1, 2, 3)
@@ -101,6 +102,7 @@ def random_circuit(
     gate_set: tuple[str, ...] = _FULL_GATE_SET,
 ) -> Circuit:
     """n_gates draws with uniformly random kinds and wires."""
+    n_gates = _int_at_least(n_gates, "n_gates", 0)
     usable = tuple(k for k in gate_set if _MIN_WIDTH.get(k, 1) <= width)
     if not usable:
         msg = f"no gate in {gate_set} fits on {width} qubit(s)"
@@ -111,7 +113,7 @@ def random_circuit(
 
 def random_iqp_ensemble(n: int, count: int, depth: int, seed: int) -> Ensemble:
     """Worst-case embeddings of ``count`` random phase polynomials on n variables."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_int_at_least(seed, "seed", 0))
     circuits = []
     for _ in range(count):
         poly = random_poly(n, depth, rng)
@@ -121,7 +123,7 @@ def random_iqp_ensemble(n: int, count: int, depth: int, seed: int) -> Ensemble:
 
 def random_htcx_ensemble(n: int, count: int, depth: int, seed: int) -> Ensemble:
     """``count`` random {H, T, CX} circuits of ``depth`` gates on n+1 qubits."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_int_at_least(seed, "seed", 0))
     circuits = [
         random_circuit(n + 1, depth, rng, gate_set=("H", "T", "CX")) for _ in range(count)
     ]

@@ -852,11 +852,14 @@ def f_value(u: Circuit, zbits) -> float:
 # output bytes fixed.
 #
 # Only the columns that the untouched qubits leave undetermined run.  The
-# leading run of non-H gates sends input |0 x> to one basis row with a
-# phase.  Let B be the qubits that no later H, CX or MCX targets and A the
-# rest.  After the leading run B holds bits b that later X gates only
-# flip, so the rest of the circuit maps row (b, a) to |b'> (x) W_b|a>, with
-# b' = b xor (the later X gates on B) and W_b on A.  The plan's W_b is
+# leading run of non-H gates sends input |0 x> to one basis row times a
+# phase, a global phase of that input's pure branch that no probability
+# sees: the plan starts each input at its row with an amplitude of 1 and
+# reads only the leading X, CX and MCX gates (``_leading``).  Let B be the
+# qubits that no later H, CX or MCX targets and A the rest.  After the
+# leading run B holds bits b that later X gates only flip, so the rest of
+# the circuit maps row (b, a) to |b'> (x) W_b|a>, with b' = b xor (the
+# later X gates on B) and W_b on A.  The plan's W_b is
 # 2**(ph/2) times a unitary (ph: the butterflies no scale step undid), so
 # with S_b the A-values that inputs reach under b,
 #
@@ -881,8 +884,8 @@ def f_value(u: Circuit, zbits) -> float:
 # at x with the bits at which no two of its inputs first differ deleted:
 # the tree keeps its shape and the rows keep the full plan's bytes.  A
 # complement side puts its columns in order of a, or, when a direct side
-# with the same D-value runs exactly its A-values with unit phases (the
-# two sides of a worst-case embedding), uses that side's sums.
+# with the same D-value runs exactly its A-values (the two sides of a
+# worst-case embedding), uses that side's sums.
 #
 # A chunk runs only on its block, the rows its start entries can reach:
 # the plan's version of the single pass's settled qubits.  The block is
@@ -909,13 +912,13 @@ def f_value(u: Circuit, zbits) -> float:
 # A plan is a layout, its chunks and its steps.  The layout (``_layout``)
 # is the start entries, the slots, and the maps from outcomes to slots,
 # sides and run-qubit values.  It depends only on the key it is memoised
-# on: the width, the leading non-H gates, the qubits of A and of D and the
-# later X gates on B.  So every embedding of one n, and a chain over them,
-# compiles one layout.  The chunks (from _CHUNK_ENTRIES, _MIN_CHUNK_ENTRIES
+# on: the width, the leading X, CX and MCX gates, the qubits of A and of D
+# and the later X gates on B.  So every embedding of one n, and a chain
+# over them, compiles one layout.  The chunks (from _CHUNK_ENTRIES, _MIN_CHUNK_ENTRIES
 # and the thread count), the steps (``_program``) and ``out_row`` are
 # compiled per call.  The cache keeps the last layout only, with
-# read-only arrays that stay resident after the call: at most 33 bytes per
-# outcome, 33 * 2**(n + 1) bytes (1 MiB at n = 14, 66 MiB at n = 20), and
+# read-only arrays that stay resident after the call: at most 25 bytes per
+# outcome, 25 * 2**(n + 1) bytes (0.8 MiB at n = 14, 50 MiB at n = 20), and
 # 17 on a worst-case embedding (34 MiB at n = 20).
 #
 # A sequence of circuits runs through one generator, ``_distributions``.
@@ -1055,9 +1058,8 @@ class _Plan:
     steps: tuple
     rows: int  # stored rows of a chunk
     pending_h: int  # butterflies not undone by a scale step
-    start_rows: np.ndarray  # stored row of each start entry, in column order
+    start_rows: np.ndarray  # stored row of each start entry (an amplitude of 1), in column order
     start_cols: np.ndarray  # and its column
-    start_vals: np.ndarray | None  # and its phase (None: all 1)
     cols: int  # columns of a full chunk
     chunks: tuple  # (first column, columns), each inside one slot
     slot_sizes: tuple  # columns of each slot, in column order
@@ -1066,39 +1068,35 @@ class _Plan:
     out_comp: np.ndarray  # outcome o comes from a complement side
 
 
-def _leading(gates, width: int):
-    """(row, phase) of each input |0 x> after the leading non-H gates (phase None: all 1)."""
+def _leading(moves, width: int) -> np.ndarray:
+    """The row that each input |0 x> reaches through ``moves``, the leading X, CX and MCX gates."""
     rows = np.arange(1 << width)
-    src, phase = _monomial(gates, rows, [width - 1 - q for q in range(width)])
+    src, _ = _monomial(moves, rows, [width - 1 - q for q in range(width)])
     first = np.empty_like(src)
     first[src] = rows
-    first = first[: len(rows) >> 1]  # inputs |0 x> have the clean bit 0
-    return first, None if phase is None else phase[first]
+    return first[: len(rows) >> 1]  # inputs |0 x> have the clean bit 0
 
 
-def _sides(blk: np.ndarray, a_of: np.ndarray, unit: np.ndarray, nd: int, na: int, nbits: int):
+def _sides(blk: np.ndarray, a_of: np.ndarray, nd: int, na: int, nbits: int):
     """Each b's side and the start entries of its columns.
 
     Input x sits in block blk[x] (its D-value in the low nd bits) at A-value
-    a_of[x], with a phase of exactly 1 where unit[x].  Returns (comp, ncols,
-    levels, owner, entries).  b takes its complement side when comp[b] and
-    sums the columns that block owner[b] runs: ncols of them, at positions
-    below 2**levels.  owner[b] is b, except that a complement side reuses
-    the columns of a direct side with the same D-value that runs exactly
-    its A-values with unit phases (a complement may be summed in any
-    order).  ``entries`` are the arrays (block, A-value, position, input x
-    or -1 on a complement side).
+    a_of[x].  Returns (comp, ncols, levels, owner, entries).  b takes its
+    complement side when comp[b] and sums the columns that block owner[b]
+    runs: ncols of them, at positions below 2**levels.  owner[b] is b,
+    except that a complement side reuses the columns of a direct side with
+    the same D-value that runs exactly its A-values (a complement may be
+    summed in any order).  ``entries`` are the arrays (block, A-value,
+    position).
     """
     nblocks = 1 << (nbits + 1 - na)
     count = np.bincount(blk, minlength=nblocks)
     comp = count > (1 << na) - count
     present = np.zeros((nblocks, 1 << na), dtype=bool)
     present[blk, a_of] = True
-    phased = np.zeros(nblocks, dtype=bool)
-    phased[blk[~unit]] = True
     owner = np.arange(nblocks)
     runs = {}
-    for b in np.flatnonzero(~comp & (count > 0) & ~phased):
+    for b in np.flatnonzero(~comp & (count > 0)):
         runs.setdefault((b & ((1 << nd) - 1), present[b].tobytes()), b)
     for b in np.flatnonzero(comp & (count < 1 << na)):
         owner[b] = runs.get((b & ((1 << nd) - 1), (~present[b]).tobytes()), b)
@@ -1115,7 +1113,6 @@ def _sides(blk: np.ndarray, a_of: np.ndarray, unit: np.ndarray, nd: int, na: int
         np.concatenate([blk[xs], cb[which]]),
         np.concatenate([a_of[xs], avals]),
         np.concatenate([pos, np.arange(len(avals)) - (np.cumsum(ncols[cb]) - ncols[cb])[which]]),
-        np.concatenate([xs, np.full(len(avals), -1)]),
     )
     return comp, ncols, levels, owner, entries
 
@@ -1185,49 +1182,37 @@ def _chunk_list(slot_sizes: tuple, cols: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=1)
-def _layout(width: int, lead: tuple, a_qubits: tuple, d_qubits: tuple, flip_b: int) -> tuple:
+def _layout(width: int, moves: tuple, a_qubits: tuple, d_qubits: tuple, flip_b: int) -> tuple:
     """The plan fields that depend on neither the body nor the chunks: (fields, out_index).
 
-    ``fields`` maps start_rows, start_cols, start_vals, slot_sizes,
-    out_slot and out_comp to their values, and ``out_index`` is each
-    outcome's run-qubit value, which indexes the final rows of the steps
-    to give out_row.  ``lead`` is the leading non-H gates and ``flip_b``
-    the later X gates on B as a mask of outcome bits.  The arrays are
-    read-only: every plan whose circuit hits the cache shares them.
+    ``fields`` maps start_rows, start_cols, slot_sizes, out_slot and
+    out_comp to their values, and ``out_index`` is each outcome's run-qubit
+    value, which indexes the final rows of the steps to give out_row.
+    ``moves`` is the leading X, CX and MCX gates and ``flip_b`` the later X
+    gates on B as a mask of outcome bits.  The arrays are read-only: every
+    plan whose circuit hits the cache shares them.
     """
     r_qubits = a_qubits + d_qubits
     fd_qubits = tuple(q for q in range(width) if q not in r_qubits) + d_qubits  # F, then D
     nd = len(d_qubits)
-    first, phase = _leading(lead, width)
-    if phase is not None and not np.isfinite(phase.view(np.float64)).all():
-        msg = "a leading gate gives a non-finite phase"
-        raise RuntimeError(msg)
+    first = _leading(moves, width)
 
     # A block b is (F-value, D-value), the D-value in the low bits.
     blk = _pack(first, fd_qubits, width)
     a_of = _pack(first, a_qubits, width)
-    unit = np.ones(len(first), dtype=bool) if phase is None else phase == 1.0
-    comp, ncols, levels, owner, (e_blk, e_a, e_pos, e_x) = _sides(
-        blk, a_of, unit, nd, len(a_qubits), width - 1
-    )
+    comp, ncols, levels, owner, (e_blk, e_a, e_pos) = _sides(blk, a_of, nd, len(a_qubits), width - 1)
     slot_of, slot_levels = _slots(ncols, levels, nd)
     slot_of = slot_of[owner]
     sizes = np.left_shift(1, slot_levels)
     e_col = (np.cumsum(sizes) - sizes)[slot_of[e_blk]] + e_pos
     by_col = np.argsort(e_col, kind="stable")
     e_row = (e_a << nd) | (e_blk & ((1 << nd) - 1))
-    vals = None
-    if phase is not None:
-        vals = phase[e_x]
-        vals[e_x < 0] = 1.0
-        vals = vals[by_col]
 
     rows = np.arange(1 << width)
     out_blk = _pack(rows ^ flip_b, fd_qubits, width)
     fields = {
         "start_rows": e_row[by_col],
         "start_cols": e_col[by_col],
-        "start_vals": vals,
         "slot_sizes": tuple(sizes.tolist()),
         "out_slot": slot_of[out_blk],
         "out_comp": comp[out_blk],
@@ -1266,7 +1251,8 @@ def _compile(u: Circuit, *, threads: int = 1) -> _Plan:
             flip_b ^= 1 << (width - 1 - g.targets[0])
     body = [g for g in body if g.targets[0] in mixed or g.targets[0] in read]
 
-    fields, out_index = _layout(width, gates[:lead], a_qubits, d_qubits, flip_b)
+    moves = tuple(g for g in gates[:lead] if g.kind in _PERMUTATION_KINDS)
+    fields, out_index = _layout(width, moves, a_qubits, d_qubits, flip_b)
     nr = len(a_qubits) + len(d_qubits)
     sizes = fields["slot_sizes"]
     cols = max(1, min(_CHUNK_ENTRIES >> nr, sizes[0] if sizes else 1))
@@ -1326,8 +1312,7 @@ def _run_plan(plan: _Plan, chunk: tuple, bufs) -> np.ndarray:
     buf, spare = bufs
     amps = buf[: size * cols].reshape(size, cols)
     amps.fill(0.0)
-    vals = 1.0 if plan.start_vals is None else plan.start_vals[a:b]
-    amps[_compress(start, live, nbits), plan.start_cols[a:b] - c0] = vals
+    amps[_compress(start, live, nbits), plan.start_cols[a:b] - c0] = 1.0
     with _ufunc_buffer(_PLAN_BUFFER):
         for step in plan.steps:
             if step[0] == "h":
@@ -1429,7 +1414,6 @@ def _batch(plans: list, threads: int) -> _Plan:
         steps=steps,
         start_rows=np.tile(p.start_rows, k),
         start_cols=(w * np.arange(k)[:, None] + p.start_cols).reshape(-1),
-        start_vals=None if p.start_vals is None else np.tile(p.start_vals, k),
         chunks=tuple((c * w, min(m, k - c) * w) for c in range(0, k, m)),
     )
 
@@ -1497,11 +1481,7 @@ def _distributions(circuits, threads: int):
     batch: list = []  # (n, plan) of the circuits compiled but not run
     with ExitStack() as stack:
         for u in circuits:
-            try:
-                plan = _compile(u, threads=threads)
-            except Exception:
-                yield from run(batch)  # the circuits before u fail or finish first
-                raise
+            plan = _compile(u, threads=threads)
             if batch and not (len(batch) < _CHUNK_ENTRIES // (plan.rows * plan.cols) and _joins(batch[0][1], plan)):
                 yield from run(batch)
                 batch = []
@@ -1545,14 +1525,14 @@ def dqc1_distribution(
     that runs only the columns the untouched qubits leave undetermined (at
     most 2**n, one for a worst-case embedding; see the plan section), in
     column chunks on up to ``threads`` worker threads.  Consecutive calls
-    whose circuits share the leading non-H gates and the qubit roles, such
-    as the embeddings of one n in a chain, share one compiled layout of
-    the plan (the last one stays cached) and compile only its chunks and
-    steps.  With ``threads`` > 1 the chunks are
-    halved, down to _MIN_CHUNK_ENTRIES entries each, until there is one
-    per thread, so a plan of at least twice that many entries runs in two
-    chunks or more; a plan of one chunk, such as the one column of a
-    worst-case embedding, runs on the calling thread.  Inside a chain's
+    whose circuits share the leading X, CX and MCX gates and the qubit
+    roles, such as the embeddings of one n in a chain, share one compiled
+    layout of the plan (the last one stays cached) and compile only its
+    chunks and steps.  With ``threads`` > 1 the chunks are halved, down
+    to _MIN_CHUNK_ENTRIES entries each, until there is one per thread, so
+    a plan of at least twice that many entries runs in two chunks or more;
+    a plan of one chunk, such as the one column of a worst-case embedding,
+    runs on the calling thread.  Inside a chain's
     read-ahead (``_reading_ahead``) a call on the chain's next circuit
     takes its distribution from one generator over the chain, which runs
     consecutive one-chunk plans of one shape as a batch; the bytes are

@@ -492,14 +492,14 @@ _CHAIN_DIGESTS = {
 # full plan), seed 2 a plain random circuit (some columns left out).
 _DIST_DIGESTS = {
     1: "3437d605a3098c839bd5729f97eefc4ede4662b699b07854fccbadc2e2f60cbc",
-    2: "bce1cf087807427fb7896551665a1235a440fc46d57014d0eba2cb1cae930e53",
+    2: "a6c6e4b68a62164b035de9536aa16aa324419ac2506978298fc66936ca73e5d5",
 }
 
 # dqc1-dist on circuits that the plan splits into sides (see _split_circuit).
 _SPLIT_DIGESTS = {
     "embedding": "1031e2f2beb7a7af1dd3d73def32512c29053bfba6650b08b2ba1dd82e693645",
     "pair": "6fd8326a619f513b438dac5354fc466cc6f3c5fb4910834c2044424bb5e11838",
-    "spread": "9b49d05df9dc7600cacdb8f1bf8bab2e5036bc6c2dd1319e068e94b3f713f1a5",
+    "spread": "062c1b692cc9a8d876376cc547f72fab153d5d9f1781e4b6fdb295cb79b0f9b6",
 }
 # anticoncentration stdout on the ensembles of _CHAIN_DIGESTS.
 _ANTICONCENTRATION_DIGESTS = {

@@ -163,7 +163,7 @@ def test_chain_sees_each_distribution(runs):
 
 # sha256 of each entry point's bytes over the corpus, in case order.
 _DIGESTS = {
-    "dqc1_distribution": "6f6fd3736b3f16d77712566bd7289f58e8d0df05249b57e98c3dbbb61d94466b",
+    "dqc1_distribution": "b085834da4c5ef9388bdea22fca62ef0595728719e8579e360cc5788e3615163",
     "f_value": "ae5de8fe14fcd24d8a71c7eafbba2dc49abcc2e19a0cd4ec893e5205587243c1",
     "amplitude_zero": "149b9eb8387550dffae83254116bf8acb293fa01b276839ff9983efd17ff2690",
     "apply_circuit": "fded9d2cac1cfa46686657c4c73eec00d771c1c7b3ce1063f33c891e72dd7f1d",

@@ -11,7 +11,7 @@ import pytest
 
 import dqc1sim.hardness as hardness
 import dqc1sim.simulator as simulator
-from dqc1sim.circuits import Circuit, PolyF2, compile_iqp_from_poly, cx, h, rz, s, save_circuit, t, x
+from dqc1sim.circuits import Circuit, PolyF2, compile_iqp_from_poly, cx, h, s, save_circuit, t, x
 from dqc1sim.ensembles import (
     load_ensemble_dir,
     parse_ensemble_spec,
@@ -621,20 +621,6 @@ class TestChainBatches:
             verify_chain(ens, SamplerModel.mass_shift(1 / 72), ErrorBudget())
         assert seen == [dqc1_distribution(u).probs.tobytes() for u in ens.circuits[:5]]
 
-    def test_compile_failure_surfaces_at_its_circuit(self, monkeypatch):
-        # Circuit 2 cannot compile (a NaN angle past the constructor's
-        # check, standing in for a defect); circuits 0 and 1, a batch the
-        # chain had to compile 2 to close, are counted first.
-        bad = rz(0.0, 1)
-        object.__setattr__(bad, "theta", float("nan"))
-        emb = parse_ensemble_spec("random:iqp:3:3:6:2").circuits
-        ens = Ensemble(3, emb[:2] + (Circuit(4, (bad, h(1))),) + emb[2:])
-        seen = []
-        _spy_on_the_sampler(monkeypatch, seen.append)
-        with pytest.raises(RuntimeError, match="^a leading gate gives a non-finite phase$"):
-            verify_chain(ens, SamplerModel.mass_shift(1 / 72), ErrorBudget())
-        assert len(seen) == 2
-
     def test_gathers_that_move_rows_differently_share_no_run(self, monkeypatch):
         # One layout and the same steps but for what the middle gather
         # moves: each circuit still gets its own distribution.
@@ -802,6 +788,21 @@ class TestEnsembleSpecs:
     def test_random_poly_rejects_bad_n_vars(self, n_vars):
         with pytest.raises(ValueError, match=rf"^n_vars must be a positive integer, got {n_vars!r}$"):
             random_poly(n_vars, 3, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        ("make", "args", "message"),
+        [
+            (random_poly, (4, -1, np.random.default_rng(0)), "n_monomials must be a nonnegative integer, got -1"),
+            (random_poly, (4, 2.5, np.random.default_rng(0)), "n_monomials must be a nonnegative integer, got 2.5"),
+            (random_circuit, (3, -1, np.random.default_rng(0)), "n_gates must be a nonnegative integer, got -1"),
+            (random_iqp_ensemble, (4, 2, -3, 1), "n_monomials must be a nonnegative integer, got -3"),
+            (random_iqp_ensemble, (4, 2, 3, -1), "seed must be a nonnegative integer, got -1"),
+            (random_htcx_ensemble, (2, 2, 5, -1), "seed must be a nonnegative integer, got -1"),
+        ],
+    )
+    def test_generators_name_a_bad_argument(self, make, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make(*args)
 
     def test_generators_are_seeded(self):
         a = parse_ensemble_spec("random:iqp:3:5:10:2")

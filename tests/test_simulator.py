@@ -454,19 +454,19 @@ class TestDqc1Distribution:
         with pytest.raises(ValueError, match="mixed qubits"):
             dqc1_distribution(Circuit(6), max_n=4)
 
-    # Checked before any work: a compile of this circuit would raise
-    # RuntimeError on its non-finite leading phase.
+    # Checked before any work: a run of this circuit would fail its
+    # unitarity self-check with a RuntimeError.
     @pytest.mark.parametrize("threads", [0, -3, 2.5, "2", None, True])
     def test_threads_must_be_a_positive_integer(self, threads):
         message = f"threads must be a positive integer, got {threads!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            dqc1_distribution(Circuit(2, (_nan_rz(1), h(1))), threads=threads)
+            dqc1_distribution(Circuit(2, (h(0), _nan_rz(1), h(1))), threads=threads)
 
     @pytest.mark.parametrize("max_n", [-3, 2.5, "2", None, True])
     def test_max_n_must_be_a_nonnegative_integer(self, max_n):
         message = f"max_n must be a nonnegative integer, got {max_n!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            dqc1_distribution(Circuit(2, (_nan_rz(1), h(1))), max_n=max_n)
+            dqc1_distribution(Circuit(2, (h(0), _nan_rz(1), h(1))), max_n=max_n)
 
     def test_numpy_integer_threads_and_max_n(self):
         u = random_circuit(4, 20, np.random.default_rng(6))
@@ -639,10 +639,20 @@ class TestUntouchedQubits:
         assert all(rows == 1 << 12 for rows, _ in runs)
         assert sum(cols for _, cols in runs) == 1
 
-    def test_non_finite_leading_phase_fails_self_check(self):
-        # The inputs all run from the complement side, which never multiplies by it.
-        with pytest.raises(RuntimeError, match="non-finite phase"):
-            dqc1_distribution(Circuit(2, (_nan_rz(1), h(1))))
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_leading_phase_gates_move_no_byte(self, threads):
+        # Input |0 x> is its own pure branch, so a phase that the leading
+        # gates put on it is a global phase that no probability sees.
+        kinds = ("X", "CX", "MCX", "Z", "S", "SDG", "T", "TDG", "CZ", "CCZ", "RZ")
+        rng = np.random.default_rng(37)
+        for _ in range(60):
+            width = int(rng.integers(3, 9))
+            body = (h(int(rng.integers(width))),) + random_circuit(width, 40, rng, GATE_KINDS).gates
+            lead = random_circuit(width, 12, rng, kinds).gates
+            moves = tuple(g for g in lead if g.kind in ("X", "CX", "MCX"))
+            got = dqc1_distribution(Circuit(width, lead + body), threads=threads).probs
+            want = dqc1_distribution(Circuit(width, moves + body), threads=threads).probs
+            assert got.tobytes() == want.tobytes(), (width, lead)
 
     def test_untouched_clean_qubit_runs_nothing(self, monkeypatch):
         monkeypatch.setattr(sim, "_run_plan", None)  # any run would fail

@@ -18,6 +18,7 @@ CLI default, draws all 14 monomials of n = 4 for each of its 50 members.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from pathlib import Path
 
@@ -52,6 +53,12 @@ ENSEMBLE_SPEC_HELP = (
 _FULL_GATE_SET = ("H", "X", "Z", "S", "T", "RZ", "CZ", "CCZ", "CX", "MCX")
 
 
+@cache
+def _monomial_pool(n_vars: int) -> tuple[tuple[int, ...], ...]:
+    """Every monomial of sizes 1..3 on n_vars variables, by size and then lexicographically."""
+    return tuple(m for size in (1, 2, 3) for m in combinations(range(n_vars), size))
+
+
 def random_poly(n_vars: int, n_monomials: int, rng: np.random.Generator) -> PolyF2:
     """Uniformly chosen distinct monomials of sizes 1..3 on n_vars variables.
 
@@ -60,11 +67,7 @@ def random_poly(n_vars: int, n_monomials: int, rng: np.random.Generator) -> Poly
     """
     n_vars = _int_at_least(n_vars, "n_vars", 1)
     n_monomials = _int_at_least(n_monomials, "n_monomials", 0)
-    pool = [
-        m
-        for size in (1, 2, 3)
-        for m in combinations(range(n_vars), size)
-    ]
+    pool = _monomial_pool(n_vars)
     k = min(n_monomials, len(pool))
     picks = rng.choice(len(pool), size=k, replace=False)
     # Distinct increasing in-range monomials, sorted as PolyF2 keeps them.
@@ -102,6 +105,7 @@ def random_circuit(
     gate_set: tuple[str, ...] = _FULL_GATE_SET,
 ) -> Circuit:
     """n_gates draws with uniformly random kinds and wires."""
+    width = _int_at_least(width, "width", 1)
     n_gates = _int_at_least(n_gates, "n_gates", 0)
     usable = tuple(k for k in gate_set if _MIN_WIDTH.get(k, 1) <= width)
     if not usable:
@@ -113,6 +117,8 @@ def random_circuit(
 
 def random_iqp_ensemble(n: int, count: int, depth: int, seed: int) -> Ensemble:
     """Worst-case embeddings of ``count`` random phase polynomials on n variables."""
+    n = _int_at_least(n, "n", 1)
+    count = _int_at_least(count, "count", 1)
     rng = np.random.default_rng(_int_at_least(seed, "seed", 0))
     circuits = []
     for _ in range(count):
@@ -123,6 +129,8 @@ def random_iqp_ensemble(n: int, count: int, depth: int, seed: int) -> Ensemble:
 
 def random_htcx_ensemble(n: int, count: int, depth: int, seed: int) -> Ensemble:
     """``count`` random {H, T, CX} circuits of ``depth`` gates on n+1 qubits."""
+    n = _int_at_least(n, "n", 0)
+    count = _int_at_least(count, "count", 1)
     rng = np.random.default_rng(_int_at_least(seed, "seed", 0))
     circuits = [
         random_circuit(n + 1, depth, rng, gate_set=("H", "T", "CX")) for _ in range(count)

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .circuits import Circuit, _checked_circuit, _finite, _int_at_least, _listed, adjoint, cx, mcx, shift_qubits, x
+from .circuits import Circuit, _checked_circuit, _checked_gate, _finite, _int_at_least, _listed, adjoint, cx, mcx, shift_qubits, x
 from .simulator import DEFAULT_MAX_MIXED_QUBITS, Distribution, _reading_ahead, dqc1_distribution
 
 __all__ = [
@@ -172,10 +172,9 @@ def build_worst_case_embedding(c: Circuit) -> Circuit:
     the rest is all zero (an X undone by an anti-controlled MCX).
     """
     n = c.width
-    gates = list(shift_qubits(c, 1, n + 1).gates)
-    gates.append(x(0))
-    gates.append(mcx(0, tuple(range(1, n + 1)), (0,) * n))
-    return adjoint(_checked_circuit(n + 1, tuple(gates)))
+    # The flip gates are valid by construction: distinct wires 0..n, n >= 1 controls.
+    flip = (_checked_gate("X", (0,), (), (), None), _checked_gate("MCX", (0,), tuple(range(1, n + 1)), (0,) * n, None))
+    return adjoint(_checked_circuit(n + 1, shift_qubits(c, 1, n + 1).gates + flip))
 
 
 def build_postselection_pair(v: Circuit) -> tuple[Circuit, Circuit]:

@@ -2,8 +2,9 @@
 
 import copy
 import json
+import pickle
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from dqc1sim.circuits import (
     x,
     z,
 )
-from dqc1sim.ensembles import random_circuit
+from dqc1sim.ensembles import random_circuit, random_iqp_ensemble, random_poly
 from dqc1sim.hardness import Ensemble, build_worst_case_embedding
 from dqc1sim.simulator import (
     DEFAULT_MAX_MIXED_QUBITS,
@@ -213,12 +214,27 @@ def _replaced_shift(c: Circuit, offset: int, width: int) -> Circuit:
     return Circuit(width, gates)
 
 
+def _fields(g: Gate) -> list:
+    """Each field of g in field order, by name, with its value and type; a field left unset raises."""
+    return [(f.name, getattr(g, f.name), type(getattr(g, f.name))) for f in fields(g)]
+
+
 def _assert_same_gates(got: Circuit, want: Circuit) -> None:
     assert got == want
+    assert repr(got) == repr(want)
+    assert pickle.loads(pickle.dumps(got)) == want
     for a, b in zip(got.gates, want.gates):
+        assert type(a) is type(b) is Gate
+        assert _fields(a) == _fields(b)
         assert [type(v) for v in a.qubits + a.polarities] == [type(v) for v in b.qubits + b.polarities]
-        assert type(a.theta) is type(b.theta)
         assert hash(a) == hash(b)
+        with pytest.raises(FrozenInstanceError):
+            a.kind = "H"
+
+
+def _rebuilt(c: Circuit) -> Circuit:
+    """c built again with Gate(...) and Circuit(...), which check every field."""
+    return Circuit(c.width, tuple(Gate(g.kind, g.targets, g.controls, g.polarities, g.theta) for g in c.gates))
 
 
 class TestShiftQubits:
@@ -254,6 +270,14 @@ class TestShiftQubits:
             _assert_same_gates(shift_qubits(c, offset, width), _replaced_shift(c, offset, width))
             _assert_same_gates(shift_qubits(c, np.int64(offset), width), _replaced_shift(c, offset, width))
             _assert_same_gates(adjoint(c), _replaced_adjoint(c))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_iqp_circuits_match_checked_ones(self, seed):
+        rng = np.random.default_rng(seed)
+        c = compile_iqp_from_poly(random_poly(int(rng.integers(1, 9)), int(rng.integers(0, 40)), rng))
+        _assert_same_gates(c, _rebuilt(c))
+        for member in random_iqp_ensemble(int(rng.integers(1, 7)), 3, int(rng.integers(0, 30)), seed).circuits:
+            _assert_same_gates(member, _rebuilt(member))
 
     def test_worst_case_embedding_matches_replace(self):
         rng = np.random.default_rng(9)

@@ -462,6 +462,37 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.endswith("\n")
         assert err.startswith(message)
 
+    @pytest.mark.parametrize(
+        ("first", "code", "then"),
+        [
+            (["verify-chain", "--ensemble", "random:iqp:3:5:6:1", "--json"], 0, ["verify-chain", "--ensemble", "random:iqp:3:5:6:1"]),
+            (["dqc1-dist", "--circuit", "{circuit}", "--out", "{out}"], 0, ["dqc1-dist", "--circuit", "{circuit}"]),
+            (["verify-chain", "--threads", "0"], 2, ["verify-chain", "--ensemble", "random:iqp:3:5:6:1"]),
+        ],
+        ids=["json_then_text", "file_then_stdout", "usage_error_then_valid"],
+    )
+    def test_consecutive_calls_do_not_leak_state(self, cubic_circuit, tmp_path, capsys, first, code, then):
+        # The parser is built once per process: each call must give what it gives as a process's first.
+        out = tmp_path / "dist.csv"
+
+        def call(argv):
+            argv = [a.format(circuit=cubic_circuit, out=out) for a in argv]
+            try:
+                status = cli.main(argv)
+            except SystemExit as e:
+                status = e.code
+            return (status, *capsys.readouterr())
+
+        def first_call(argv):
+            cli.build_parser.cache_clear()
+            return call(argv)
+
+        a, b = first_call(first), first_call(then)
+        assert (a[0], b[0]) == (code, 0)
+        assert (call(first), call(then), call(first)) == (a, b, a)
+        if "--out" in first:
+            assert out.read_text() == b[1]
+
     def test_no_command_is_usage_error(self):
         r = run_cli()
         assert r.returncode == 2

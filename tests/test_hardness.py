@@ -798,6 +798,12 @@ class TestEnsembleSpecs:
             (random_iqp_ensemble, (4, 2, -3, 1), "n_monomials must be a nonnegative integer, got -3"),
             (random_iqp_ensemble, (4, 2, 3, -1), "seed must be a nonnegative integer, got -1"),
             (random_htcx_ensemble, (2, 2, 5, -1), "seed must be a nonnegative integer, got -1"),
+            (random_circuit, (2.5, 3, np.random.default_rng(0)), "width must be a positive integer, got 2.5"),
+            (random_circuit, (0, 3, np.random.default_rng(0)), "width must be a positive integer, got 0"),
+            (random_htcx_ensemble, (2.5, 2, 5, 1), "n must be a nonnegative integer, got 2.5"),
+            (random_htcx_ensemble, (2, 0, 5, 1), "count must be a positive integer, got 0"),
+            (random_iqp_ensemble, (2, 2.5, 5, 1), "count must be a positive integer, got 2.5"),
+            (random_iqp_ensemble, (0, 2, 5, 1), "n must be a positive integer, got 0"),
         ],
     )
     def test_generators_name_a_bad_argument(self, make, args, message):

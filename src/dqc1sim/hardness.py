@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .circuits import Circuit, _checked_circuit, _checked_gate, _finite, _int_at_least, _listed, adjoint, cx, mcx, shift_qubits, x
-from .simulator import DEFAULT_MAX_MIXED_QUBITS, Distribution, _reading_ahead, dqc1_distribution
+from .simulator import _TEMP_ENTRIES, DEFAULT_MAX_MIXED_QUBITS, Distribution, _reading_ahead, dqc1_distribution
 
 __all__ = [
     "ErrorBudget",
@@ -305,14 +305,16 @@ def _pair_counts(
 ) -> tuple[int, int, int]:
     """Markov-outlier, heavy and counter-success pairs (z, U) over the ensemble.
 
-    One pass per circuit, in order: p_z from ``dqc1_distribution``, which
+    One call per circuit, in order: p_z from ``dqc1_distribution``, which
     reads ahead over the ensemble (``_reading_ahead``), so consecutive
-    embeddings of one n run as one batch and one chunk pool of up to
-    ``threads`` workers serves every circuit; q_z from the sampler model
-    (which must honor the TV budget), and q~_z from the eta-relative
-    counter on stream (seed, i) for circuit i, so counts do not depend on
-    ``threads``.  A batch holds at most _CHUNK_ENTRIES entries of member
-    row sums, and each distribution is dropped once counted.  A pair
+    embeddings of one n compile and run as one batch and one chunk pool
+    of up to ``threads`` workers serves every circuit; q_z from the
+    sampler model, and q~_z from the eta-relative counter on stream
+    (seed, i) for circuit i, so counts do not depend on ``threads``.  The
+    p, q and q~ rows of a block of up to _TEMP_ENTRIES >> (n + 1)
+    circuits are kept; then the TV budget is checked (a failure names its
+    own circuit) and the pairs are counted once for the whole block,
+    elementwise, so blocks move no count.  A pair
     succeeds when |q~_z * 2**n - f| < f/2 with f = p_z * 2**n; pairs with
     f = 0 succeed only if q~_z = 0.  ``threads`` must be an integer >= 1, and n at most
     the simulator's default cap: the chain takes no ``max_n``, so a larger
@@ -324,33 +326,37 @@ def _pair_counts(
         msg = f"n={n} mixed qubits exceeds the chain's cap of {DEFAULT_MAX_MIXED_QUBITS}"
         raise ValueError(msg)
     thr = _markov_threshold(n, budget)
-
-    def per_circuit(i: int) -> tuple[int, int, int]:
-        p = dqc1_distribution(ens.circuits[i], threads=threads)
-        q = make_noisy_distribution(p, sampler)
-        tv = total_variation_distance(p, q)
-        if tv > budget.eps + 1e-12:
-            msg = f"circuit {i}: sampler TV {tv} exceeds the TV budget eps={budget.eps}"
-            raise ValueError(msg)
-        q_tilde = approximate_count(
-            q.probs, budget.eta, np.random.SeedSequence(seed, spawn_key=(i,))
-        )
-
-        f = p.probs * float(1 << n)
-        estimate = q_tilde * float(1 << n)
-        zero = p.probs == 0.0
-        good = np.where(zero, q_tilde == 0.0, np.abs(estimate - f) < f / 2.0)
-
-        # At eps = 0 the threshold is 0, and both steps take the limit
-        # t -> 0+: a pair with p_z = q_z is never an outlier, and a pair
-        # with p_z = 0 is never heavy.
-        diff = np.abs(p.probs - q.probs)
-        markov = int(np.count_nonzero((diff >= thr) & (diff > 0.0)))
-        heavy = int(np.count_nonzero((thr <= p.probs / 3.0) & (p.probs > 0.0)))
-        return markov, heavy, int(np.count_nonzero(good))
-
+    size = max(1, _TEMP_ENTRIES >> (n + 1))
+    block = np.empty((3, size, 1 << (n + 1)))  # the p, q and q~ rows of a block of circuits
+    markov = heavy = success = 0
     with _reading_ahead(ens.circuits, threads):
-        return tuple(map(sum, zip(*map(per_circuit, range(len(ens))))))
+        for first in range(0, len(ens), size):
+            p, q, q_tilde = block[:, : min(size, len(ens) - first)]
+            for j in range(len(p)):
+                i = first + j
+                d = dqc1_distribution(ens.circuits[i], threads=threads)
+                p[j] = d.probs
+                q[j] = make_noisy_distribution(d, sampler).probs
+                q_tilde[j] = approximate_count(q[j], budget.eta, np.random.SeedSequence(seed, spawn_key=(i,)))
+
+            diff = np.abs(p - q)
+            tv = diff.sum(axis=1)
+            over = np.flatnonzero(tv > budget.eps + 1e-12)
+            if len(over):
+                j = int(over[0])
+                msg = f"circuit {first + j}: sampler TV {tv[j]} exceeds the TV budget eps={budget.eps}"
+                raise ValueError(msg)
+
+            f = p * float(1 << n)
+            estimate = q_tilde * float(1 << n)
+            good = np.where(p == 0.0, q_tilde == 0.0, np.abs(estimate - f) < f / 2.0)
+            # At eps = 0 the threshold is 0, and both steps take the limit
+            # t -> 0+: a pair with p_z = q_z is never an outlier, and a pair
+            # with p_z = 0 is never heavy.
+            markov += int(np.count_nonzero((diff >= thr) & (diff > 0.0)))
+            heavy += int(np.count_nonzero((thr <= p / 3.0) & (p > 0.0)))
+            success += int(np.count_nonzero(good))
+    return markov, heavy, success
 
 
 @dataclass(frozen=True)

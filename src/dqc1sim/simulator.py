@@ -56,9 +56,10 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -828,10 +829,9 @@ def f_value(u: Circuit, zbits) -> float:
 # * ("h", bit): ``_butterfly`` on a stored bit;
 # * ("scale",): the exact rescale by _RESCALE after every _RESCALE_EVERY H.
 #
-# A gather's phase table takes its phase gates in gate order: a lone one
-# is one multiply where it acts, and each stretch of several between two
-# permutations is one ``np.multiply.reduce`` down a stack of their factor
-# rows (``_fold``), whose values are those of one multiply per gate.
+# A gather's phase table takes its phase gates in gate order, one
+# multiply per gate where it acts (and one elsewhere for an RZ), over all
+# members of a batch at once (``_monomial``).
 #
 # The compiler holds only 1-D arrays over row indices, never a table of
 # every qubit's bit of every row: ``_monomial`` finds the rows a gate acts
@@ -921,17 +921,21 @@ def f_value(u: Circuit, zbits) -> float:
 # outcome, 25 * 2**(n + 1) bytes (0.8 MiB at n = 14, 50 MiB at n = 20), and
 # 17 on a worst-case embedding (34 MiB at n = 20).
 #
-# A sequence of circuits runs through one generator, ``_distributions``.
-# Consecutive plans that are one chunk each on one cached layout, with the
-# same steps but for the gather phase tables (every worst-case embedding
-# of one n), run as one batch (``_batch``): member j takes the columns
-# after member j - 1's, each gather multiplies by a (rows, members) table,
-# and the run sums each member's columns on their own.  Per column the
-# arithmetic is that of the member's own plan, so batches move no byte.  A
-# batch holds at most _CHUNK_ENTRIES entries and is cut into chunks of
-# whole members by the halving rule of a plan's chunks.  Each member is
-# then finished, in circuit order, as the generator yields it.  A chain
-# reads ahead (``_reading_ahead``): its per-circuit dqc1_distribution
+# A sequence of circuits compiles through ``_plans`` and runs through one
+# generator, ``_distributions``.  Each circuit is keyed before any steps
+# are compiled (``_member``): its cached layout, and its skeleton, the body
+# with each diagonal gate as None (the non-diagonal gates and the length
+# of every diagonal stretch).  Consecutive circuits of one-chunk plans with
+# one key (every worst-case embedding of one n) compile once, as a batch
+# (``_plan``): ``_program`` walks the shared skeleton, each gather's phase
+# table is (rows, members), built slot by slot over all members, and
+# member j takes the columns after member j - 1's.  A lone circuit is a
+# batch of one.  Per column the arithmetic is that of the member's own
+# plan, so batches move no byte.  A batch is one chunk, and its chunk and
+# its (members, outcomes) probabilities each hold at most _TEMP_ENTRIES
+# entries.  The batch is finished as one array, and each member is
+# yielded, in circuit order, after the self-checks on its own row.  A
+# chain reads ahead (``_reading_ahead``): its per-circuit dqc1_distribution
 # calls take their distributions from one generator over the ensemble.
 
 # The ufunc buffer of a plan run.  On a 2-core Xeon, in a chunk of 2**20
@@ -944,71 +948,54 @@ def f_value(u: Circuit, zbits) -> float:
 _PLAN_BUFFER = 512
 
 
-def _monomial(gates, rows, pos):
-    """(src, phase) with out[r] = phase[r] * in[src[r]] for a run of non-H gates.
+def _monomial(runs, rows, pos):
+    """(src, phase) with out[r] = phase[r, j] * in[src[r]] for member j's run of non-H gates.
 
-    ``rows`` is every row index in order and qubit q sits on index bit
-    ``pos[q]``.  Each gate acts on the rows where its ``_condition``
-    holds.  The phase gates between two permutations are folded into the
-    table together (``_fold``), as many at once as keep the fold's stack
-    within _TEMP_ENTRIES entries, and at least one.  ``phase`` is None
-    when every factor is 1.
+    ``runs`` are the members' runs: the same permutations, with diagonal
+    stretches of the same lengths between them.  ``rows`` is every row
+    index in order and qubit q sits on index bit ``pos[q]``.  Each gate
+    acts on the rows where its ``_condition`` holds.  ``phase`` is a
+    (rows, members) table that takes the phase gates slot by slot, in gate
+    order: each slot is one multiply over all members where their gates act
+    (and one elsewhere for an RZ), so every column holds the values of its
+    member's own gates, one multiply each.  The table is built member by
+    member in memory, so each member's hits are runs along its rows.
+    ``phase`` is None when every factor is 1.
     """
     src = rows
     phase = None
-    most = max(1, _TEMP_ENTRIES // len(rows) - 1)
-    pending = []  # (mask, value, factor elsewhere, factor where it acts) of each phase gate not folded yet
-    for g in gates:
-        if pending and (g.kind in _PERMUTATION_KINDS or len(pending) == most):
-            phase, pending = _fold(phase, pending, rows), []
-        mask = value = 0
-        for q, bit in _condition(g):
-            mask |= 1 << pos[q]
-            value |= bit << pos[q]
+    weight = {q: 1 << p for q, p in pos.items()}
+    for slot in zip(*runs):
+        g = slot[0]
         if g.kind in _PERMUTATION_KINDS:
+            mask = value = 0
+            for q, bit in _condition(g):
+                mask |= 1 << pos[q]
+                value |= bit << pos[q]
             hit = (rows & mask) == value
             sigma = rows ^ (hit.astype(rows.dtype) << pos[g.targets[0]])
             src = src[sigma]
             if phase is not None:
-                phase = phase[sigma]
-        elif g.kind == "RZ":
-            cos, sin = math.cos(0.5 * g.theta), math.sin(0.5 * g.theta)
-            pending.append((mask, value, complex(cos, -sin), complex(cos, sin)))
-        else:
-            pending.append((mask, value, 1.0, _EIGHTH_TURN[_EIGHTHS[g.kind]]))
-    if pending:
-        phase = _fold(phase, pending, rows)
-    if phase is not None and np.all(phase == 1.0):
-        phase = None
-    return src, phase
-
-
-def _fold(phase, gates: list, rows) -> np.ndarray:
-    """The table ``phase`` (None: all 1) times each gate's factors, gate by gate.
-
-    ``gates`` are (mask, value, factor elsewhere, factor where it acts),
-    each acting on the rows r with ``r & mask == value``.  One gate is
-    one multiply where it acts (and RZ one elsewhere).  Several are one
-    ``np.multiply.reduce`` down a stack whose row 0 is the table and each
-    further row one gate's factors, exactly 1 where a gate other than RZ
-    does not act.  An outer-axis reduce multiplies in gate order, so the
-    values are those of the one-gate multiplies; only the signs of zero
-    parts may differ, and no |amplitude|**2 sees them.
-    """
-    if phase is None:
-        phase = np.ones(len(rows), dtype=np.complex128)
-    if len(gates) == 1:
-        ((mask, value, lo, hi),) = gates
-        hit = (rows & mask) == value
-        if lo != 1.0:
-            np.multiply(phase, lo, out=phase, where=~hit)
+                phase = phase.take(sigma, axis=1)
+            continue
+        if phase is None:
+            phase = np.ones((len(runs), len(rows)), dtype=np.complex128)
+        # A diagonal gate acts where each of its targets is 1.
+        mask = np.array([sum(map(weight.__getitem__, g.targets)) for g in slot])[:, None]
+        hit = (rows & mask) == mask
+        eighths = [_EIGHTHS.get(g.kind, 0) for g in slot]  # 0 for RZ alone
+        hi = _EIGHTH_TURN[eighths][:, None]
+        if 0 in eighths:
+            lo = np.ones_like(hi)
+            for j, g in enumerate(slot):
+                if g.kind == "RZ":
+                    cos, sin = math.cos(0.5 * g.theta), math.sin(0.5 * g.theta)
+                    lo[j], hi[j] = complex(cos, -sin), complex(cos, sin)
+            np.multiply(phase, lo, out=phase, where=~hit & (lo != 1.0))
         np.multiply(phase, hi, out=phase, where=hit)
-        return phase
-    mask, value, lo, hi = (np.array(c)[:, None] for c in zip(*gates))
-    stack = np.empty((1 + len(gates), len(rows)), dtype=np.complex128)
-    stack[0], stack[1:] = phase, lo
-    np.copyto(stack[1:], hi, where=(rows & mask) == value)
-    return np.multiply.reduce(stack, axis=0)
+    if phase is None or np.all(phase == 1.0):
+        return src, None
+    return src, phase.T
 
 
 def _runs(seq) -> list[tuple[int, int]]:
@@ -1060,6 +1047,7 @@ class _Plan:
     pending_h: int  # butterflies not undone by a scale step
     start_rows: np.ndarray  # stored row of each start entry (an amplitude of 1), in column order
     start_cols: np.ndarray  # and its column
+    members: int  # circuits run side by side, each on ``cols`` columns of its own
     cols: int  # columns of a full chunk
     chunks: tuple  # (first column, columns), each inside one slot
     slot_sizes: tuple  # columns of each slot, in column order
@@ -1071,7 +1059,7 @@ class _Plan:
 def _leading(moves, width: int) -> np.ndarray:
     """The row that each input |0 x> reaches through ``moves``, the leading X, CX and MCX gates."""
     rows = np.arange(1 << width)
-    src, _ = _monomial(moves, rows, [width - 1 - q for q in range(width)])
+    src, _ = _monomial([moves], rows, {q: width - 1 - q for q in range(width)})
     first = np.empty_like(src)
     first[src] = rows
     return first[: len(rows) >> 1]  # inputs |0 x> have the clean bit 0
@@ -1139,34 +1127,34 @@ def _slots(ncols: np.ndarray, levels: np.ndarray, nd: int):
     return slot_of, slot_levels
 
 
-def _program(body, rows_of: tuple[int, ...]):
-    """(steps, final rows, H count) of ``body`` on the qubits ``rows_of``.
+def _program(bodies, rows_of: tuple[int, ...]):
+    """(steps, final rows, H count) of the members' ``bodies``, of one skeleton, on the qubits ``rows_of``.
 
     Rows index the qubits in ``rows_of``, the first most significant, so
-    qubit rows_of[i] sits on stored bit nr-1-i throughout.
+    qubit rows_of[i] sits on stored bit nr-1-i throughout.  Each gather's
+    phase is a (rows, members) table (``_monomial``).
     """
     nr = len(rows_of)
     rows = np.arange(1 << nr)
     pos = {q: nr - 1 - i for i, q in enumerate(rows_of)}
     steps = []
-    run: list[Gate] = []
+    first = 0  # where the current run of non-H gates starts
     n_h = 0
-    for g in body:
+    for i, g in enumerate(bodies[0]):
         if g.kind != "H":
-            run.append(g)
             continue
-        if run:
-            idx, phase = _monomial(run, rows, pos)
+        if first < i:
+            idx, phase = _monomial([b[first:i] for b in bodies], rows, pos)
             if np.array_equal(idx, rows):
                 idx = None
             if idx is not None or phase is not None:
                 steps.append(("gather", idx, phase))
-            run = []
+        first = i + 1
         steps.append(("h", pos[g.targets[0]]))
         n_h += 1
         if n_h % _RESCALE_EVERY == 0:
             steps.append(("scale",))
-    src, _ = _monomial(run, rows, pos)  # trailing phases do not change |amplitude|**2
+    src, _ = _monomial([bodies[0][first:]], rows, pos)  # trailing phases do not change |amplitude|**2
     return tuple(steps), src, n_h
 
 
@@ -1224,6 +1212,75 @@ def _layout(width: int, moves: tuple, a_qubits: tuple, d_qubits: tuple, flip_b: 
     return MappingProxyType(fields), out_index
 
 
+class _Member(NamedTuple):
+    """A circuit's plan but its steps (``_member``)."""
+
+    layout: tuple  # (fields, out_index) from the memoised _layout
+    skeleton: tuple  # the body with each diagonal gate as None
+    body: list  # the gates after the leading run that the steps apply
+    rows_of: tuple  # the run qubits A, then D
+    cols: int
+    chunks: tuple
+
+
+def _member(u: Circuit, threads: int) -> _Member:
+    """Everything of u's plan but its steps: circuits of one layout and skeleton differ only in their phase tables."""
+    width = u.width
+    gates = u.gates
+    lead = next((i for i, g in enumerate(gates) if g.kind == "H"), len(gates))
+    body = gates[lead:]
+    mixed = {g.targets[0] for g in body if g.kind in _MIXING_KINDS}
+    read = {q for g in body if g.kind != "H" for q in (g.controls if g.kind in _PERMUTATION_KINDS else g.targets)}
+    a_qubits = tuple(q for q in range(width) if q in mixed)
+    d_qubits = tuple(q for q in range(width) if q not in mixed and q in read)
+    # Later X gates on B; on F they are all there is, so they leave the plan.
+    flip_b = 0
+    for g in body:
+        if g.kind == "X" and g.targets[0] not in mixed:
+            flip_b ^= 1 << (width - 1 - g.targets[0])
+    body = [g for g in body if g.targets[0] in mixed or g.targets[0] in read]
+
+    moves = tuple(g for g in gates[:lead] if g.kind in _PERMUTATION_KINDS)
+    layout = _layout(width, moves, a_qubits, d_qubits, flip_b)
+    nr = len(a_qubits) + len(d_qubits)
+    sizes = layout[0]["slot_sizes"]
+    cols = max(1, min(_CHUNK_ENTRIES >> nr, sizes[0] if sizes else 1))
+    chunks = _chunk_list(sizes, cols)
+    # Halve the chunks for more threads while each keeps _MIN_CHUNK_ENTRIES.
+    while len(chunks) < threads and (cols >> 1) << nr >= _MIN_CHUNK_ENTRIES:
+        cols >>= 1
+        chunks = _chunk_list(sizes, cols)
+    skeleton = tuple([g if g.kind == "H" or g.kind in _PERMUTATION_KINDS else None for g in body])
+    return _Member(layout, skeleton, body, a_qubits + d_qubits, cols, chunks)
+
+
+def _plan(members: list) -> _Plan:
+    """The plan of ``members``, of one layout and skeleton, compiled once.
+
+    Each gather multiplies by a (rows, members) table (``_monomial``).  A
+    lone member keeps its chunks; more run side by side as one chunk,
+    member j on the ``cols`` columns after member j - 1's.  Per column the
+    arithmetic is that of the member's own plan, so batches move no byte.
+    """
+    (fields, out_index), _, _, rows_of, cols, chunks = members[0]
+    steps, final_rows, n_h = _program([m.body for m in members], rows_of)
+    k = len(members)
+    if k > 1:
+        start_cols = cols * np.arange(k)[:, None] + fields["start_cols"]
+        fields = {**fields, "start_rows": np.tile(fields["start_rows"], k), "start_cols": start_cols.reshape(-1)}
+        chunks = ((0, k * cols),)
+    return _Plan(
+        steps=steps,
+        rows=len(final_rows),
+        pending_h=n_h % _RESCALE_EVERY,
+        members=k,
+        cols=cols,
+        chunks=chunks,
+        out_row=final_rows[out_index],
+        **fields,
+    )
+
+
 def _compile(u: Circuit, *, threads: int = 1) -> _Plan:
     """Plan for chunks of at most _CHUNK_ENTRIES entries, each inside one slot.
 
@@ -1236,42 +1293,30 @@ def _compile(u: Circuit, *, threads: int = 1) -> _Plan:
     Only the steps, the chunks and ``out_row`` are compiled per call; every
     other field comes from the memoised ``_layout`` (see the plan section).
     """
-    width = u.width
-    gates = u.gates
-    lead = next((i for i, g in enumerate(gates) if g.kind == "H"), len(gates))
-    body = gates[lead:]
-    mixed = {g.targets[0] for g in body if g.kind in _MIXING_KINDS}
-    read = {q for g in body if g.kind != "H" for q, _ in _condition(g)}
-    a_qubits = tuple(q for q in range(width) if q in mixed)
-    d_qubits = tuple(q for q in range(width) if q not in mixed and q in read)
-    # Later X gates on B; on F they are all there is, so they leave the plan.
-    flip_b = 0
-    for g in body:
-        if g.kind == "X" and g.targets[0] not in mixed:
-            flip_b ^= 1 << (width - 1 - g.targets[0])
-    body = [g for g in body if g.targets[0] in mixed or g.targets[0] in read]
+    return _plan([_member(u, threads)])
 
-    moves = tuple(g for g in gates[:lead] if g.kind in _PERMUTATION_KINDS)
-    fields, out_index = _layout(width, moves, a_qubits, d_qubits, flip_b)
-    nr = len(a_qubits) + len(d_qubits)
-    sizes = fields["slot_sizes"]
-    cols = max(1, min(_CHUNK_ENTRIES >> nr, sizes[0] if sizes else 1))
-    chunks = _chunk_list(sizes, cols)
-    # Halve the chunks for more threads while each keeps _MIN_CHUNK_ENTRIES.
-    while len(chunks) < threads and (cols >> 1) << nr >= _MIN_CHUNK_ENTRIES:
-        cols >>= 1
-        chunks = _chunk_list(sizes, cols)
 
-    steps, final_rows, n_h = _program(body, a_qubits + d_qubits)
-    return _Plan(
-        steps=steps,
-        rows=len(final_rows),
-        pending_h=n_h % _RESCALE_EVERY,
-        cols=cols,
-        chunks=chunks,
-        out_row=final_rows[out_index],
-        **fields,
-    )
+def _plans(circuits, threads: int):
+    """Yield (n, plan) for each run of ``circuits`` that compiles once, in order.
+
+    Consecutive circuits of one-chunk plans on one layout and skeleton
+    (``_member``), such as the worst-case embeddings of one n, make one
+    ``_plan`` of at most _TEMP_ENTRIES entries; every other circuit is a
+    plan of its own.
+    """
+    batch: list = []
+    for u in circuits:
+        m = _member(u, threads)
+        if batch and not (
+            len(m.chunks) == 1 and m.layout is batch[0].layout and m.skeleton == batch[0].skeleton
+            and (len(batch) + 1) * max(m.cols << len(m.rows_of), 2 << n) <= _TEMP_ENTRIES
+        ):
+            yield n, _plan(batch)
+            batch = []
+        batch.append(m)
+        n = u.width - 1
+    if batch:
+        yield n, _plan(batch)
 
 
 def _block_rows(dim: int, live: int, fixed: int) -> np.ndarray:
@@ -1290,9 +1335,9 @@ def _run_plan(plan: _Plan, chunk: tuple, bufs) -> np.ndarray:
     ``chunk`` is (first column, columns) and ``bufs`` holds two buffers of
     at least rows * columns entries.  Columns are summed by an
     adjacent-pair tree, so the sum is a subtree of the tree over the
-    chunk's slot, whatever the chunk width.  A batch chunk (``_batch``)
-    is wider than ``plan.cols`` and holds whole members of that many
-    columns each: it gives their sums side by side, per stored row.
+    chunk's slot, whatever the chunk width.  The chunk of a batch
+    (``_plan``) is wider than ``plan.cols`` and holds every member, of that
+    many columns each: it gives their sums side by side, per stored row.
 
     The steps run on the chunk's block of rows (see the plan section):
     the stored rows r with ``r & ~live == fixed``, packed in order, and
@@ -1369,8 +1414,6 @@ def _run_plan(plan: _Plan, chunk: tuple, bufs) -> np.ndarray:
                 elif size < dim and phase is not None:
                     rows = _block_rows(dim, live, fixed)
                 if phase is not None:
-                    if phase.ndim == 2:  # a batch's (rows, members) table
-                        phase = phase[:, c0 // plan.cols : c0 // plan.cols + members]
                     v = amps.reshape(size, members, -1)
                     np.multiply(v, phase[rows].reshape(size, members, 1), out=v)
             else:
@@ -1384,72 +1427,44 @@ def _run_plan(plan: _Plan, chunk: tuple, bufs) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _joins(a: _Plan, b: _Plan) -> bool:
-    """Whether b runs beside a in one batch: one chunk each on one cached layout, same steps but the phase tables."""
+def _finished(plan: _Plan, parts, n: int):
+    """Yield each member's distribution from the chunk sums ``parts`` of ``plan``, in chunk order.
 
-    def shape(p: _Plan) -> list:
-        return [s if s[0] != "gather" else (s[1] is None or s[1].tobytes(), s[2] is None) for s in p.steps]
-
-    return len(a.chunks) == len(b.chunks) == 1 and a.start_rows is b.start_rows and shape(a) == shape(b)
-
-
-def _batch(plans: list, threads: int) -> _Plan:
-    """One plan that runs ``plans``, which ``_joins`` the first, side by side: member j on its own columns.
-
-    Each gather multiplies by a (rows, members) table of the members'
-    phases.  A chunk holds whole members: all of them, halved for
-    ``threads`` as ``_compile`` halves a plan's chunks.
+    The members are finished as one (members, outcomes) array, and each
+    is yielded after both self-checks on its own row, so a failure
+    surfaces at its own circuit.
     """
-    p = plans[0]
-    k, w = len(plans), p.cols
-    steps = tuple(
-        (*s[:2], np.stack([q.steps[i][2] for q in plans], axis=1)) if s[0] == "gather" and s[2] is not None else s
-        for i, s in enumerate(p.steps)
-    )
-    m = k  # members per chunk
-    while -(-k // m) < threads and (m >> 1) * w * p.rows >= _MIN_CHUNK_ENTRIES:
-        m >>= 1
-    return replace(
-        p,
-        steps=steps,
-        start_rows=np.tile(p.start_rows, k),
-        start_cols=(w * np.arange(k)[:, None] + p.start_cols).reshape(-1),
-        chunks=tuple((c * w, min(m, k - c) * w) for c in range(0, k, m)),
-    )
-
-
-def _finished(plan: _Plan, parts, n: int) -> Distribution:
-    """The distribution from the chunk sums ``parts`` of ``plan``, in chunk order, after both self-checks."""
-    sums = np.zeros((len(plan.slot_sizes) + 1, plan.rows))  # the last row: no columns
-    for i, size in enumerate(plan.slot_sizes):
-        sums[i] = _tree_sum(islice(parts, max(1, size // plan.cols)))
-    probs = sums[plan.out_slot, plan.out_row]
+    sums = np.zeros((plan.members, len(plan.slot_sizes) + 1, plan.rows))  # the last slot: no columns
+    if plan.members > 1:
+        (part,) = parts
+        sums[:, 0] = part.reshape(plan.rows, plan.members).T
+    else:
+        for i, size in enumerate(plan.slot_sizes):
+            sums[0, i] = _tree_sum(islice(parts, max(1, size // plan.cols)))
+    probs = sums[:, plan.out_slot, plan.out_row]
     np.subtract(2.0**plan.pending_h, probs, out=probs, where=plan.out_comp)
     np.maximum(probs, 0.0, out=probs, where=plan.out_comp)
     probs *= math.ldexp(1.0, -(plan.pending_h + n))
 
-    total = float(probs.sum())
-    if not abs(total - 1.0) <= 1e-9:  # unitarity self-check
-        msg = f"distribution sums to {total}"
-        raise RuntimeError(msg)
     ceiling = 2.0 ** (-n) + 1e-12
-    if not float(probs.max()) <= ceiling:  # clean-qubit ceiling self-check
-        msg = f"outcome probability {probs.max()} exceeds 2**-{n}"
-        raise RuntimeError(msg)
-    return Distribution(n, probs)
+    for p, total, top in zip(probs, probs.sum(axis=1).tolist(), probs.max(axis=1).tolist()):
+        if not abs(total - 1.0) <= 1e-9:  # unitarity self-check
+            msg = f"distribution sums to {total}"
+            raise RuntimeError(msg)
+        if not top <= ceiling:  # clean-qubit ceiling self-check
+            msg = f"outcome probability {top} exceeds 2**-{n}"
+            raise RuntimeError(msg)
+        yield Distribution(n, p)
 
 
-def _distributions(circuits, threads: int):
-    """Yield the distribution of each circuit in order, as ``dqc1_distribution`` defines it.
+def _distributions(plans, threads: int):
+    """Yield the distribution of each member of each (n, plan) of ``plans``, in order.
 
-    Consecutive plans that ``_joins`` the first of them, such as the
-    worst-case embeddings of one n, run as one ``_batch`` of at most
-    _CHUNK_ENTRIES entries; every other plan runs alone.  Each member is
-    finished as it is yielded, so a failure surfaces at its own circuit.
-    The package's one worker pool, of ``threads`` workers, opens on the
-    first run of more than one chunk and closes when the generator ends
-    or is closed.  Each thread keeps two chunk buffers, grown as the
-    plans need.
+    ``_plans`` compiles a sequence of circuits into such plans, one per run
+    of same-shape circuits.  The package's one worker pool, of ``threads``
+    workers, opens on the first plan of more than one chunk and closes
+    when the generator ends or is closed.  Each thread keeps two chunk
+    buffers, grown as the plans need.
     """
     local = threading.local()
     pool = None
@@ -1468,25 +1483,9 @@ def _distributions(circuits, threads: int):
         pool = pool or stack.enter_context(ThreadPoolExecutor(max_workers=threads))
         return pool.map(one_chunk, plan.chunks)
 
-    def run(batch: list):
-        if len(batch) == 1:
-            ((n, plan),) = batch
-            yield _finished(plan, parts(plan), n)
-        elif batch:
-            joint = _batch([plan for _, plan in batch], threads)
-            sums = np.concatenate([s.reshape(joint.rows, -1) for s in parts(joint)], axis=1)
-            for (n, plan), column in zip(batch, sums.T):
-                yield _finished(plan, iter((column,)), n)
-
-    batch: list = []  # (n, plan) of the circuits compiled but not run
     with ExitStack() as stack:
-        for u in circuits:
-            plan = _compile(u, threads=threads)
-            if batch and not (len(batch) < _CHUNK_ENTRIES // (plan.rows * plan.cols) and _joins(batch[0][1], plan)):
-                yield from run(batch)
-                batch = []
-            batch.append((u.width - 1, plan))
-        yield from run(batch)
+        for n, plan in plans:
+            yield from _finished(plan, parts(plan), n)
 
 
 # The read-ahead of a chain on this thread: (its circuits not taken yet,
@@ -1503,7 +1502,7 @@ def _reading_ahead(circuits, threads: int):
     consecutive same-shape plans run as one batch; any other call runs
     alone.  The generator, and its worker pool, close with the block.
     """
-    dists = _distributions(circuits, threads)
+    dists = _distributions(_plans(circuits, threads), threads)
     _AHEAD.chain = (list(circuits)[::-1], dists)
     try:
         yield
@@ -1534,9 +1533,9 @@ def dqc1_distribution(
     a plan of one chunk, such as the one column of a worst-case embedding,
     runs on the calling thread.  Inside a chain's
     read-ahead (``_reading_ahead``) a call on the chain's next circuit
-    takes its distribution from one generator over the chain, which runs
-    consecutive one-chunk plans of one shape as a batch; the bytes are
-    those of the call alone.
+    takes its distribution from one generator over the chain, which
+    compiles and runs consecutive one-chunk plans of one shape once, as a
+    batch; the bytes are those of the call alone.
     Each row is summed over columns by an adjacent-pair tree: a chunk lies
     inside one slot and gives one sum per row, a subtree of its slot's, so
     output bits depend on neither ``threads`` nor the chunk size.  A chunk
@@ -1568,7 +1567,7 @@ def dqc1_distribution(
     if rest and rest[-1] is u:
         rest.pop()
         return next(dists)
-    (d,) = _distributions((u,), threads)
+    (d,) = _distributions([(n, _compile(u, threads=threads))], threads)
     return d
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import dqc1sim.hardness as hardness
 import dqc1sim.simulator as simulator
-from dqc1sim.circuits import Circuit, PolyF2, compile_iqp_from_poly, cx, h, s, save_circuit, t, x
+from dqc1sim.circuits import Circuit, PolyF2, ccz, compile_iqp_from_poly, cx, cz, h, rz, s, save_circuit, t, tdg, x, z
 from dqc1sim.ensembles import (
     load_ensemble_dir,
     parse_ensemble_spec,
@@ -633,6 +633,76 @@ class TestChainBatches:
         _spy_on_the_sampler(monkeypatch, lambda p: seen.append(p.probs.tobytes()))
         verify_chain(ens, SamplerModel.mass_shift(1 / 72), ErrorBudget())
         assert seen == want
+
+
+class TestChainBlocks:
+    """Same-shape circuits compile once and a chain counts a block of circuits at a time; neither moves a byte."""
+
+    @staticmethod
+    def _rounding_ensemble() -> Ensemble:
+        # Embeddings of one skeleton whose diagonal gates round (T, TDG and
+        # RZ) and differ between circuits, with one CX inside the stretch.
+        # Member 4 moves its CZ onto the clean qubit 0, which no gate
+        # mixes: the same skeleton on another D set, so another layout.
+        n, rng = 4, np.random.default_rng(43)
+        layer = tuple(h(q) for q in range(n))
+
+        def qubits(k: int) -> list[int]:
+            return [int(q) for q in rng.choice(n, size=k, replace=False)]
+
+        circuits = []
+        for i in range(7):
+            (a,), (b,), (c,), (d,), (e,) = (qubits(1) for _ in range(5))
+            stretch = (t(a), tdg(b), s(c), z(d), cx(0, 1), rz(float(rng.uniform(-3, 3)), e), cz(*qubits(2)), ccz(*qubits(3)))
+            u = build_worst_case_embedding(Circuit(n, layer + stretch + layer))
+            if i == 4:
+                at = next(k for k, g in enumerate(u.gates) if g.kind == "CZ")
+                u = Circuit(n + 1, u.gates[:at] + (cz(0, u.gates[at].targets[1]),) + u.gates[at + 1 :])
+            circuits.append(u)
+        return Ensemble(n, tuple(circuits))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_same_shape_circuits_with_rounding_phases_keep_their_bytes(self, monkeypatch, threads):
+        ens = self._rounding_ensemble()
+        want = [dqc1_distribution(u).probs.tobytes() for u in ens.circuits]
+        assert len(set(want)) == len(want)
+        seen = []
+        _spy_on_the_sampler(monkeypatch, lambda p: seen.append(p.probs.tobytes()))
+        verify_chain(ens, SamplerModel.exact(), ErrorBudget(), threads=threads)
+        assert seen == want
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_blocks_and_caps_move_no_count(self, threads):
+        # 70 embeddings at n = 8 cross every batch and block boundary; at
+        # eta = 0 each circuit counts the same alone.
+        ens = parse_ensemble_spec("random:iqp:8:70:24:5")
+        sampler, budget = SamplerModel.mass_shift(1 / 72), ErrorBudget(eta=0.0)
+        got = verify_chain(ens, sampler, budget, threads=threads)
+        alone = [verify_chain(Ensemble(ens.n, (u,)), sampler, budget) for u in ens.circuits]
+        pairs = 1 << (ens.n + 1)
+        for field in ("markov_fraction", "heavy_fraction", "success_fraction"):
+            count = sum(getattr(r, field) * pairs for r in alone)
+            assert getattr(got, field) == count / (len(ens) * pairs), field
+
+    @pytest.mark.parametrize("bad", [5, 33])
+    def test_tv_failure_names_its_circuit(self, monkeypatch, bad):
+        # The sampler breaks its budget on one circuit of a block: the
+        # error names that circuit and the TV that circuit alone gives.
+        ens = parse_ensemble_spec("random:iqp:8:40:24:6")
+        noisy = hardness.make_noisy_distribution
+        calls = []
+
+        def spy(p, model):
+            calls.append(p)
+            return noisy(p, SamplerModel.mixture(1.0) if len(calls) == bad + 1 else model)
+
+        monkeypatch.setattr(hardness, "make_noisy_distribution", spy)
+        budget = ErrorBudget()
+        p = dqc1_distribution(ens.circuits[bad])
+        tv = total_variation_distance(p, noisy(p, SamplerModel.mixture(1.0)))
+        message = f"circuit {bad}: sampler TV {tv} exceeds the TV budget eps={budget.eps}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_chain(ens, SamplerModel.mass_shift(1 / 72), budget)
 
 
 class TestChainDistributions:
